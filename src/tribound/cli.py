@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import fixtures as fx
-from .cache import default_cache_dir, load_reach, store_reach
+from .cache import cache_path, default_cache_dir, load_reach, store_reach
 from .cochain import (
     CochainFn,
     DeltaReach,
@@ -39,6 +39,7 @@ from .diagram import (
     validate_text,
 )
 from .invariant import (
+    PhiSet,
     certify_lower_bound,
     phi_set,
     verify_certificate,
@@ -248,7 +249,10 @@ def cmd_weight(args: argparse.Namespace, report: RunReport) -> int:
         )
     report.results["weights"] = rows
     if args.coloring == "all":
-        phi = phi_set(d, args.s, f)
+        phi = PhiSet.from_weights(
+            d.name, args.s, args.n,
+            ((row["id"], row["w"]) for row in rows if not row["trivial"]),
+        )
         report.results["phi"] = {
             "values": list(phi.values),
             "witnesses": {str(v): list(ids) for v, ids in phi.witnesses.items()},
@@ -290,7 +294,7 @@ def cmd_delta(args: argparse.Namespace, report: RunReport) -> int:
     f = _build_f(args.f, args.n)
     cache_dir = Path(args.cache) if args.cache else default_cache_dir()
     reach = _reach_with_cache(f, args.max_m, cache_dir, report, cap=args.cap)
-    dump = store_reach(reach, cache_dir)
+    dump = cache_path(f, cache_dir)
     report.results["f_canonical"] = f.canonical()
     report.results["im_size"] = len(reach.im_delta)
     report.results["im"] = _set_summary(reach.im_delta, dump)
@@ -311,6 +315,8 @@ def cmd_certify(args: argparse.Namespace, report: RunReport) -> int:
     d = _read_diagram(args.path_d)
     d2 = _read_diagram(args.path_d2)
     f = _build_f(args.f, args.n)
+    if args.max_m < 1:
+        raise ValueError(f"max_m must be >= 1, got {args.max_m}")
     cache_dir = Path(args.cache) if args.cache else default_cache_dir()
     reach = _reach_with_cache(f, args.max_m - 1, cache_dir, report)
     cert = certify_lower_bound(d, d2, args.s, f, args.max_m, reach=reach)

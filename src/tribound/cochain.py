@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .coloring import quandle_star
+from .coloring import ResourceCapExceeded, quandle_star
 
 __all__ = [
     "ExprError",
@@ -84,10 +84,6 @@ class SharpConditionError(ValueError):
         super().__init__(
             f"f{triple} = {value} != 0 violates the y=z vanishing condition"
         )
-
-
-class ResourceCapExceeded(RuntimeError):
-    """A level set grew past the configured cardinality cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +375,8 @@ def expand(expr: PolyExpr) -> _Monomials:
 def canonical_str(expr: PolyExpr) -> str:
     """Canonical string of the expanded polynomial: monomials sorted by
     (total degree, exponents) descending.  Two expressions denote the
-    same function on all of Z^3 iff their canonical strings agree."""
+    same function on all of Z^3 iff their canonical strings agree, and
+    the string parses back to the same polynomial."""
     mono = expand(expr)
     if not mono:
         return "0"
@@ -395,9 +392,11 @@ def canonical_str(expr: PolyExpr) -> str:
         mag = abs(coeff)
         if not names:
             body = str(mag)
-        elif mag == 1:
+        elif mag == 1 and (parts or coeff > 0):
             body = "*".join(names)
         else:
+            # a leading minus binds to the base ("-x^2*y" reads as
+            # (-x)^2*y), so a negative leading term keeps its "1"
             body = "*".join([str(mag)] + names)
         if not parts:
             parts.append(body if coeff > 0 else f"-{body}")

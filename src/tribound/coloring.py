@@ -13,6 +13,7 @@ and is exposed as :func:`quandle_star`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, prod
 
 from .diagram import Diagram
 
@@ -21,7 +22,8 @@ __all__ = [
     "Coloring",
     "ExtendedColoring",
     "RegionConflictError",
-    "crossing_arc_triples",
+    "ResourceCapExceeded",
+    "COLORING_CAP",
     "enumerate_colorings",
     "is_trivial",
     "extend_coloring",
@@ -35,8 +37,18 @@ def quandle_star(x: int, y: int, n: int) -> int:
     return (2 * y - x) % n
 
 
+# enumerate_colorings refuses to build more colorings than this; the Delta
+# level cap, DEFAULT_LEVEL_CAP, lives with the levels in cochain.py
+COLORING_CAP = 10**5
+
+
+class ResourceCapExceeded(RuntimeError):
+    """A coloring list or a level set grew past its cardinality cap."""
+
+
 class RegionConflictError(RuntimeError):
-    """Region propagation produced two different colors for one face.
+    """Region propagation left an edge whose two sides break the region
+    relation s + t = 2a.
 
     This cannot happen for a valid diagram and a valid coloring; it
     signals corrupted input or a conventions bug.
@@ -74,56 +86,128 @@ class ExtendedColoring:
         return self.region_colors[face_id]
 
 
-def crossing_arc_triples(d: Diagram) -> list[tuple[int, int, int, int]]:
-    """Per crossing: (crossing id, under-in arc, under-out arc, over arc)."""
-    triples = []
-    for c in d.crossings:
-        under_in = under_out = over = -1
-        for s in c.slots:
-            if s.level == "under":
-                if s.direction == "in":
-                    under_in = d.arc_of_edge(s.edge)
-                else:
-                    under_out = d.arc_of_edge(s.edge)
-            elif s.direction == "in":
-                over = d.arc_of_edge(s.edge)
-        triples.append((c.id, under_in, under_out, over))
-    return triples
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _eliminate(p: int, b: int, n: int) -> tuple[int, int, int, int]:
+    """A unimodular 2x2 step (s, t, u, v) taking (p, b) to (g, 0) mod n:
+    s*p + t*b = g and u*p + v*b = 0, with s*v - t*u = 1.
+
+    When p divides b this is plain subtraction: an extended-gcd step can
+    come back with s = 0 (xgcd(1, 1) = (1, 0, 1)), which only swaps the
+    two lines and would repeat forever.
+    """
+    if b % p == 0:
+        return 1, 0, -(b // p) % n, 1
+    g, s, t = _xgcd(p, b)
+    return s % n, t % n, -(b // g) % n, (p // g) % n
+
+
+def _diagonalize(
+    rows: list[list[int]], k: int, n: int
+) -> tuple[list[int], list[list[int]]]:
+    """Bring a matrix over Z/n with k columns to diagonal form by
+    unimodular row and column operations.
+
+    Returns the diagonal entries d_0..d_{k-1} (0 past the rank) and the
+    column transform V as a list of its columns: rows * V = U^-1 * D.
+    """
+    a = [list(r) for r in rows]
+    cols = [[int(i == j) for i in range(k)] for j in range(k)]
+    diag = [0] * k
+    for t in range(min(len(a), k)):
+        pivot = next(
+            ((i, j) for i in range(t, len(a)) for j in range(t, k) if a[i][j]),
+            None,
+        )
+        if pivot is None:
+            break
+        i, j = pivot
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        cols[t], cols[j] = cols[j], cols[t]
+        while True:
+            for i in range(t + 1, len(a)):
+                if a[i][t]:
+                    s, u, v, w = _eliminate(a[t][t], a[i][t], n)
+                    top, low = a[t], a[i]
+                    a[t] = [(s * x + u * y) % n for x, y in zip(top, low)]
+                    a[i] = [(v * x + w * y) % n for x, y in zip(top, low)]
+            for j in range(t + 1, k):
+                if a[t][j]:
+                    s, u, v, w = _eliminate(a[t][t], a[t][j], n)
+                    for row in a:
+                        x, y = row[t], row[j]
+                        row[t], row[j] = (s * x + u * y) % n, (v * x + w * y) % n
+                    left, right = cols[t], cols[j]
+                    cols[t] = [(s * x + u * y) % n for x, y in zip(left, right)]
+                    cols[j] = [(v * x + w * y) % n for x, y in zip(left, right)]
+            if not any(a[i][t] for i in range(t + 1, len(a))):
+                break
+        diag[t] = a[t][t]
+    return diag, cols
 
 
 def enumerate_colorings(d: Diagram, n: int) -> list[Coloring]:
     """All Fox n-colorings, in lexicographic order of arc-color vectors.
 
-    Backtracks over arcs in id order, checking each crossing relation as
-    soon as all three of its arcs are assigned.
+    The colorings are the kernel of the crossings x arcs coloring matrix
+    (a + c - 2b per crossing) over Z/n, for any modulus n.  Unimodular
+    row and column operations bring the matrix to a diagonal D with
+    column transform V; the kernel is then every V*y where y_i runs over
+    the multiples of n / gcd(d_i, n).  The number of colorings,
+    prod gcd(d_i, n), is known before any vector is built: past
+    ``COLORING_CAP`` the call raises ResourceCapExceeded.  The cost
+    follows the number of colorings, not the numbering of the edges.
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    arc_count = len(d.arcs)
-    constraints = [
-        (a, c, b) for (_, a, c, b) in crossing_arc_triples(d)
-    ]
-    by_last: list[list[tuple[int, int, int]]] = [[] for _ in range(arc_count)]
-    for tri in constraints:
-        by_last[max(tri)].append(tri)
+    k = len(d.arcs)
+    relations = d.tables.relations
+    matrix = []
+    for under_in, under_out, over in relations:
+        row = [0] * k
+        row[under_in] += 1
+        row[under_out] += 1
+        row[over] -= 2
+        matrix.append([x % n for x in row])
+    diag, cols = _diagonalize(matrix, k, n)
+    orders = [gcd(x, n) for x in diag]
+    count = prod(orders)
+    if count > COLORING_CAP:
+        raise ResourceCapExceeded(
+            f"{count} colorings over Z({n}), past the cap {COLORING_CAP}"
+        )
 
-    out: list[Coloring] = []
-    colors = [0] * arc_count
-
-    def backtrack(i: int) -> None:
-        if i == arc_count:
-            out.append(Coloring(n=n, arc_colors=tuple(colors)))
-            return
-        for v in range(n):
-            colors[i] = v
-            if all(
-                (colors[a] + colors[c] - 2 * colors[b]) % n == 0
-                for (a, c, b) in by_last[i]
-            ):
-                backtrack(i + 1)
-
-    backtrack(0)
-    return out
+    vectors = [(0,) * k]
+    for order, col in zip(orders, cols):
+        if order == 1:
+            continue
+        step = n // order
+        gens = [
+            tuple(j * step * x % n for x in col) for j in range(order)
+        ]
+        vectors = [
+            tuple((x + y) % n for x, y in zip(vec, gen))
+            for vec in vectors
+            for gen in gens
+        ]
+    vectors.sort()
+    for vec in vectors:
+        for under_in, under_out, over in relations:
+            if (vec[under_in] + vec[under_out] - 2 * vec[over]) % n:
+                raise AssertionError(
+                    f"kernel vector {vec} breaks a crossing relation mod {n}"
+                )
+    return [Coloring(n=n, arc_colors=vec) for vec in vectors]
 
 
 def is_trivial(c: Coloring) -> bool:
@@ -134,39 +218,22 @@ def is_trivial(c: Coloring) -> bool:
 def extend_coloring(d: Diagram, c: Coloring, s: int) -> ExtendedColoring:
     """The unique region extension with outer-region color s.
 
-    Region colors propagate from the outer face: crossing an edge of arc
-    color a from a region of color r lands in the region of color
-    2a - r (mod n).  Every edge relation is re-checked afterwards.
+    Region colors propagate from the outer face along a spanning tree of
+    the faces: crossing an edge of arc color a from a region of color r
+    lands in the region of color 2a - r (mod n).  Every edge relation is
+    re-checked afterwards.
     """
     n = c.n
     if not 0 <= s < n:
         raise ValueError(f"outer color {s} not in Z({n})")
+    t = d.tables
+    colors = c.arc_colors
     region = [-1] * len(d.faces)
     region[d.outer_face] = s
-    stack = [d.outer_face]
-    adjacency: dict[int, list[tuple[int, int]]] = {f.id: [] for f in d.faces}
-    for e in d.edges:
-        a = c.arc_colors[d.arc_of_edge(e.id)]
-        lf = d.face_of_side(e.id, "left")
-        rf = d.face_of_side(e.id, "right")
-        adjacency[lf].append((rf, a))
-        adjacency[rf].append((lf, a))
-    while stack:
-        fid = stack.pop()
-        for other, a in adjacency[fid]:
-            t = (2 * a - region[fid]) % n
-            if region[other] == -1:
-                region[other] = t
-                stack.append(other)
-            elif region[other] != t:
-                raise RegionConflictError(
-                    f"face {other} reached with colors {region[other]} and {t}"
-                )
-    for e in d.edges:
-        a = c.arc_colors[d.arc_of_edge(e.id)]
-        lf = d.face_of_side(e.id, "left")
-        rf = d.face_of_side(e.id, "right")
-        if (region[lf] + region[rf] - 2 * a) % n != 0:
+    for known, arc, new in t.propagation:
+        region[new] = (2 * colors[arc] - region[known]) % n
+    for e, (arc, lf, rf) in zip(d.edges, t.edge_rows):
+        if (region[lf] + region[rf] - 2 * colors[arc]) % n != 0:
             raise RegionConflictError(
                 f"edge {e.id} violates the region relation after propagation"
             )

@@ -8,7 +8,9 @@ embedding on the sphere; faces come out of face tracing, and the planar
 picture is fixed by designating one face as the outer region.
 
 Everything derived (arcs, faces, crossing signs, components) is computed
-eagerly at construction and is immutable afterwards.
+eagerly at construction and is immutable afterwards.  The flat index
+tables the coloring and weight loops read (``Diagram.tables``) are built
+from it on first use.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 __all__ = [
@@ -29,6 +32,7 @@ __all__ = [
     "Edge",
     "Arc",
     "Face",
+    "DiagramTables",
     "Diagram",
     "ValidationIssue",
     "parse_diagram",
@@ -153,18 +157,15 @@ class Diagram:
 
     def arc_of_edge(self, eid: int) -> int:
         """Arc id containing the given edge."""
-        return self._edge_to_arc()[eid]
+        return self.tables.edge_arc[eid]
 
     def face_of_side(self, eid: int, side: str) -> int:
         """Face id lying on the given side of the oriented edge."""
-        return self._side_to_face()[(eid, side)]
+        return self.tables.side_face[(eid, side)]
 
     def corner_face(self, cid: int, k: int) -> int:
         """Face id occupying the corner between slots k and k+1 (ccw)."""
-        c = self.crossing(cid)
-        slot = c.slots[k % 4]
-        side = LEFT if slot.direction == "out" else RIGHT
-        return self.face_of_side(slot.edge, side)
+        return _corner_face(self.crossing(cid), k, self.tables.side_face)
 
     def slot_position(self, cid: int, level: str, direction: str) -> int:
         """Index of the unique slot at crossing cid with given level/direction."""
@@ -174,24 +175,92 @@ class Diagram:
                 return k
         raise KeyError(f"crossing {cid} has no {direction} {level} slot")
 
-    # Cached derived maps.  The dataclass is frozen, so stash them in the
-    # instance dict via object.__setattr__ on first use.
+    @cached_property
+    def tables(self) -> "DiagramTables":
+        """Flat index tables, built on first use (once per instance)."""
+        return _build_tables(self)
 
-    def _edge_to_arc(self) -> dict[int, int]:
-        cached = self.__dict__.get("_edge_to_arc_map")
-        if cached is None:
-            cached = {e: a.id for a in self.arcs for e in a.edges}
-            object.__setattr__(self, "_edge_to_arc_map", cached)
-        return cached
 
-    def _side_to_face(self) -> dict[tuple[int, str], int]:
-        cached = self.__dict__.get("_side_to_face_map")
-        if cached is None:
-            cached = {
-                (e, side): f.id for f in self.faces for (e, side) in f.boundary
-            }
-            object.__setattr__(self, "_side_to_face_map", cached)
-        return cached
+@dataclass(frozen=True)
+class DiagramTables:
+    """Index tables of one diagram, read by the coloring and weight loops
+    in place of the lookup methods.
+
+    Arcs and faces are named by id; per-edge and per-crossing rows follow
+    the order of ``Diagram.edges`` and ``Diagram.crossings``.
+    """
+
+    edge_arc: dict[int, int]  # edge id -> arc id
+    side_face: dict[tuple[int, str], int]  # (edge id, side) -> face id
+    edge_rows: tuple[tuple[int, int, int], ...]  # (arc, left face, right face)
+    # (known face, arc, new face): a spanning tree of the faces rooted at
+    # the outer face, ordered so that each step's known face comes earlier
+    propagation: tuple[tuple[int, int, int], ...]
+    # per crossing: (under-in arc, under-out arc, over arc)
+    relations: tuple[tuple[int, int, int], ...]
+    # per crossing: (id, sign, right-under arc, over arc, s-corner face)
+    crossing_rows: tuple[tuple[int, int, int, int, int], ...]
+
+
+def _corner_face(
+    c: Crossing, k: int, side_face: Mapping[tuple[int, str], int]
+) -> int:
+    slot = c.slots[k % 4]
+    side = LEFT if slot.direction == "out" else RIGHT
+    return side_face[(slot.edge, side)]
+
+
+def _build_tables(d: Diagram) -> DiagramTables:
+    edge_arc = {e: a.id for a in d.arcs for e in a.edges}
+    side_face = {
+        (e, side): f.id for f in d.faces for (e, side) in f.boundary
+    }
+    edge_rows = tuple(
+        (edge_arc[e.id], side_face[(e.id, LEFT)], side_face[(e.id, RIGHT)])
+        for e in d.edges
+    )
+
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in d.faces]
+    for arc, lf, rf in edge_rows:
+        adjacency[lf].append((arc, rf))
+        adjacency[rf].append((arc, lf))
+    seen = {d.outer_face}
+    queue = [d.outer_face]
+    propagation = []
+    for face in queue:
+        for arc, other in adjacency[face]:
+            if other not in seen:
+                seen.add(other)
+                queue.append(other)
+                propagation.append((face, arc, other))
+
+    relations = []
+    crossing_rows = []
+    for c in d.crossings:
+        ends = {(s.level, s.direction): k for k, s in enumerate(c.slots)}
+        arcs = [edge_arc[s.edge] for s in c.slots]
+        p = ends[("over", "out")]
+        relations.append(
+            (arcs[ends[("under", "in")]], arcs[ends[("under", "out")]], arcs[p])
+        )
+        # Corner k sits between slots k and k+1; a strand leaving via slot
+        # r has corners r+2 and r+3 on its right.  The under-out slot is
+        # p-1 at a positive crossing and p+1 at a negative one, so the
+        # corner right of both strands is p+2 or p+3.  The under arc on
+        # the right of the over-strand leaves or enters at slot p+3.
+        corner = p + 2 if c.sign > 0 else p + 3
+        crossing_rows.append(
+            (c.id, c.sign, arcs[(p + 3) % 4], arcs[p],
+             _corner_face(c, corner, side_face))
+        )
+    return DiagramTables(
+        edge_arc=edge_arc,
+        side_face=side_face,
+        edge_rows=edge_rows,
+        propagation=tuple(propagation),
+        relations=tuple(relations),
+        crossing_rows=tuple(crossing_rows),
+    )
 
 
 # ---------------------------------------------------------------------------

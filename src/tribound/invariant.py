@@ -18,7 +18,7 @@ certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from .cochain import CochainFn, DeltaReach, delta_reach
 from .coloring import (
@@ -80,34 +80,48 @@ class PhiSet:
     def __contains__(self, value: int) -> bool:
         return value in set(self.values)
 
-
-def _right_corners(exit_slot: int) -> set[int]:
-    # Corner k sits between slots k and k+1 (ccw).  A strand leaving via
-    # slot r has the corners between slots r+2..r+3 and r+3..r on its right.
-    return {(exit_slot + 2) % 4, (exit_slot + 3) % 4}
+    @classmethod
+    def from_weights(
+        cls, diagram: str, s: int, n: int, weights: Iterable[tuple[int, int]]
+    ) -> "PhiSet":
+        """Collect (coloring id, W) pairs, given in coloring-id order."""
+        witnesses: dict[int, list[int]] = {}
+        for cid, w in weights:
+            witnesses.setdefault(w, []).append(cid)
+        return cls(
+            diagram=diagram,
+            s=s,
+            n=n,
+            values=tuple(sorted(witnesses)),
+            witnesses={v: tuple(ids) for v, ids in witnesses.items()},
+        )
 
 
 def crossing_triple(
     d: Diagram, ec: ExtendedColoring, cid: int
 ) -> CrossingTriple:
-    """Read (s, a, b, epsilon) off one crossing of an extended coloring.
-
-    With the outgoing over slot at ccw position p, the under slot on the
-    right of the over-strand is p+3; the region right of both strands is
-    the unique corner in the intersection of the two right-hand corner
-    pairs.  This slot arithmetic is pinned by the bundled reference
-    diagrams (see tests).
+    """Read (s, a, b, epsilon) off one crossing of an extended coloring:
+    b is the over arc's color, a the color of the under arc on the right
+    of the oriented over-strand, and s the color of the region right of
+    both strands.  ``Diagram.tables`` holds the slot arithmetic; the
+    bundled reference diagrams pin it (see tests).
     """
-    c = d.crossing(cid)
-    p = d.slot_position(cid, "over", "out")
-    q = d.slot_position(cid, "under", "out")
-    b = ec.arc_color(d.arc_of_edge(c.slots[p].edge))
-    a = ec.arc_color(d.arc_of_edge(c.slots[(p + 3) % 4].edge))
-    corners = _right_corners(p) & _right_corners(q)
-    if len(corners) != 1:
-        raise AssertionError(f"crossing {cid}: corner selection not unique")
-    s = ec.region_color(d.corner_face(cid, corners.pop()))
-    return CrossingTriple(crossing=cid, s=s, a=a, b=b, epsilon=c.sign)
+    for row in d.tables.crossing_rows:
+        if row[0] == cid:
+            return _triple(row, ec.base.arc_colors, ec.region_colors)
+    raise KeyError(f"no crossing with id {cid}")
+
+
+def _triple(
+    row: tuple[int, int, int, int, int],
+    arcs: tuple[int, ...],
+    regions: tuple[int, ...],
+) -> CrossingTriple:
+    cid, sign, under, over, corner = row
+    return CrossingTriple(
+        crossing=cid, s=regions[corner], a=arcs[under], b=arcs[over],
+        epsilon=sign,
+    )
 
 
 def weight(d: Diagram, ec: ExtendedColoring, f: CochainFn) -> WeightValue:
@@ -116,26 +130,26 @@ def weight(d: Diagram, ec: ExtendedColoring, f: CochainFn) -> WeightValue:
         raise ValueError(
             f"modulus mismatch: f over Z({f.n}), coloring over Z({ec.n})"
         )
-    triples = tuple(crossing_triple(d, ec, c.id) for c in d.crossings)
+    arcs, regions = ec.base.arc_colors, ec.region_colors
+    triples = tuple(
+        _triple(row, arcs, regions) for row in d.tables.crossing_rows
+    )
+    table = f.table
     return WeightValue(
-        value=sum(t.contribution(f) for t in triples), per_crossing=triples
+        value=sum(t.epsilon * table[t.s][t.a][t.b] for t in triples),
+        per_crossing=triples,
     )
 
 
 def phi_set(d: Diagram, s: int, f: CochainFn) -> PhiSet:
     """Weight values of every non-trivial coloring with outer color s."""
-    witnesses: dict[int, list[int]] = {}
-    for cid, col in enumerate(enumerate_colorings(d, f.n)):
-        if is_trivial(col):
-            continue
-        w = weight(d, extend_coloring(d, col, s), f).value
-        witnesses.setdefault(w, []).append(cid)
-    return PhiSet(
-        diagram=d.name,
-        s=s,
-        n=f.n,
-        values=tuple(sorted(witnesses)),
-        witnesses={v: tuple(ids) for v, ids in witnesses.items()},
+    return PhiSet.from_weights(
+        d.name, s, f.n,
+        (
+            (cid, weight(d, extend_coloring(d, col, s), f).value)
+            for cid, col in enumerate(enumerate_colorings(d, f.n))
+            if not is_trivial(col)
+        ),
     )
 
 

@@ -4,8 +4,13 @@ import json
 import shutil
 from pathlib import Path
 
+import tribound.cli as cli
+import tribound.coloring as coloring
+import tribound.invariant as invariant
 from tribound.cli import main
-from tribound.fixtures import fixture_dict
+from tribound.cochain import CochainFn
+from tribound.fixtures import fixture_dict, load_fixture
+from tribound.invariant import phi_set
 
 REPO_FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -108,6 +113,36 @@ def test_weight_all(capsys):
     assert report["results"]["phi"]["values"] == [-2, 2]
 
 
+def test_weight_all_enumerates_once(capsys, monkeypatch):
+    calls = []
+    real = cli.enumerate_colorings
+
+    def counting(d, n):
+        calls.append(n)
+        return real(d, n)
+
+    for module in (cli, invariant):
+        monkeypatch.setattr(module, "enumerate_colorings", counting)
+    code, report, _ = run_json(
+        capsys, "weight", "d4", "-n", "5", "-f", "(x-y)*(y-z)*z", "-s", "2",
+    )
+    assert code == 0 and calls == [5]
+    phi = phi_set(load_fixture("d4"), 2, CochainFn.build("(x-y)*(y-z)*z", 5))
+    assert report["results"]["phi"] == {
+        "values": list(phi.values),
+        "witnesses": {str(v): list(ids) for v, ids in phi.witnesses.items()},
+    }
+
+
+def test_coloring_cap_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(coloring, "COLORING_CAP", 8)
+    code, _, err = run(capsys, "colorings", "d1", "-n", "3")
+    assert code == 4
+    assert "9 colorings" in err and "cap" in err
+    code, report, _ = run_json(capsys, "colorings", "d1", "-n", "2")
+    assert code == 0 and report["results"]["count_total"] == 2
+
+
 def test_weight_single_coloring(capsys):
     code, report, _ = run_json(
         capsys,
@@ -156,6 +191,27 @@ def test_delta_and_cache(capsys, tmp_path):
     assert warm["results"] == cold["results"]
 
 
+def test_delta_writes_cache_once(capsys, tmp_path, monkeypatch):
+    stores = []
+    real = cli.store_reach
+
+    def counting(reach, directory=None):
+        stores.append(directory)
+        return real(reach, directory)
+
+    monkeypatch.setattr(cli, "store_reach", counting)
+    args = (
+        "delta", "-n", "3", "-f", "(x-y)*(y-z)*z", "--max-m", "1",
+        "--cache", str(tmp_path / "c"),
+    )
+    code, cold, _ = run_json(capsys, *args)
+    assert code == 0 and len(stores) == 1
+    code, warm, _ = run_json(capsys, *args)
+    assert code == 0 and len(stores) == 1
+    assert warm["results"]["cache_file"] == cold["results"]["cache_file"]
+    assert Path(cold["results"]["cache_file"]).exists()
+
+
 def test_delta_large_set_summarized(capsys, tmp_path):
     code, report, _ = run_json(
         capsys,
@@ -198,6 +254,28 @@ def test_certify_reference_pairs(capsys, tmp_path):
     )
     assert code == 0
     assert report["results"]["certificate"]["m"] == 3
+
+
+def test_certify_max_m_zero(capsys, tmp_path):
+    code, _, err = run(
+        capsys,
+        "certify", "d1", "d2", "-n", "3", "-f", "(x-y)*(y-z)*z",
+        "-s", "0", "--max-m", "0", "--cache", str(tmp_path / "c"),
+    )
+    assert code == 2
+    assert "max_m must be >= 1, got 0" in err
+    assert not (tmp_path / "c").exists()
+
+
+def test_certify_negative_leading_term_verifies(capsys, tmp_path):
+    code, report, _ = run_json(
+        capsys,
+        "certify", "d1", "d2", "-n", "3", "-f", "(y-z)*(0-x^2)",
+        "-s", "0", "--max-m", "2", "--cache", str(tmp_path / "c"),
+    )
+    assert code in (0, 5)
+    assert report["results"]["verified"] is True
+    assert report["results"]["certificate"]["f"] == "-1*x^2*y + x^2*z"
 
 
 def test_certify_no_obstruction(capsys, tmp_path):

@@ -95,6 +95,8 @@ def test_canonical_form():
     )
     assert canonical_str(parse_poly("x - x")) == "0"
     assert canonical_str(parse_poly("z + x")) == "x + z"
+    # a bare "-x^2*y" would parse back as (-x)^2*y
+    assert canonical_str(parse_poly("(y-z)*(0-x^2)")) == "-1*x^2*y + x^2*z"
 
 
 @st.composite
@@ -140,6 +142,24 @@ def test_expansion_preserves_evaluation(expr, x, y, z):
 def test_rendering_round_trips(expr):
     again = parse_poly(expr_to_str(expr))
     assert canonical_str(again) == canonical_str(expr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(expr=poly_exprs())
+def test_canonical_string_reparses_with_negative_leading_term(expr):
+    from tribound.cochain import expand
+
+    mono = expand(expr)
+    if not mono:
+        return
+    lead = max(mono, key=lambda e: (sum(e), e))
+    if mono[lead] > 0:
+        expr = Neg(expr)
+    again = parse_poly(canonical_str(expr))
+    assert all(
+        eval_expr(again, x, y, z) == eval_expr(expr, x, y, z)
+        for x, y, z in itertools.product(range(-3, 4), repeat=3)
+    )
 
 
 # -- the vanishing condition -------------------------------------------------

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tribound.cochain import CochainFn
 from tribound.coloring import (
     Coloring,
     RegionConflictError,
@@ -12,6 +16,8 @@ from tribound.coloring import (
     is_trivial,
     quandle_star,
 )
+from tribound.diagram import diagram_from_dict, diagram_to_dict, set_outer_face
+from tribound.invariant import phi_set
 
 from conftest import random_closed_braid
 
@@ -117,6 +123,57 @@ def test_count_is_multiple_of_n(rng):
             count = len(enumerate_colorings(d, n))
             assert count % n == 0
             assert count >= n  # the n constant colorings always exist
+
+
+# brute force tries n^arcs vectors: at most this many per example
+BRUTE_FORCE_VECTORS = 25_000
+
+
+def small_closure(rng: random.Random, n: int):
+    """A random closure with at most 7 arcs and n^arcs within the
+    brute-force budget."""
+    while True:
+        d = random_closed_braid(rng)
+        if len(d.arcs) <= 7 and n ** len(d.arcs) <= BRUTE_FORCE_VECTORS:
+            return d
+
+
+def relabel(d, rng: random.Random):
+    """The same diagram with new edge and crossing ids, crossings listed
+    in another order and each slot list rotated; the outer face is
+    carried over by one of its boundary sides."""
+    edge_ids = rng.sample(range(100, 100 + 3 * len(d.edges)), len(d.edges))
+    new_edge = dict(zip((e.id for e in d.edges), edge_ids))
+    crossing_ids = rng.sample(range(50, 50 + 3 * len(d.crossings)), len(d.crossings))
+    new_crossing = dict(zip((c.id for c in d.crossings), crossing_ids))
+    crossings = []
+    for c in diagram_to_dict(d)["crossings"]:
+        slots = [dict(s, edge=new_edge[s["edge"]]) for s in c["slots"]]
+        turn = rng.randrange(4)
+        crossings.append(
+            {"id": new_crossing[c["id"]], "slots": slots[turn:] + slots[:turn]}
+        )
+    rng.shuffle(crossings)
+    twin = diagram_from_dict(
+        {"name": d.name + "-relabelled", "crossings": crossings, "outer_face": 0}
+    )
+    eid, side = d.faces[d.outer_face].boundary[0]
+    return set_outer_face(twin, twin.face_of_side(new_edge[eid], side))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+def test_kernel_matches_brute_force_and_relabelling(seed, n):
+    rng = random.Random(seed)
+    d = small_closure(rng, n)
+    got = [c.arc_colors for c in enumerate_colorings(d, n)]
+    assert got == sorted(brute_force_colorings(d, n))
+
+    twin = relabel(d, rng)
+    assert len(enumerate_colorings(twin, n)) == len(got)
+    f = CochainFn.build("(x-y)*(y-z)*z", n)
+    s = rng.randrange(n)
+    assert phi_set(twin, s, f).values == phi_set(d, s, f).values
 
 
 def test_is_trivial():
