@@ -8,7 +8,6 @@ from .cochain import (
     check_sharp,
     delta_f,
     delta_reach,
-    eval_f,
     image_delta,
     parse_poly,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "parse_poly",
     "canonical_str",
     "check_sharp",
-    "eval_f",
     "delta_f",
     "image_delta",
     "delta_reach",

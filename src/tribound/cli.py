@@ -25,7 +25,6 @@ from .cache import cache_path, default_cache_dir, load_reach, store_reach
 from .cochain import (
     CochainFn,
     DeltaReach,
-    ExprError,
     ResourceCapExceeded,
     delta_f,
     delta_reach,
@@ -78,21 +77,15 @@ class RunReport:
         }
 
 
-def _read_diagram(path: str) -> Diagram:
-    """Read a diagram file; bare bundled names (d1..d6) work anywhere."""
+def _diagram_text(path: str) -> str:
+    """Text of a diagram file; bare bundled names (d1..d6) work anywhere."""
     p = Path(path)
     if p.exists():
-        return parse_diagram(p.read_text())
+        return p.read_text()
     stem = p.stem if p.suffix == ".json" else p.name
     if stem.lower() in fx.fixture_names():
-        return fx.load_fixture(stem)
+        return fx.fixture_text(stem)
     raise DiagramError(f"no such file or bundled diagram: {path}")
-
-
-def _build_f(expr: str, n: int) -> CochainFn:
-    if n < 1:
-        raise ExprError(f"modulus must be >= 1, got {n}")
-    return CochainFn.build(expr, n)
 
 
 def _set_summary(values: tuple[int, ...], dump: Path | None) -> dict[str, Any]:
@@ -124,14 +117,7 @@ def _print_set(label: str, values: tuple[int, ...], dump: Path | None) -> None:
 
 
 def cmd_validate(args: argparse.Namespace, report: RunReport) -> int:
-    path = Path(args.path)
-    if path.exists():
-        text = path.read_text()
-    else:
-        stem = path.stem if path.suffix == ".json" else path.name
-        if stem.lower() not in fx.fixture_names():
-            raise DiagramError(f"no such file or bundled diagram: {args.path}")
-        text = json.dumps(fx.fixture_dict(stem))
+    text = _diagram_text(args.path)
     issues = validate_text(text)
     report.results["valid"] = not issues
     report.results["issues"] = [
@@ -167,7 +153,7 @@ def cmd_validate(args: argparse.Namespace, report: RunReport) -> int:
 
 
 def cmd_colorings(args: argparse.Namespace, report: RunReport) -> int:
-    d = _read_diagram(args.path)
+    d = parse_diagram(_diagram_text(args.path))
     cols = enumerate_colorings(d, args.n)
     rows = []
     for cid, c in enumerate(cols):
@@ -205,8 +191,8 @@ def cmd_colorings(args: argparse.Namespace, report: RunReport) -> int:
 
 
 def cmd_weight(args: argparse.Namespace, report: RunReport) -> int:
-    d = _read_diagram(args.path)
-    f = _build_f(args.f, args.n)
+    d = parse_diagram(_diagram_text(args.path))
+    f = CochainFn.build(args.f, args.n)
     cols = enumerate_colorings(d, args.n)
     wanted: list[int]
     if args.coloring == "all":
@@ -291,7 +277,7 @@ def _reach_with_cache(
 
 
 def cmd_delta(args: argparse.Namespace, report: RunReport) -> int:
-    f = _build_f(args.f, args.n)
+    f = CochainFn.build(args.f, args.n)
     cache_dir = Path(args.cache) if args.cache else default_cache_dir()
     reach = _reach_with_cache(f, args.max_m, cache_dir, report, cap=args.cap)
     dump = cache_path(f, cache_dir)
@@ -312,9 +298,9 @@ def cmd_delta(args: argparse.Namespace, report: RunReport) -> int:
 
 
 def cmd_certify(args: argparse.Namespace, report: RunReport) -> int:
-    d = _read_diagram(args.path_d)
-    d2 = _read_diagram(args.path_d2)
-    f = _build_f(args.f, args.n)
+    d = parse_diagram(_diagram_text(args.path_d))
+    d2 = parse_diagram(_diagram_text(args.path_d2))
+    f = CochainFn.build(args.f, args.n)
     if args.max_m < 1:
         raise ValueError(f"max_m must be >= 1, got {args.max_m}")
     cache_dir = Path(args.cache) if args.cache else default_cache_dir()
@@ -590,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"resource cap: {exc}", file=sys.stderr)
     report.timing_s = time.perf_counter() - start
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(report.to_dict()))
     return code
 
 

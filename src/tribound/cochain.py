@@ -1,10 +1,11 @@
 """Integer-valued weight functions f: Z(n)^3 -> Z and their coboundary.
 
 f is given as a polynomial expression in x, y, z with integer
-coefficients, for example ``(x-y)*(y-z)*z``.  Arguments are the
-canonical representatives 0..n-1 and the value is the exact integer:
-nothing is reduced mod n on the output side, so results routinely
-exceed machine-word range and we rely on Python's big integers.
+coefficients, for example ``(x-y)*(y-z)*z``, and is parsed straight
+into its monomials {(ex, ey, ez): coeff}.  Arguments are the canonical
+representatives 0..n-1 and the value is the exact integer: nothing is
+reduced mod n on the output side, so results routinely exceed
+machine-word range and we rely on Python's big integers.
 
 The coboundary of f is the six-term alternating sum
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from .coloring import ResourceCapExceeded, quandle_star
 
@@ -31,12 +32,8 @@ __all__ = [
     "NegativeExponentError",
     "SharpConditionError",
     "ResourceCapExceeded",
-    "PolyExpr",
+    "Monomials",
     "parse_poly",
-    "eval_expr",
-    "eval_f",
-    "expand",
-    "expr_to_str",
     "canonical_str",
     "CochainFn",
     "check_sharp",
@@ -47,9 +44,20 @@ __all__ = [
     "delta_reach",
     "sumset",
     "DEFAULT_LEVEL_CAP",
+    "MAX_DEGREE",
+    "MAX_COEFF_BITS",
 ]
 
 DEFAULT_LEVEL_CAP = 10**7
+# Caps on the size of f, checked before each product or power is formed.
+# 4096 bits is about 1233 decimal digits, below CPython's 4300-digit
+# limit on int/str conversion.
+MAX_DEGREE = 64
+MAX_COEFF_BITS = 4096
+
+Monomials = dict[tuple[int, int, int], int]
+_Terms = tuple[tuple[tuple[int, int, int], int], ...]
+_Table = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 class ExprError(ValueError):
@@ -87,52 +95,50 @@ class SharpConditionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Expression AST
+# Polynomial arithmetic and parsing
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Const:
-    value: int
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "PolyExpr"
-    right: "PolyExpr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "PolyExpr"
-    right: "PolyExpr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "PolyExpr"
-    right: "PolyExpr"
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "PolyExpr"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "PolyExpr"
-    exponent: int
-
-
-PolyExpr = Union[Var, Const, Add, Sub, Mul, Neg, Pow]
-
 _VARS = ("x", "y", "z")
+
+
+def _poly_add(a: Monomials, b: Monomials, sign: int = 1) -> Monomials:
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + sign * v
+        if out[k] == 0:
+            del out[k]
+    return out
+
+
+def _poly_mul(a: Monomials, b: Monomials) -> Monomials:
+    out: Monomials = {}
+    for (ea, ca) in a.items():
+        for (eb, cb) in b.items():
+            k = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
+            out[k] = out.get(k, 0) + ca * cb
+            if out[k] == 0:
+                del out[k]
+    return out
+
+
+def _degree(a: Monomials) -> int:
+    return max((sum(e) for e in a), default=0)
+
+
+def _norm_bits(a: Monomials) -> int:
+    """Bit length of the sum of |coeff|.  The product of the factors'
+    sums bounds every coefficient of a product, so adding these bit
+    lengths bounds the product's coefficients."""
+    return sum(abs(c) for c in a.values()).bit_length()
+
+
+def _check_size(degree: int, bits: int, pos: int) -> None:
+    if degree > MAX_DEGREE or bits > MAX_COEFF_BITS:
+        raise ResourceCapExceeded(
+            f"f could reach degree {degree} and {bits}-bit coefficients at "
+            f"position {pos}, past the cap of degree {MAX_DEGREE} and "
+            f"{MAX_COEFF_BITS} bits"
+        )
 
 
 class _Parser:
@@ -143,22 +149,23 @@ class _Parser:
         factor := base ("^" nat)?
         base   := "x"|"y"|"z" | int | "(" expr ")" | "-" base
 
-    A signed or parenthesized-negative exponent is reported as a
-    negative-exponent error rather than a bare syntax error.
+    building the monomials of each node as it is read.  A signed or
+    parenthesized-negative exponent is reported as a negative-exponent
+    error rather than a bare syntax error.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
-    def parse(self) -> PolyExpr:
-        node = self.expr()
+    def parse(self) -> Monomials:
+        poly = self.expr()
         self.skip_ws()
         if self.pos != len(self.text):
             raise ExprSyntaxError(
                 f"unexpected {self.text[self.pos]!r}", self.pos
             )
-        return node
+        return poly
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -173,27 +180,41 @@ class _Parser:
         self.pos += 1
         return ch
 
-    def expr(self) -> PolyExpr:
-        node = self.term()
+    def expr(self) -> Monomials:
+        poly = self.term()
         while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            sign = 1 if self.take() == "+" else -1
+            poly = _poly_add(poly, self.term(), sign)
+        return poly
 
-    def term(self) -> PolyExpr:
-        node = self.factor()
+    def term(self) -> Monomials:
+        poly = self.factor()
         while self.peek() == "*":
+            at = self.pos
             self.take()
-            node = Mul(node, self.factor())
-        return node
+            rhs = self.factor()
+            _check_size(
+                _degree(poly) + _degree(rhs),
+                _norm_bits(poly) + _norm_bits(rhs),
+                at,
+            )
+            poly = _poly_mul(poly, rhs)
+        return poly
 
-    def factor(self) -> PolyExpr:
-        node = self.base()
+    def factor(self) -> Monomials:
+        poly = self.base()
         if self.peek() == "^":
+            at = self.pos
             self.take()
-            node = Pow(node, self.exponent())
-        return node
+            k = self.exponent()
+            _check_size(_degree(poly) * k, _norm_bits(poly) * k, at)
+            if not poly and k:
+                return {}  # 0^k: the bit check does not bound k here
+            out: Monomials = {(0, 0, 0): 1}
+            for _ in range(k):
+                out = _poly_mul(out, poly)
+            poly = out
+        return poly
 
     def exponent(self) -> int:
         ch = self.peek()
@@ -230,160 +251,62 @@ class _Parser:
             self.pos += 1
         return int(self.text[start:self.pos])
 
-    def base(self) -> PolyExpr:
+    def base(self) -> Monomials:
         ch = self.peek()
         if ch == "-":
             self.take()
-            return Neg(self.base())
+            return {k: -v for k, v in self.base().items()}
         if ch == "(":
             self.take()
-            node = self.expr()
+            poly = self.expr()
             if self.peek() != ")":
                 raise ExprSyntaxError("expected ')'", self.pos)
             self.take()
-            return node
+            return poly
         if ch.isdigit():
-            return Const(self.integer())
+            value = self.integer()
+            return {(0, 0, 0): value} if value else {}
         if ch.isalpha():
             at = self.pos
             name = self.take()
             if name not in _VARS:
                 raise UnknownVariableError(f"unknown variable {name!r}", at)
-            return Var(name)
+            e = [0, 0, 0]
+            e[_VARS.index(name)] = 1
+            return {tuple(e): 1}
         if ch == "":
             raise ExprSyntaxError("unexpected end of input", self.pos)
         raise ExprSyntaxError(f"unexpected {ch!r}", self.pos)
 
 
-def parse_poly(text: str) -> PolyExpr:
-    """Parse an expression in x, y, z into an AST."""
+def parse_poly(text: str) -> Monomials:
+    """Parse an expression in x, y, z into its expanded monomials
+    {(ex, ey, ez): coeff}, without zero coefficients.
+
+    A product or power whose degree could pass ``MAX_DEGREE``, or whose
+    coefficients could pass ``MAX_COEFF_BITS`` bits, raises
+    ResourceCapExceeded before it is formed.
+    """
     return _Parser(text).parse()
 
 
-def eval_expr(expr: PolyExpr, x: int, y: int, z: int) -> int:
-    env = {"x": x, "y": y, "z": z}
-
-    def go(e: PolyExpr) -> int:
-        if isinstance(e, Var):
-            return env[e.name]
-        if isinstance(e, Const):
-            return e.value
-        if isinstance(e, Add):
-            return go(e.left) + go(e.right)
-        if isinstance(e, Sub):
-            return go(e.left) - go(e.right)
-        if isinstance(e, Mul):
-            return go(e.left) * go(e.right)
-        if isinstance(e, Neg):
-            return -go(e.operand)
-        if isinstance(e, Pow):
-            return go(e.base) ** e.exponent
-        raise TypeError(f"not a PolyExpr node: {e!r}")
-
-    return go(expr)
+def _terms(f: str | Monomials) -> _Terms:
+    """Non-zero monomials sorted by (total degree, exponents) descending."""
+    mono = parse_poly(f) if isinstance(f, str) else f
+    return tuple(
+        sorted(
+            ((e, c) for e, c in mono.items() if c),
+            key=lambda t: (sum(t[0]), t[0]),
+            reverse=True,
+        )
+    )
 
 
-def expr_to_str(expr: PolyExpr) -> str:
-    """Re-parsable rendering of the AST (parenthesized where needed)."""
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Const):
-        return str(expr.value)
-    if isinstance(expr, Add):
-        return f"{expr_to_str(expr.left)} + {expr_to_str(expr.right)}"
-    if isinstance(expr, Sub):
-        rhs = expr_to_str(expr.right)
-        if isinstance(expr.right, (Add, Sub)):
-            rhs = f"({rhs})"
-        return f"{expr_to_str(expr.left)} - {rhs}"
-    if isinstance(expr, Mul):
-        parts = []
-        for side in (expr.left, expr.right):
-            s = expr_to_str(side)
-            if isinstance(side, (Add, Sub, Neg)):
-                s = f"({s})"
-            parts.append(s)
-        return "*".join(parts)
-    if isinstance(expr, Neg):
-        s = expr_to_str(expr.operand)
-        # "-x^2" would re-parse as (-x)^2, so parenthesize powers too
-        if isinstance(expr.operand, (Add, Sub, Mul, Neg, Pow)):
-            s = f"({s})"
-        return f"-{s}"
-    if isinstance(expr, Pow):
-        s = expr_to_str(expr.base)
-        if not isinstance(expr.base, (Var, Const)) or (
-            isinstance(expr.base, Const) and expr.base.value < 0
-        ):
-            s = f"({s})"
-        return f"{s}^{expr.exponent}"
-    raise TypeError(f"not a PolyExpr node: {expr!r}")
-
-
-# ---------------------------------------------------------------------------
-# Canonical expanded form
-# ---------------------------------------------------------------------------
-
-_Monomials = dict[tuple[int, int, int], int]
-
-
-def _poly_add(a: _Monomials, b: _Monomials, sign: int = 1) -> _Monomials:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + sign * v
-        if out[k] == 0:
-            del out[k]
-    return out
-
-
-def _poly_mul(a: _Monomials, b: _Monomials) -> _Monomials:
-    out: _Monomials = {}
-    for (ea, ca) in a.items():
-        for (eb, cb) in b.items():
-            k = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-            out[k] = out.get(k, 0) + ca * cb
-            if out[k] == 0:
-                del out[k]
-    return out
-
-
-def expand(expr: PolyExpr) -> _Monomials:
-    """Fully expanded monomial form {(ex, ey, ez): coeff}."""
-    if isinstance(expr, Var):
-        e = [0, 0, 0]
-        e[_VARS.index(expr.name)] = 1
-        return {tuple(e): 1}
-    if isinstance(expr, Const):
-        return {(0, 0, 0): expr.value} if expr.value else {}
-    if isinstance(expr, Add):
-        return _poly_add(expand(expr.left), expand(expr.right))
-    if isinstance(expr, Sub):
-        return _poly_add(expand(expr.left), expand(expr.right), sign=-1)
-    if isinstance(expr, Mul):
-        return _poly_mul(expand(expr.left), expand(expr.right))
-    if isinstance(expr, Neg):
-        return {k: -v for k, v in expand(expr.operand).items()}
-    if isinstance(expr, Pow):
-        out: _Monomials = {(0, 0, 0): 1}
-        base = expand(expr.base)
-        for _ in range(expr.exponent):
-            out = _poly_mul(out, base)
-        return out
-    raise TypeError(f"not a PolyExpr node: {expr!r}")
-
-
-def canonical_str(expr: PolyExpr) -> str:
-    """Canonical string of the expanded polynomial: monomials sorted by
-    (total degree, exponents) descending.  Two expressions denote the
-    same function on all of Z^3 iff their canonical strings agree, and
-    the string parses back to the same polynomial."""
-    mono = expand(expr)
-    if not mono:
+def _format(terms: _Terms) -> str:
+    if not terms:
         return "0"
-    keys = sorted(mono, key=lambda e: (sum(e), e), reverse=True)
     parts: list[str] = []
-    for e in keys:
-        coeff = mono[e]
+    for e, coeff in terms:
         names = [
             f"{v}^{p}" if p > 1 else v
             for v, p in zip(_VARS, e)
@@ -405,77 +328,104 @@ def canonical_str(expr: PolyExpr) -> str:
     return " ".join(parts)
 
 
+def canonical_str(f: str | Monomials) -> str:
+    """Canonical string of the expanded polynomial: monomials sorted by
+    (total degree, exponents) descending.  Two expressions denote the
+    same function on all of Z^3 iff their canonical strings agree, and
+    the string parses back to the same polynomial."""
+    return _format(_terms(f))
+
+
+def _evaluate(terms: _Terms, x: int, y: int, z: int) -> int:
+    return sum(c * x**ex * y**ey * z**ez for (ex, ey, ez), c in terms)
+
+
+def _first_nonvanishing(table: _Table) -> tuple[int, int, int] | None:
+    n = len(table)
+    return next(
+        ((x, y, y) for x in range(n) for y in range(n) if table[x][y][y]), None
+    )
+
+
+def _value_table(terms: _Terms, n: int) -> _Table:
+    """table[x][y][z] = f(x, y, z), substituting x, then y, then z from
+    per-variable power tables."""
+    degree = sum(terms[0][0]) if terms else 0
+    powers = [[v**k for k in range(degree + 1)] for v in range(n)]
+    table = []
+    for px in powers:
+        in_yz: dict[tuple[int, int], int] = {}
+        for (ex, ey, ez), c in terms:
+            in_yz[ey, ez] = in_yz.get((ey, ez), 0) + c * px[ex]
+        plane = []
+        for py in powers:
+            in_z: dict[int, int] = {}
+            for (ey, ez), c in in_yz.items():
+                in_z[ez] = in_z.get(ez, 0) + c * py[ey]
+            plane.append(
+                tuple(sum(c * pz[ez] for ez, c in in_z.items()) for pz in powers)
+            )
+        table.append(tuple(plane))
+    return tuple(table)
+
+
 # ---------------------------------------------------------------------------
 # CochainFn
 # ---------------------------------------------------------------------------
 
 
 def sharp_counterexample(
-    expr: PolyExpr | str, n: int
+    f: str | Monomials, n: int
 ) -> tuple[int, int, int] | None:
     """First (x, y, y) with f(x, y, y) != 0, scanning x then y; None if
     the vanishing condition holds."""
-    ast = parse_poly(expr) if isinstance(expr, str) else expr
-    for x in range(n):
-        for y in range(n):
-            if eval_expr(ast, x, y, y) != 0:
-                return (x, y, y)
-    return None
+    return _first_nonvanishing(_value_table(_terms(f), n))
 
 
-def check_sharp(expr: PolyExpr | str, n: int) -> bool:
+def check_sharp(f: str | Monomials, n: int) -> bool:
     """True iff f(x, y, y) = 0 for all x, y in Z(n)."""
-    return sharp_counterexample(expr, n) is None
+    return sharp_counterexample(f, n) is None
 
 
 @dataclass(frozen=True)
 class CochainFn:
     """A weight function with a precomputed value table.
 
-    ``table[x][y][z]`` holds the exact integer f(x, y, z).  Construction
-    rejects any f with f(x, y, y) != 0.
+    ``terms`` holds the monomials ((ex, ey, ez), coeff) in canonical
+    order and ``table[x][y][z]`` the exact integer f(x, y, z).
+    Construction rejects any f with f(x, y, y) != 0.
     """
 
-    expr: PolyExpr
+    terms: _Terms
     n: int
-    table: tuple[tuple[tuple[int, ...], ...], ...]
+    table: _Table
 
     @classmethod
-    def build(cls, expr: PolyExpr | str, n: int) -> "CochainFn":
+    def build(cls, f: str | Monomials, n: int) -> "CochainFn":
         if n < 1:
             raise ValueError(f"modulus must be >= 1, got {n}")
-        ast = parse_poly(expr) if isinstance(expr, str) else expr
-        bad = sharp_counterexample(ast, n)
+        terms = _terms(f)
+        table = _value_table(terms, n)
+        bad = _first_nonvanishing(table)
         if bad is not None:
-            raise SharpConditionError(bad, eval_expr(ast, *bad))
-        table = tuple(
-            tuple(
-                tuple(eval_expr(ast, x, y, z) for z in range(n))
-                for y in range(n)
-            )
-            for x in range(n)
-        )
-        return cls(expr=ast, n=n, table=table)
+            x, y, _ = bad
+            raise SharpConditionError(bad, table[x][y][y])
+        return cls(terms=terms, n=n, table=table)
 
     def __call__(self, x: int, y: int, z: int) -> int:
         return self.table[x][y][z]
 
     def canonical(self) -> str:
-        return canonical_str(self.expr)
+        return _format(self.terms)
 
     def check_table(self) -> bool:
         """Cache coherence: every table entry equals a fresh evaluation."""
         return all(
-            self.table[x][y][z] == eval_expr(self.expr, x, y, z)
+            self.table[x][y][z] == _evaluate(self.terms, x, y, z)
             for x in range(self.n)
             for y in range(self.n)
             for z in range(self.n)
         )
-
-
-def eval_f(f: CochainFn, x: int, y: int, z: int) -> int:
-    """Exact integer value of f at canonical representatives."""
-    return f.table[x][y][z]
 
 
 def delta_f(f: CochainFn, x: int, y: int, z: int, w: int) -> int:

@@ -43,7 +43,8 @@ COLORING_CAP = 10**5
 
 
 class ResourceCapExceeded(RuntimeError):
-    """A coloring list or a level set grew past its cardinality cap."""
+    """A coloring list or a level set grew past its cardinality cap, or
+    the weight function f past its degree or coefficient-size cap."""
 
 
 class RegionConflictError(RuntimeError):

@@ -14,16 +14,16 @@ frozen here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from typing import Any
 
-from .diagram import Diagram, diagram_from_dict
+from .diagram import Diagram, parse_diagram
 
 __all__ = [
     "closed_braid_code",
     "fixture_dict",
+    "fixture_text",
     "load_fixture",
     "fixture_names",
     "FixtureCase",
@@ -160,19 +160,19 @@ def fixture_names() -> list[str]:
     return sorted(_BUILDERS)
 
 
+def fixture_text(name: str) -> str:
+    """The JSON text of a bundled diagram, from package data (identical
+    to the builder's code; a test enforces it)."""
+    return (
+        resources.files("tribound")
+        .joinpath(f"fixtures/{name.lower()}.json")
+        .read_text()
+    )
+
+
 def load_fixture(name: str) -> Diagram:
-    """Load a bundled diagram from package data, falling back to the
-    programmatic builder (they are identical; a test enforces it)."""
-    key = name.lower()
-    try:
-        text = (
-            resources.files("tribound")
-            .joinpath(f"fixtures/{key}.json")
-            .read_text()
-        )
-        return diagram_from_dict(json.loads(text))
-    except FileNotFoundError:
-        return diagram_from_dict(fixture_dict(key))
+    """Load a bundled diagram."""
+    return parse_diagram(fixture_text(name))
 
 
 @dataclass(frozen=True)

@@ -269,45 +269,23 @@ def certify_lower_bound(
     phi = phi_set(d2, s, f)
     phi_vals = set(phi.values)
 
-    best: tuple[int, int] | None = None  # (m, coloring id)
-    best_data: tuple[tuple[int, ...], int, list[str], int | None] | None = None
+    # (m, coloring id, arc colors, W, verdicts, first hit) of the winner
+    best: tuple[int, int | None, tuple[int, ...] | None, int | None, list[str], int | None]
+    best = (0, None, None, None, ["no non-trivial coloring on the first diagram"], None)
     found_nontrivial = False
     for cid, col in enumerate(enumerate_colorings(d, f.n)):
         if is_trivial(col):
             continue
-        found_nontrivial = True
         w = weight(d, extend_coloring(d, col, s), f).value
         diffs = {w - v for v in phi_vals}
         m, verdicts, first_hit = _levels_clear(diffs, reach, max_m)
-        if best is None or m > best[0]:
-            best = (m, cid)
-            best_data = (col.arc_colors, w, verdicts, first_hit)
+        if not found_nontrivial or m > best[0]:
+            best = (m, cid, col.arc_colors, w, verdicts, first_hit)
+        found_nontrivial = True
         if m == max_m:
             break  # cannot improve; smallest id already wins ties
 
-    sizes = tuple(len(reach.level(i)) for i in range(max_m))
-    if not found_nontrivial:
-        return BoundCertificate(
-            d_name=d.name,
-            d_hash=diagram_hash(d),
-            d2_name=d2.name,
-            d2_hash=diagram_hash(d2),
-            f_str=f.canonical(),
-            n=f.n,
-            s=s,
-            max_m=max_m,
-            m=0,
-            coloring_id=None,
-            coloring=None,
-            w=None,
-            phi=phi.values,
-            delta_level_sizes=sizes,
-            level_verdicts=("no non-trivial coloring on the first diagram",),
-            first_hit_level=None,
-            no_nontrivial_coloring=True,
-        )
-    assert best is not None and best_data is not None
-    colors, w, verdicts, first_hit = best_data
+    m, cid, colors, w, verdicts, first_hit = best
     return BoundCertificate(
         d_name=d.name,
         d_hash=diagram_hash(d),
@@ -317,14 +295,15 @@ def certify_lower_bound(
         n=f.n,
         s=s,
         max_m=max_m,
-        m=best[0],
-        coloring_id=best[1],
+        m=m,
+        coloring_id=cid,
         coloring=colors,
         w=w,
         phi=phi.values,
-        delta_level_sizes=sizes,
+        delta_level_sizes=tuple(len(reach.level(i)) for i in range(max_m)),
         level_verdicts=tuple(verdicts),
         first_hit_level=first_hit,
+        no_nontrivial_coloring=not found_nontrivial,
     )
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import time
 from pathlib import Path
 
 import tribound.cli as cli
@@ -236,6 +237,19 @@ def test_delta_cap_exit_code(capsys, tmp_path):
     assert "cap" in err
 
 
+def test_function_size_cap_exit_code(capsys, tmp_path):
+    for f in ("x^10000000*(y-z)", "((9^64)^64)^64*(y-z)"):
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys,
+            "delta", "-n", "3", "-f", f, "--max-m", "0",
+            "--cache", str(tmp_path / "c"),
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        assert "past the cap" in err
+
+
 def test_certify_reference_pairs(capsys, tmp_path):
     cache = str(tmp_path / "c")
     code, report, _ = run_json(
@@ -296,8 +310,10 @@ def test_reproduce_all_pass(capsys):
 
 
 def test_reproduce_json(capsys):
-    code, report, _ = run_json(capsys, "reproduce")
+    code, out, _ = run(capsys, "reproduce", "--json")
     assert code == 0
+    assert out.count("\n") == 1  # one compact line
+    report = json.loads(out)
     assert report["results"]["pass"] is True
     assert len(report["results"]["checks"]) == 14
 

@@ -7,25 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribound.cochain import (
-    Add,
+    MAX_COEFF_BITS,
+    MAX_DEGREE,
     CochainFn,
-    Const,
-    Mul,
-    Neg,
     NegativeExponentError,
-    Pow,
     ResourceCapExceeded,
     SharpConditionError,
-    Sub,
     ExprSyntaxError,
     UnknownVariableError,
-    Var,
     canonical_str,
     check_sharp,
     delta_f,
     delta_reach,
-    eval_expr,
-    expr_to_str,
     image_delta,
     parse_poly,
     sharp_counterexample,
@@ -38,35 +31,41 @@ from tribound.fixtures import DELTA_TABLE_N3, EXPECTED
 # -- parsing -----------------------------------------------------------------
 
 
-def tables_equal(e1, e2, n=7):
-    return all(
-        eval_expr(e1, x, y, z) == eval_expr(e2, x, y, z)
-        for x in range(n)
-        for y in range(n)
-        for z in range(n)
-    )
+def value(mono, x, y, z):
+    """Evaluate monomials {(ex, ey, ez): coeff} at (x, y, z)."""
+    return sum(c * x**ex * y**ey * z**ez for (ex, ey, ez), c in mono.items())
+
+
+REFERENCE_FUNCTIONS = {
+    "(x-y)*(y-z)*z": lambda x, y, z: (x - y) * (y - z) * z,
+    "(x+y)^3*(y+z)*(y-z)^3*z^5": lambda x, y, z: (
+        (x + y) ** 3 * (y + z) * (y - z) ** 3 * z**5
+    ),
+    "(x+y)^2*(y-z)^3*z^5": lambda x, y, z: (x + y) ** 2 * (y - z) ** 3 * z**5,
+}
 
 
 def test_parse_reference_expressions():
-    for text in (
-        "(x-y)*(y-z)*z",
-        "(x+y)^3*(y+z)*(y-z)^3*z^5",
-        "(x+y)^2*(y-z)^3*z^5",
-    ):
-        ast = parse_poly(text)
-        assert tables_equal(ast, parse_poly(expr_to_str(ast)))
+    for text, ref in REFERENCE_FUNCTIONS.items():
+        mono = parse_poly(text)
+        assert all(
+            value(mono, x, y, z) == ref(x, y, z)
+            for x, y, z in itertools.product(range(-3, 4), repeat=3)
+        )
+        assert parse_poly(canonical_str(mono)) == mono
 
 
 def test_parse_values():
-    assert eval_expr(parse_poly("(x-y)*(y-z)*z"), 2, 0, 2) == -8
-    assert eval_expr(parse_poly("2^3"), 0, 0, 0) == 8
-    assert eval_expr(parse_poly("-3 + x*x"), 5, 0, 0) == 22
+    assert value(parse_poly("(x-y)*(y-z)*z"), 2, 0, 2) == -8
+    assert parse_poly("2^3") == {(0, 0, 0): 8}
+    assert value(parse_poly("-3 + x*x"), 5, 0, 0) == 22
+    assert parse_poly("x - x") == {}
 
 
 def test_unary_minus_binds_before_power():
     # per the grammar, -x^2 parses as (-x)^2
-    assert tables_equal(parse_poly("-x^2"), parse_poly("x^2"))
-    assert tables_equal(parse_poly("-(x^2)"), parse_poly("0 - x^2"))
+    assert parse_poly("-x^2") == parse_poly("x^2") == {(2, 0, 0): 1}
+    assert parse_poly("-(x^2)") == parse_poly("0 - x^2") == {(2, 0, 0): -1}
 
 
 def test_negative_exponent_rejected():
@@ -89,6 +88,20 @@ def test_syntax_errors_carry_position():
         assert err.value.pos == pos
 
 
+def test_size_caps():
+    assert parse_poly(f"x^{MAX_DEGREE}") == {(MAX_DEGREE, 0, 0): 1}
+    assert parse_poly("0^99999999999999*x") == {}
+    for text in (
+        f"x^{MAX_DEGREE + 1}",
+        f"x^{MAX_DEGREE}*y",
+        "x^10000000*(y-z)",
+        "((9^64)^64)^64*(y-z)",
+        f"2^{MAX_COEFF_BITS}",
+    ):
+        with pytest.raises(ResourceCapExceeded):
+            parse_poly(text)
+
+
 def test_canonical_form():
     assert canonical_str(parse_poly("(x-y)*(y-z)*z")) == canonical_str(
         parse_poly("x*y*z - x*z^2 - y^2*z + y*z^2")
@@ -99,67 +112,81 @@ def test_canonical_form():
     assert canonical_str(parse_poly("(y-z)*(0-x^2)")) == "-1*x^2*y + x^2*z"
 
 
+# Expression text drawn from a tree kept here, with the tree's own value
+# function, so the reference does not go through the parser.  A node is
+# (text, value, binding, degree bound); binding 3 is a base, 2 a power, 1 a
+# product and 0 a sum, and text is only parenthesized where the grammar
+# needs it.
+
+
+def _operand(node, binding):
+    text, _, node_binding, _ = node
+    return text if node_binding >= binding else f"({text})"
+
+
+def _negated(node):
+    text, fn, _, degree = node
+    return f"-{_operand(node, 3)}", (lambda *p: -fn(*p)), 3, degree
+
+
 @st.composite
-def poly_exprs(draw, depth=0):
-    if depth >= 4:
-        return draw(
-            st.one_of(
-                st.sampled_from([Var("x"), Var("y"), Var("z")]),
-                st.integers(-9, 9).map(Const),
-            )
-        )
-    kind = draw(st.integers(0, 6))
+def poly_texts(draw, depth=0):
+    kind = draw(st.integers(0, 6 if depth < 4 else 1))
     if kind == 0:
-        return draw(st.sampled_from([Var("x"), Var("y"), Var("z")]))
+        i = draw(st.integers(0, 2))
+        return "xyz"[i], (lambda *p: p[i]), 3, 1
     if kind == 1:
-        return Const(draw(st.integers(-9, 9)))
-    sub = lambda: draw(poly_exprs(depth=depth + 1))  # noqa: E731
-    if kind == 2:
-        return Add(sub(), sub())
-    if kind == 3:
-        return Sub(sub(), sub())
-    if kind == 4:
-        return Mul(sub(), sub())
+        c = draw(st.integers(0, 9))
+        return str(c), (lambda *p: c), 3, 0
+    a = draw(poly_texts(depth=depth + 1))
     if kind == 5:
-        return Neg(sub())
-    return Pow(sub(), draw(st.integers(0, 3)))
+        return _negated(a)
+    if kind == 6:
+        # half the powers take a negated base printed bare: "-x^2" is (-x)^2
+        if draw(st.booleans()):
+            a = _negated(a)
+        k = draw(st.integers(0, 3))
+        fn = a[1]
+        return f"{_operand(a, 3)}^{k}", (lambda *p: fn(*p) ** k), 2, a[3] * k
+    b = draw(poly_texts(depth=depth + 1))
+    fa, fb = a[1], b[1]
+    if kind == 2:
+        return (f"{_operand(a, 0)} + {_operand(b, 1)}",
+                lambda *p: fa(*p) + fb(*p), 0, max(a[3], b[3]))
+    if kind == 3:
+        return (f"{_operand(a, 0)} - {_operand(b, 1)}",
+                lambda *p: fa(*p) - fb(*p), 0, max(a[3], b[3]))
+    return (f"{_operand(a, 1)}*{_operand(b, 2)}",
+            lambda *p: fa(*p) * fb(*p), 1, a[3] + b[3])
+
+
+small_polys = poly_texts().filter(lambda node: node[3] <= MAX_DEGREE)
 
 
 @settings(max_examples=150, deadline=None)
-@given(expr=poly_exprs(), x=st.integers(-5, 5), y=st.integers(-5, 5), z=st.integers(-5, 5))
-def test_expansion_preserves_evaluation(expr, x, y, z):
-    from tribound.cochain import expand
-
-    mono = expand(expr)
-    expanded_value = sum(
-        coeff * x**ex * y**ey * z**ez for (ex, ey, ez), coeff in mono.items()
-    )
-    assert expanded_value == eval_expr(expr, x, y, z)
+@given(node=small_polys, x=st.integers(-5, 5), y=st.integers(-5, 5), z=st.integers(-5, 5))
+def test_expansion_preserves_evaluation(node, x, y, z):
+    text, fn, _, _ = node
+    assert value(parse_poly(text), x, y, z) == fn(x, y, z)
 
 
 @settings(max_examples=100, deadline=None)
-@given(expr=poly_exprs())
-def test_rendering_round_trips(expr):
-    again = parse_poly(expr_to_str(expr))
-    assert canonical_str(again) == canonical_str(expr)
+@given(node=small_polys)
+def test_canonical_string_reparses_with_negative_leading_term(node):
+    mono = parse_poly(node[0])
+    for signed in (mono, {e: -c for e, c in mono.items()}):
+        assert parse_poly(canonical_str(signed)) == signed
 
 
-@settings(max_examples=100, deadline=None)
-@given(expr=poly_exprs())
-def test_canonical_string_reparses_with_negative_leading_term(expr):
-    from tribound.cochain import expand
-
-    mono = expand(expr)
-    if not mono:
-        return
-    lead = max(mono, key=lambda e: (sum(e), e))
-    if mono[lead] > 0:
-        expr = Neg(expr)
-    again = parse_poly(canonical_str(expr))
-    assert all(
-        eval_expr(again, x, y, z) == eval_expr(expr, x, y, z)
-        for x, y, z in itertools.product(range(-3, 4), repeat=3)
-    )
+@settings(max_examples=60, deadline=None)
+@given(node=small_polys, n=st.integers(1, 6))
+def test_table_matches_tree(node, n):
+    # the factor y - z makes any f satisfy the vanishing condition
+    text, fn, _, _ = node
+    f = CochainFn.build(f"({text})*(y-z)", n)
+    assert f.check_table()
+    for x, y, z in itertools.product(range(n), repeat=3):
+        assert f(x, y, z) == fn(x, y, z) * (y - z)
 
 
 # -- the vanishing condition -------------------------------------------------
@@ -167,7 +194,8 @@ def test_canonical_string_reparses_with_negative_leading_term(expr):
 
 def test_reference_functions_satisfy_condition(f3, f5, f4):
     for f in (f3, f5, f4):
-        assert check_sharp(f.expr, f.n)
+        assert check_sharp(dict(f.terms), f.n)
+        assert check_sharp(f.canonical(), f.n)
         assert f.check_table()
 
 
@@ -184,9 +212,6 @@ def test_condition_counterexample():
 
 
 def test_reference_values(f3, f5, f4):
-    from tribound.cochain import eval_f
-
-    assert eval_f(f3, 2, 0, 2) == -8
     assert f3(2, 0, 2) == -8
     assert f3(2, 2, 1) == 0 and f3(2, 1, 0) == 0
     assert f5(4, 1, 2) == -12000
@@ -195,6 +220,9 @@ def test_reference_values(f3, f5, f4):
     assert f4(2, 0, 3) == -26244
     assert f4(2, 3, 2) == 800
     assert f4(2, 2, 1) == 16
+    for f, ref in zip((f3, f5, f4), REFERENCE_FUNCTIONS.values()):
+        for x, y, z in itertools.product(range(f.n), repeat=3):
+            assert f(x, y, z) == ref(x, y, z)
 
 
 def test_condition_on_diagonal(f3, f5, f4):
