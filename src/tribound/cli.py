@@ -30,13 +30,7 @@ from .cochain import (
     delta_reach,
 )
 from .coloring import enumerate_colorings, extend_coloring, is_trivial
-from .diagram import (
-    Diagram,
-    DiagramError,
-    derived_dict,
-    parse_diagram,
-    validate_text,
-)
+from .diagram import Diagram, DiagramError, derived_dict, parse_diagram
 from .invariant import (
     PhiSet,
     certify_lower_bound,
@@ -84,7 +78,7 @@ def _diagram_text(path: str) -> str:
         return p.read_text()
     stem = p.stem if p.suffix == ".json" else p.name
     if stem.lower() in fx.fixture_names():
-        return fx.fixture_text(stem)
+        return json.dumps(fx.fixture_dict(stem))
     raise DiagramError(f"no such file or bundled diagram: {path}")
 
 
@@ -117,8 +111,12 @@ def _print_set(label: str, values: tuple[int, ...], dump: Path | None) -> None:
 
 
 def cmd_validate(args: argparse.Namespace, report: RunReport) -> int:
-    text = _diagram_text(args.path)
-    issues = validate_text(text)
+    text = _diagram_text(args.path)  # a missing file is an error, not a report
+    try:
+        d = parse_diagram(text)
+        issues = ()
+    except DiagramError as exc:
+        issues = exc.issues
     report.results["valid"] = not issues
     report.results["issues"] = [
         {"kind": i.kind, "message": i.message} for i in issues
@@ -128,7 +126,6 @@ def cmd_validate(args: argparse.Namespace, report: RunReport) -> int:
             for i in issues:
                 print(f"INVALID [{i.kind}] {i.message}")
         return EXIT_INVALID
-    d = parse_diagram(text)
     report.results["summary"] = {
         "name": d.name,
         "crossings": len(d.crossings),
@@ -541,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--fixtures-dir", default=None,
-        help="load d1..d6 from this directory instead of the bundled copies",
+        help="load d1..d6 from this directory instead of the bundled diagrams",
     )
     common(p)
     p.set_defaults(func=cmd_reproduce)

@@ -46,14 +46,18 @@ __all__ = [
     "DEFAULT_LEVEL_CAP",
     "MAX_DEGREE",
     "MAX_COEFF_BITS",
+    "MAX_TERM_PRODUCTS",
 ]
 
 DEFAULT_LEVEL_CAP = 10**7
 # Caps on the size of f, checked before each product or power is formed.
 # 4096 bits is about 1233 decimal digits, below CPython's 4300-digit
-# limit on int/str conversion.
+# limit on int/str conversion.  MAX_TERM_PRODUCTS bounds the parser's
+# work: the running count, per parse, of len(a) * len(b) over every
+# product of monomials a * b it forms.
 MAX_DEGREE = 64
 MAX_COEFF_BITS = 4096
+MAX_TERM_PRODUCTS = 10**6
 
 Monomials = dict[tuple[int, int, int], int]
 _Terms = tuple[tuple[tuple[int, int, int], int], ...]
@@ -157,6 +161,16 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.products = 0
+
+    def mul(self, a: Monomials, b: Monomials, pos: int) -> Monomials:
+        self.products += len(a) * len(b)
+        if self.products > MAX_TERM_PRODUCTS:
+            raise ResourceCapExceeded(
+                f"f needs more than {MAX_TERM_PRODUCTS} term products at "
+                f"position {pos}, past the cap"
+            )
+        return _poly_mul(a, b)
 
     def parse(self) -> Monomials:
         poly = self.expr()
@@ -198,7 +212,7 @@ class _Parser:
                 _norm_bits(poly) + _norm_bits(rhs),
                 at,
             )
-            poly = _poly_mul(poly, rhs)
+            poly = self.mul(poly, rhs, at)
         return poly
 
     def factor(self) -> Monomials:
@@ -212,7 +226,7 @@ class _Parser:
                 return {}  # 0^k: the bit check does not bound k here
             out: Monomials = {(0, 0, 0): 1}
             for _ in range(k):
-                out = _poly_mul(out, poly)
+                out = self.mul(out, poly, at)
             poly = out
         return poly
 

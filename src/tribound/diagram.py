@@ -48,12 +48,30 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class ValidationIssue:
+    kind: str
+    message: str
+
+
 class DiagramError(Exception):
-    """Base class for all diagram construction/validation failures."""
+    """Base class for all diagram construction/validation failures.
+
+    ``issues`` lists what was found, as typed issues; by default it is
+    one issue of the class's ``kind`` carrying the message.
+    """
+
+    kind = "structure"
+
+    def __init__(self, message: str, issues: Iterable[ValidationIssue] = ()):
+        super().__init__(message)
+        self.issues = tuple(issues) or (ValidationIssue(self.kind, message),)
 
 
 class DiagramSyntaxError(DiagramError):
     """The diagram file is not valid JSON or does not match the schema."""
+
+    kind = "syntax"
 
 
 class DiagramStructureError(DiagramError):
@@ -63,9 +81,13 @@ class DiagramStructureError(DiagramError):
 class DiagramConnectivityError(DiagramError):
     """The underlying 4-valent graph is disconnected (split diagram)."""
 
+    kind = "connectivity"
+
 
 class DiagramPlanarityError(DiagramError):
     """Face tracing contradicts Euler's formula (non-planar rotation data)."""
+
+    kind = "planarity"
 
 
 LEFT = "left"
@@ -117,12 +139,6 @@ class Face:
 
     id: int
     boundary: tuple[tuple[int, str], ...]
-
-
-@dataclass(frozen=True)
-class ValidationIssue:
-    kind: str
-    message: str
 
 
 @dataclass(frozen=True)
@@ -601,9 +617,7 @@ def diagram_from_dict(obj: Mapping[str, Any]) -> Diagram:
     ]
     issues = _structural_issues(crossings)
     if issues:
-        raise DiagramStructureError(
-            "; ".join(i.message for i in issues)
-        )
+        raise DiagramStructureError("; ".join(i.message for i in issues), issues)
     crossings = [replace(c, sign=_crossing_sign(c.slots)) for c in crossings]
     _check_connected(crossings)
     edges = _build_edges(crossings)
@@ -678,70 +692,15 @@ def diagram_hash(d: Diagram) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def validate_text(text: str) -> tuple[ValidationIssue, ...]:
-    """Full validation of raw file content, collecting issues instead of
-    raising.  Used by the CLI so a broken file yields a report, not a
-    traceback."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return (ValidationIssue("syntax", f"not valid JSON: {exc}"),)
-    try:
-        _check_schema(obj)
-    except DiagramSyntaxError as exc:
-        return (ValidationIssue("syntax", str(exc)),)
-    crossings = [
-        Crossing(
-            id=c["id"],
-            slots=tuple(
-                HalfEdgeSlot(edge=s["edge"], direction=s["dir"], level=s["level"])
-                for s in c["slots"]
-            ),
-            sign=0,
-        )
-        for c in obj["crossings"]
-    ]
-    issues = _structural_issues(crossings)
-    if issues:
-        return tuple(issues)
-    try:
-        diagram_from_dict(obj)
-    except DiagramConnectivityError as exc:
-        return (ValidationIssue("connectivity", str(exc)),)
-    except DiagramPlanarityError as exc:
-        return (ValidationIssue("planarity", str(exc)),)
-    except DiagramError as exc:
-        return (ValidationIssue("structure", str(exc)),)
-    return ()
-
-
 def validate(d: Diagram) -> tuple[ValidationIssue, ...]:
-    """Re-check every invariant from scratch; empty report iff valid."""
-    issues = list(_structural_issues(list(d.crossings)))
-    if not issues:
-        try:
-            _check_connected(list(d.crossings))
-        except DiagramConnectivityError as exc:
-            issues.append(ValidationIssue("connectivity", str(exc)))
-        try:
-            faces = trace_faces(d.crossings, d.edges)
-            if faces != d.faces:
-                issues.append(
-                    ValidationIssue("derived", "stored faces disagree with re-trace")
-                )
-        except DiagramError as exc:
-            issues.append(ValidationIssue("planarity", str(exc)))
-        if merge_arcs(d.crossings, d.edges) != d.arcs:
-            issues.append(
-                ValidationIssue("derived", "stored arcs disagree with re-merge")
-            )
-        for c in d.crossings:
-            if c.sign != _crossing_sign(c.slots):
-                issues.append(
-                    ValidationIssue("derived", f"crossing {c.id} has a stale sign")
-                )
-        if not any(f.id == d.outer_face for f in d.faces):
-            issues.append(
-                ValidationIssue("structure", f"outer face {d.outer_face} unknown")
-            )
-    return tuple(issues)
+    """Re-derive d from its source form; empty report iff the code is
+    valid and every stored derived field matches the re-derivation."""
+    try:
+        fresh = diagram_from_dict(diagram_to_dict(d))
+    except DiagramError as exc:
+        return exc.issues
+    return tuple(
+        ValidationIssue("derived", f"stored {name} disagree with re-derivation")
+        for name in ("crossings", "edges", "arcs", "faces", "components")
+        if getattr(fresh, name) != getattr(d, name)
+    )

@@ -1,29 +1,27 @@
 """Bundled reference diagrams and their expected invariant values.
 
-The six diagrams ship as JSON files (package data under ``fixtures/``)
-and are also constructible from scratch: each is the plat-free closure
-of a two- or three-strand braid, with crossings laid out top to bottom
-and all strands oriented downward through the braid.
+The six diagrams are built from braid words on demand (``_BUILDERS``):
+each is the plat-free closure of a two- or three-strand braid, with
+crossings laid out top to bottom and all strands oriented downward
+through the braid.  No diagram is stored as a file.
 
 D2, D4 and D6 share the sphere codes of D1, D3 and D5 and differ only in
-which face is designated as the outer region; the face choices and the
+which face is designated as the outer region.  The face choices and the
 reference colorings below were found by exhaustive search against the
-expected triple/value tables (see tools/derive_fixtures.py) and are
-frozen here.
+expected triple/value tables and are frozen here; the acceptance tests
+and ``tribound reproduce`` check every one of them by its outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from typing import Any
 
-from .diagram import Diagram, parse_diagram
+from .diagram import Diagram, diagram_from_dict
 
 __all__ = [
     "closed_braid_code",
     "fixture_dict",
-    "fixture_text",
     "load_fixture",
     "fixture_names",
     "FixtureCase",
@@ -136,7 +134,7 @@ def closed_braid_code(
 # The six reference diagrams
 # ---------------------------------------------------------------------------
 
-# Outer faces frozen by tools/derive_fixtures.py; see module docstring.
+# (strands, braid word, outer face); see the module docstring.
 _BUILDERS: dict[str, tuple[int, list[tuple[int, str]], int]] = {
     "d1": (2, [(0, "L")] * 3, 0),
     "d2": (2, [(0, "L")] * 3, 1),
@@ -160,19 +158,9 @@ def fixture_names() -> list[str]:
     return sorted(_BUILDERS)
 
 
-def fixture_text(name: str) -> str:
-    """The JSON text of a bundled diagram, from package data (identical
-    to the builder's code; a test enforces it)."""
-    return (
-        resources.files("tribound")
-        .joinpath(f"fixtures/{name.lower()}.json")
-        .read_text()
-    )
-
-
 def load_fixture(name: str) -> Diagram:
     """Load a bundled diagram."""
-    return parse_diagram(fixture_text(name))
+    return diagram_from_dict(fixture_dict(name))
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,21 @@
 from __future__ import annotations
 
 import json
-import shutil
+import re
+import shlex
 import time
 from pathlib import Path
 
 import tribound.cli as cli
 import tribound.coloring as coloring
+import tribound.diagram as diagram
 import tribound.invariant as invariant
 from tribound.cli import main
 from tribound.cochain import CochainFn
-from tribound.fixtures import fixture_dict, load_fixture
+from tribound.fixtures import fixture_dict, fixture_names, load_fixture
 from tribound.invariant import phi_set
 
-REPO_FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -27,15 +29,49 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
-def test_missing_subcommand_is_usage_error(capsys):
-    code, out, _ = run(capsys, str(REPO_FIXTURES / "d1.json"))
+def write_fixtures(directory: Path) -> Path:
+    """Write the six bundled diagrams as dN.json files into directory."""
+    directory.mkdir(exist_ok=True)
+    for name in fixture_names():
+        (directory / f"{name}.json").write_text(json.dumps(fixture_dict(name)))
+    return directory
+
+
+def test_missing_subcommand_is_usage_error(capsys, tmp_path):
+    code, out, _ = run(capsys, str(write_fixtures(tmp_path) / "d1.json"))
     assert code == 1
 
 
-def test_validate_ok(capsys):
-    code, out, _ = run(capsys, "validate", str(REPO_FIXTURES / "d1.json"))
+def test_validate_ok(capsys, tmp_path):
+    code, out, _ = run(
+        capsys, "validate", str(write_fixtures(tmp_path) / "d1.json")
+    )
     assert code == 0
     assert "3 crossings" in out and "5 faces" in out
+
+
+def test_path_wins_over_bundled_name(capsys, tmp_path, monkeypatch):
+    local = fixture_dict("d3")
+    local["name"] = "local"
+    (tmp_path / "d1.json").write_text(json.dumps(local))
+    monkeypatch.chdir(tmp_path)
+    code, report, _ = run_json(capsys, "validate", "d1.json")
+    assert code == 0 and report["results"]["summary"]["name"] == "local"
+    code, report, _ = run_json(capsys, "validate", "d1")
+    assert code == 0 and report["results"]["summary"]["name"] == "d1"
+
+
+def test_validate_derives_once(monkeypatch):
+    calls = []
+    real = diagram.trace_faces
+
+    def counting(crossings, edges):
+        calls.append(1)
+        return real(crossings, edges)
+
+    monkeypatch.setattr(diagram, "trace_faces", counting)
+    assert main(["validate", "d3"]) == 0
+    assert len(calls) == 1
 
 
 def test_validate_bundled_name(capsys):
@@ -238,14 +274,21 @@ def test_delta_cap_exit_code(capsys, tmp_path):
 
 
 def test_function_size_cap_exit_code(capsys, tmp_path):
-    for f in ("x^10000000*(y-z)", "((9^64)^64)^64*(y-z)"):
+    # seconds allowed; the last two stop at the term-product cap after
+    # about 10^6 products
+    for f, limit in (
+        ("x^10000000*(y-z)", 1.0),
+        ("((9^64)^64)^64*(y-z)", 1.0),
+        ("(x+y+z+1)^32*(x+y+z+1)^32", 2.0),
+        ("(x+y+z+1)^64", 2.0),
+    ):
         start = time.perf_counter()
         code, _, err = run(
             capsys,
             "delta", "-n", "3", "-f", f, "--max-m", "0",
             "--cache", str(tmp_path / "c"),
         )
-        assert time.perf_counter() - start < 1.0
+        assert time.perf_counter() - start < limit
         assert code == 4
         assert "past the cap" in err
 
@@ -319,10 +362,7 @@ def test_reproduce_json(capsys):
 
 
 def test_reproduce_detects_tampering(capsys, tmp_path):
-    fdir = tmp_path / "fixtures"
-    fdir.mkdir()
-    for name in ("d1", "d2", "d3", "d4", "d5", "d6"):
-        shutil.copy(REPO_FIXTURES / f"{name}.json", fdir / f"{name}.json")
+    fdir = write_fixtures(tmp_path / "fixtures")
     tampered = json.loads((fdir / "d2.json").read_text())
     tampered["outer_face"] = 3  # wrong outer region
     (fdir / "d2.json").write_text(json.dumps(tampered))
@@ -338,7 +378,19 @@ def test_usage_error_exit_code(capsys):
     assert main(["--help"]) == 0
 
 
-def test_repo_fixture_files_match_builders():
-    for name in ("d1", "d2", "d3", "d4", "d5", "d6"):
-        on_disk = json.loads((REPO_FIXTURES / f"{name}.json").read_text())
-        assert on_disk == fixture_dict(name)
+def readme_commands() -> list[list[str]]:
+    """The lines of README's "Command line" sh block, as argv lists."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    argvs = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in argvs if argv]
+
+
+def test_readme_command_line_examples_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TRIBOUND_CACHE", str(tmp_path / "cache"))
+    commands = readme_commands()
+    assert len(commands) >= 6
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()

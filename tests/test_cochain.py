@@ -97,9 +97,13 @@ def test_size_caps():
         "x^10000000*(y-z)",
         "((9^64)^64)^64*(y-z)",
         f"2^{MAX_COEFF_BITS}",
+        "(x+y+z+1)^32*(x+y+z+1)^32",
+        "(x+y+z+1)^64",
     ):
         with pytest.raises(ResourceCapExceeded):
             parse_poly(text)
+    # about 1.2e5 term products, within MAX_TERM_PRODUCTS
+    assert max(map(sum, parse_poly("(x+y+z)^60*(y-z)"))) == 61
 
 
 def test_canonical_form():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -14,7 +15,6 @@ from tribound.diagram import (
     parse_diagram,
     set_outer_face,
     validate,
-    validate_text,
 )
 from tribound.fixtures import closed_braid_code
 
@@ -167,18 +167,39 @@ def test_outer_face_by_edge_list(diagrams):
         diagram_from_dict(code)
 
 
+def test_outer_face_of_wrong_type_is_syntax(diagrams):
+    code = diagram_to_dict(diagrams["d1"])
+    for bad in (True, "x"):
+        code["outer_face"] = bad
+        with pytest.raises(DiagramSyntaxError) as err:
+            diagram_from_dict(code)
+        assert [i.kind for i in err.value.issues] == ["syntax"]
+
+
 def test_validate_clean(diagrams):
     for d in diagrams.values():
         assert validate(d) == ()
 
 
+def test_validate_reports_stale_derived_data(diagrams):
+    d = diagrams["d3"]
+    first = d.crossings[0]
+    flipped = (dataclasses.replace(first, sign=-first.sign),) + d.crossings[1:]
+    stale_sign = dataclasses.replace(d, crossings=flipped)
+    stale_faces = dataclasses.replace(d, faces=tuple(reversed(d.faces)))
+    for stale, field in ((stale_sign, "crossings"), (stale_faces, "faces")):
+        issues = validate(stale)
+        assert [i.kind for i in issues] == ["derived"]
+        assert field in issues[0].message
+
+
 def test_edge_used_three_times():
     code = kink_code()
     code["crossings"][0]["slots"][0]["edge"] = 0  # edge 0 now appears 3 times
-    issues = validate_text(json.dumps(code))
-    assert issues and any("edge 0" in i.message for i in issues)
-    with pytest.raises(DiagramStructureError):
+    with pytest.raises(DiagramStructureError) as err:
         diagram_from_dict(code)
+    issues = err.value.issues
+    assert issues and any("edge 0" in i.message for i in issues)
 
 
 def test_two_in_under_slots():
@@ -189,8 +210,9 @@ def test_two_in_under_slots():
             s["dir"] = "in"
         else:
             s["dir"] = "out"
-    issues = validate_text(json.dumps(code))
-    assert any(i.kind == "orientation" for i in issues)
+    with pytest.raises(DiagramStructureError) as err:
+        diagram_from_dict(code)
+    assert any(i.kind == "orientation" for i in err.value.issues)
 
 
 def test_adjacent_under_slots_rejected():
@@ -198,8 +220,9 @@ def test_adjacent_under_slots_rejected():
     slots = code["crossings"][0]["slots"]
     slots[0]["level"], slots[1]["level"] = "under", "under"
     slots[2]["level"], slots[3]["level"] = "over", "over"
-    issues = validate_text(json.dumps(code))
-    assert any("cyclically opposite" in i.message for i in issues)
+    with pytest.raises(DiagramStructureError) as err:
+        diagram_from_dict(code)
+    assert any("cyclically opposite" in i.message for i in err.value.issues)
 
 
 def test_nonplanar_code_rejected(diagrams):
@@ -215,10 +238,9 @@ def test_nonplanar_code_rejected(diagrams):
         c["slots"][2]["edge"], c["slots"][3]["edge"] = b, a
         tails = {a, b}
     assert tails
-    with pytest.raises(DiagramPlanarityError):
+    with pytest.raises(DiagramPlanarityError) as err:
         diagram_from_dict(code)
-    issues = validate_text(json.dumps(code))
-    assert any(i.kind == "planarity" for i in issues)
+    assert any(i.kind == "planarity" for i in err.value.issues)
 
 
 def test_split_diagram_rejected():
@@ -244,10 +266,9 @@ def test_zero_crossings_rejected():
 
 
 def test_malformed_json():
-    with pytest.raises(DiagramSyntaxError):
+    with pytest.raises(DiagramSyntaxError) as err:
         parse_diagram("{not json")
-    issues = validate_text("{not json")
-    assert issues[0].kind == "syntax"
+    assert err.value.issues[0].kind == "syntax"
 
 
 def test_closed_over_loop_component():

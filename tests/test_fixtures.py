@@ -1,8 +1,5 @@
 from __future__ import annotations
 
-import json
-from importlib import resources
-
 import pytest
 
 from tribound.diagram import diagram_to_dict, validate
@@ -19,14 +16,6 @@ def test_names():
     assert fixture_names() == ["d1", "d2", "d3", "d4", "d5", "d6"]
     with pytest.raises(KeyError):
         fixture_dict("d7")
-
-
-def test_bundled_json_matches_builders():
-    for name in fixture_names():
-        text = (
-            resources.files("tribound").joinpath(f"fixtures/{name}.json").read_text()
-        )
-        assert json.loads(text) == fixture_dict(name)
 
 
 def test_all_fixtures_valid():
