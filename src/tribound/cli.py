@@ -23,6 +23,7 @@ from typing import Any, Callable
 from . import fixtures as fx
 from .cache import cache_path, default_cache_dir, load_reach, store_reach
 from .cochain import (
+    DEFAULT_LEVEL_CAP,
     CochainFn,
     DeltaReach,
     ResourceCapExceeded,
@@ -255,16 +256,16 @@ def _reach_with_cache(
     max_level: int,
     cache_dir: Path,
     report: RunReport,
-    cap: int | None = None,
+    cap: int = DEFAULT_LEVEL_CAP,
 ) -> DeltaReach:
-    from .cochain import DEFAULT_LEVEL_CAP, ResourceCapExceeded as _Cap
-
-    cap = DEFAULT_LEVEL_CAP if cap is None else cap
+    # a cached entry whose needed levels pass the cap is not used, so that
+    # delta_reach enforces the cap, and rejects cap < 1, warm or cold
     cached = load_reach(f, cache_dir)
-    if cached is not None and cached.max_level >= max_level:
-        for lv in cached.levels:
-            if len(lv) > cap:
-                raise _Cap(f"cached level holds {len(lv)} values, past the cap {cap}")
+    if (
+        cached is not None
+        and cached.max_level >= max_level
+        and all(len(lv) <= cap for lv in cached.levels[: max_level + 1])
+    ):
         report.cache["hits"] += 1
         return cached
     report.cache["misses"] += 1
@@ -513,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-m", type=int, default=1, help="highest level to compute")
     p.add_argument("--cache", default=None, help="cache directory")
     p.add_argument(
-        "--cap", type=int, default=None,
+        "--cap", type=int, default=DEFAULT_LEVEL_CAP,
         help="abort if a level exceeds this many values (default 10^7)",
     )
     common(p)

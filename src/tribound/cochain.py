@@ -502,36 +502,14 @@ def delta_reach(f: CochainFn, max_m: int, cap: int = DEFAULT_LEVEL_CAP) -> Delta
     level exceeding ``cap`` elements raises ResourceCapExceeded: the
     levels feed the move-count certificates, so truncation is never
     acceptable.
-
-    Results are memoized per (n, canonical form of f); repeated calls
-    reuse and extend previously computed levels.
     """
     if max_m < 0:
         raise ValueError(f"max_m must be >= 0, got {max_m}")
-    key = (f.n, f.canonical())
-    cached = _REACH_MEMO.get(key)
-    if cached is not None and cached.max_level >= max_m:
-        result = DeltaReach(f=f, im_delta=cached.im_delta,
-                            levels=cached.levels[: max_m + 1])
-    else:
-        if cached is not None:
-            im = cached.im_delta
-            levels = list(cached.levels)
-        else:
-            im = image_delta(f)
-            levels = [(0,)]
-        pm_im = tuple(sorted({v for k in im for v in (k, -k)}))
-        while len(levels) <= max_m:
-            levels.append(sumset(levels[-1], pm_im, cap=cap))
-        result = DeltaReach(f=f, im_delta=im, levels=tuple(levels))
-        _REACH_MEMO[key] = result
-    # the cap also applies to memoized levels
-    for m, lv in enumerate(result.levels):
-        if len(lv) > cap:
-            raise ResourceCapExceeded(
-                f"level {m} holds {len(lv)} values, past the cap {cap}"
-            )
-    return result
-
-
-_REACH_MEMO: dict[tuple[int, str], DeltaReach] = {}
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    im = image_delta(f)
+    pm_im = tuple(sorted({v for k in im for v in (k, -k)}))
+    levels = [(0,)]
+    while len(levels) <= max_m:
+        levels.append(sumset(levels[-1], pm_im, cap=cap))
+    return DeltaReach(f=f, im_delta=im, levels=tuple(levels))

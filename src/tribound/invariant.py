@@ -229,17 +229,17 @@ class BoundCertificate:
 
 
 def _levels_clear(
-    diffs: set[int], reach: DeltaReach, max_m: int
+    diffs: set[int], levels: list[set[int]]
 ) -> tuple[int, list[str], int | None]:
-    """Largest m <= max_m with diffs disjoint from Delta_0..Delta_{m-1}."""
+    """Largest m <= len(levels) with diffs disjoint from levels[0..m-1]."""
     verdicts: list[str] = []
-    for i in range(max_m):
-        hit = diffs & set(reach.level(i))
+    for i, level in enumerate(levels):
+        hit = diffs & level
         if hit:
             verdicts.append(f"level {i}: hit {min(hit)}")
             return i, verdicts, i
         verdicts.append(f"level {i}: empty intersection")
-    return max_m, verdicts, None
+    return len(levels), verdicts, None
 
 
 def certify_lower_bound(
@@ -268,6 +268,7 @@ def certify_lower_bound(
         )
     phi = phi_set(d2, s, f)
     phi_vals = set(phi.values)
+    levels = [set(reach.level(i)) for i in range(max_m)]
 
     # (m, coloring id, arc colors, W, verdicts, first hit) of the winner
     best: tuple[int, int | None, tuple[int, ...] | None, int | None, list[str], int | None]
@@ -278,7 +279,7 @@ def certify_lower_bound(
             continue
         w = weight(d, extend_coloring(d, col, s), f).value
         diffs = {w - v for v in phi_vals}
-        m, verdicts, first_hit = _levels_clear(diffs, reach, max_m)
+        m, verdicts, first_hit = _levels_clear(diffs, levels)
         if not found_nontrivial or m > best[0]:
             best = (m, cid, col.arc_colors, w, verdicts, first_hit)
         found_nontrivial = True
@@ -307,18 +308,26 @@ def certify_lower_bound(
     )
 
 
+def _meets_level(diffs: set[int], k: int, halves: list[set[int]]) -> bool:
+    """Whether diffs meets Delta_k = Delta_ceil(k/2) + Delta_floor(k/2),
+    tested from the half levels alone (meet in the middle)."""
+    hi, lo = halves[(k + 1) // 2], halves[k // 2]
+    return any(d - b in hi for d in diffs for b in lo)
+
+
 def verify_certificate(
     cert: BoundCertificate, d: Diagram, d2: Diagram
 ) -> bool:
     """Independent re-check of an emitted certificate.
 
     Recomputes the weight from the stored arc vector, the Phi set of d2,
-    and the level intersections from f rebuilt out of the stored string.
-    Accepts iff every stored field matches the recomputation.
+    and the level intersections from f rebuilt out of the stored string,
+    through half levels it builds itself rather than the certifier's
+    levels.  Accepts iff the weight, Phi and the bound m match.
     """
     if diagram_hash(d) != cert.d_hash or diagram_hash(d2) != cert.d2_hash:
         return False
-    if not 0 <= cert.m <= cert.max_m:
+    if cert.max_m < 1 or not 0 <= cert.m <= cert.max_m:
         return False
     f = CochainFn.build(cert.f_str, cert.n)
     if tuple(phi_set(d2, cert.s, f).values) != cert.phi:
@@ -340,13 +349,11 @@ def verify_certificate(
     w = weight(d, extend_coloring(d, col, cert.s), f).value
     if w != cert.w:
         return False
-    reach = delta_reach(f, cert.max_m - 1)
+    # Delta_0..Delta_{max_m-1} are needed; max_m // 2 = ceil((max_m-1)/2)
+    reach = delta_reach(f, cert.max_m // 2)
+    halves = [set(lv) for lv in reach.levels]
     diffs = {w - v for v in cert.phi}
-    for i in range(cert.m):
-        if diffs & set(reach.level(i)):
-            return False
-    if cert.m < cert.max_m:
-        # the reported bound must be maximal for this coloring
-        if not diffs & set(reach.level(cert.m)):
-            return False
-    return True
+    if any(_meets_level(diffs, i, halves) for i in range(cert.m)):
+        return False
+    # the reported bound must be maximal for this coloring
+    return cert.m == cert.max_m or _meets_level(diffs, cert.m, halves)

@@ -264,13 +264,30 @@ def test_delta_large_set_summarized(capsys, tmp_path):
 
 
 def test_delta_cap_exit_code(capsys, tmp_path):
-    code, _, err = run(
-        capsys,
+    # cold, then warm from a cache filled without the cap
+    args = (
         "delta", "-n", "3", "-f", "(x-y)*(y-z)*z", "--max-m", "2",
-        "--cache", str(tmp_path / "c"), "--cap", "5",
+        "--cache", str(tmp_path / "c"),
     )
-    assert code == 4
-    assert "cap" in err
+    for _ in range(2):
+        code, _, err = run(capsys, *args, "--cap", "5")
+        assert code == 4
+        assert "cap" in err
+        assert run(capsys, *args)[0] == 0
+
+
+def test_delta_cap_below_one_is_usage_error(capsys, tmp_path):
+    # Delta_0 = {0} is built without a sumset, so no level passes a cap
+    # of 0; it is refused up front, on a cold and on a warm cache
+    args = (
+        "delta", "-n", "3", "-f", "(x-y)*(y-z)*z", "--max-m", "0",
+        "--cache", str(tmp_path / "c"),
+    )
+    for _ in range(2):
+        code, _, err = run(capsys, *args, "--cap", "0")
+        assert code == 2
+        assert "cap must be >= 1, got 0" in err
+        assert run(capsys, *args)[0] == 0
 
 
 def test_function_size_cap_exit_code(capsys, tmp_path):
@@ -311,6 +328,27 @@ def test_certify_reference_pairs(capsys, tmp_path):
     )
     assert code == 0
     assert report["results"]["certificate"]["m"] == 3
+
+
+def test_certify_rejects_corrupted_cache(capsys, tmp_path):
+    # the certifier reads its levels from the cache; the verifier builds
+    # its own and must catch the over-claimed bound
+    cache = tmp_path / "c"
+    args = (
+        "certify", "d1", "d2", "-n", "3", "-f", "(x-y)*(y-z)*z",
+        "-s", "0", "--max-m", "3", "--cache", str(cache),
+    )
+    code, report, _ = run_json(capsys, *args)
+    assert code == 0 and report["results"]["certificate"]["m"] == 2
+    (path,) = cache.glob("delta_*.json")
+    blob = json.loads(path.read_text())
+    blob["delta_levels"][2] = [0]
+    path.write_text(json.dumps(blob))
+    code, report, _ = run_json(capsys, *args)
+    assert report["cache"] == {"hits": 1, "misses": 0}
+    assert report["results"]["certificate"]["m"] == 3
+    assert report["results"]["verified"] is False
+    assert code == 3
 
 
 def test_certify_max_m_zero(capsys, tmp_path):

@@ -323,6 +323,8 @@ def test_sumset():
 def test_level_cap(f3):
     with pytest.raises(ResourceCapExceeded):
         delta_reach(f3, 2, cap=5)
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        delta_reach(f3, 0, cap=0)
 
 
 def test_reach_memo_extends(f5):

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 
 import pytest
 
-from tribound.cochain import CochainFn, delta_reach
+from tribound.cochain import CochainFn, DeltaReach, delta_reach
 from tribound.coloring import (
     Coloring,
     enumerate_colorings,
@@ -290,7 +291,7 @@ def test_no_nontrivial_coloring_flagged(f3):
     assert verify_certificate(cert, kink, kink)
 
 
-def test_verification_rejects_tampering(diagrams, f3):
+def test_verification_rejects_tampering(diagrams, f3, f5, f4):
     import dataclasses
 
     d, d2 = diagrams["d1"], diagrams["d2"]
@@ -302,6 +303,59 @@ def test_verification_rejects_tampering(diagrams, f3):
         dataclasses.replace(cert, phi=(cert.phi[0],)), d, d2
     )
     assert not verify_certificate(cert, d2, d)  # wrong diagrams
+    assert not verify_certificate(dataclasses.replace(cert, m=0, max_m=0), d, d2)
+
+    # every wrong m: the verifier reads Delta_2 as Delta_1 + Delta_1 for
+    # d3 d4 at max_m = 3, and the first hit, Delta_3, as Delta_2 + Delta_1
+    # for d5 d6 at max_m = 4
+    for pair, f, s, max_m in ((("d3", "d4"), f5, 2, 3), (("d5", "d6"), f4, 0, 4)):
+        d, d2 = diagrams[pair[0]], diagrams[pair[1]]
+        cert = certify_lower_bound(d, d2, s, f, max_m)
+        assert cert.m == 3 and verify_certificate(cert, d, d2)
+        for m in set(range(max_m + 1)) - {cert.m}:
+            assert not verify_certificate(dataclasses.replace(cert, m=m), d, d2)
+
+
+def test_verifier_builds_only_half_levels(diagrams, f5, monkeypatch):
+    import tribound.invariant as invariant
+
+    d, d2 = diagrams["d3"], diagrams["d4"]
+    asked: list[int] = []
+
+    def spy(f, max_m, **kwargs):
+        asked.append(max_m)
+        return delta_reach(f, max_m, **kwargs)
+
+    monkeypatch.setattr(invariant, "delta_reach", spy)
+    for max_m in (1, 2, 3):
+        reach = delta_reach(f5, max_m - 1)
+        cert = certify_lower_bound(d, d2, 2, f5, max_m, reach=reach)
+        asked.clear()
+        assert verify_certificate(cert, d, d2)
+        assert asked and max(asked) <= math.ceil((max_m - 1) / 2)
+
+
+def test_verifier_rejects_levels_missing_hits(diagrams, f3):
+    # the certifier trusts the levels it is given; with the hit values
+    # taken out of Delta_2 it over-claims, and the verifier, which builds
+    # its own levels, must refuse the certificate
+    d, d2 = diagrams["d1"], diagrams["d2"]
+    assert certify_lower_bound(d, d2, 0, f3, 3).m == 2
+    phi = phi_set(d2, 0, f3).values
+    diffs = {
+        weight(d, extend_coloring(d, col, 0), f3).value - v
+        for col in enumerate_colorings(d, 3)
+        if not is_trivial(col)
+        for v in phi
+    }
+    reach = delta_reach(f3, 2)
+    level2 = tuple(v for v in reach.level(2) if v not in diffs)
+    assert level2 != reach.level(2)
+    bad = DeltaReach(f=f3, im_delta=reach.im_delta,
+                     levels=reach.levels[:2] + (level2,))
+    cert = certify_lower_bound(d, d2, 0, f3, 3, reach=bad)
+    assert cert.m == 3
+    assert not verify_certificate(cert, d, d2)
 
 
 def test_all_emitted_certificates_reverify(diagrams, f3, f5, f4, rng):
