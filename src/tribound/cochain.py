@@ -457,25 +457,101 @@ def delta_f(f: CochainFn, x: int, y: int, z: int, w: int) -> int:
 
 
 def image_delta(f: CochainFn) -> tuple[int, ...]:
-    """Sorted set of all coboundary values over Z(n)^4; always contains 0."""
+    """Sorted set of all coboundary values over Z(n)^4; always contains 0.
+
+    Equal to the set of ``delta_f`` over every tuple, read from a
+    precomputed star table: for each (x, y, z) the four w-indexed rows
+    t[x][z], t[x][y], t[x*y][z] and t[x*z][y*z] are fixed, and only the
+    last term t[x*w][y*w][z*w] is looked up per w.
+    """
     n = f.n
-    values = {
-        delta_f(f, x, y, z, w)
-        for x, y, z, w in itertools.product(range(n), repeat=4)
-    }
+    t = f.table
+    star = [[quandle_star(x, y, n) for y in range(n)] for x in range(n)]
+    values: set[int] = set()
+    for x in range(n):
+        tx, sx = t[x], star[x]
+        for y in range(n):
+            txy, sy, t_xy = tx[y], star[y], t[sx[y]]
+            # t[x*w][y*w], indexed by w
+            last = [t[p][q] for p, q in zip(sx, sy)]
+            for z in range(n):
+                c = txy[z]
+                values.update(
+                    a - b + c - d + e - r[s]
+                    for a, b, d, e, r, s in zip(
+                        tx[z], txy, t_xy[z], t[sx[z]][sy[z]], last, star[z]
+                    )
+                )
     return tuple(sorted(values))
 
 
+# sumset takes the bitmask kernel when the span of the sum is at most this
+# many times |a|; a sparser sum stays on the set loop.
+DENSE_FACTOR = 1024
+# bytes of the mask turned into a bit string at a time when reading it back,
+# and the translation of that string's "0" and "1" into bytes 0 and 1
+_READ_CHUNK = 1 << 16
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _past_cap(cap: int) -> ResourceCapExceeded:
+    return ResourceCapExceeded(f"sumset grew past the cardinality cap {cap}")
+
+
+def _sumset_dense(
+    a: tuple[int, ...], b: tuple[int, ...], cap: int | None
+) -> tuple[int, ...]:
+    """The bitmask kernel: bit k of ``out`` stands for min(a) + min(b) + k,
+    and each q in b ORs in the mask of a shifted by q - min(b).  Each
+    width/8-byte buffer is dropped once it is spent, so at most four are
+    alive at a time."""
+    lo_a, lo_b = min(a), min(b)
+    buf = bytearray((max(a) - lo_a) // 8 + 1)
+    for p in a:
+        k = p - lo_a
+        buf[k >> 3] |= 1 << (k & 7)
+    mask = int.from_bytes(buf, "little")
+    del buf
+    out = 0
+    for q in set(b):
+        out |= mask << (q - lo_b)
+    del mask
+    if cap is not None and out.bit_count() > cap:
+        raise _past_cap(cap)
+    raw = out.to_bytes((out.bit_length() + 7) // 8, "little")
+    del out
+    values: list[int] = []
+    for i in range(0, len(raw), _READ_CHUNK):
+        # bit string least significant bit first: character j is bit j
+        bits = bin(int.from_bytes(raw[i:i + _READ_CHUNK], "little"))[:1:-1]
+        start = lo_a + lo_b + 8 * i
+        values.extend(
+            itertools.compress(
+                range(start, start + len(bits)), bits.encode().translate(_BITS)
+            )
+        )
+    return tuple(values)
+
+
 def sumset(a: Iterable[int], b: Iterable[int], cap: int | None = None) -> tuple[int, ...]:
-    """Sorted {p + q : p in a, q in b}, aborting past ``cap`` elements."""
-    b = tuple(b)
+    """Sorted {p + q : p in a, q in b}, aborting past ``cap`` elements.
+
+    A dense sum, whose span max(a) - min(a) + max(b) - min(b) + 1 is at
+    most ``DENSE_FACTOR * |a|``, is built as a bitmask on a Python int
+    with one shift and OR per value of b; any other sum is built with one
+    set insertion per pair.  Both give the same tuple and raise the same
+    ResourceCapExceeded.
+    """
+    a, b = tuple(a), tuple(b)
+    if a and b:
+        width = max(a) - min(a) + max(b) - min(b) + 1
+        if width <= DENSE_FACTOR * len(a):
+            return _sumset_dense(a, b, cap)
     out: set[int] = set()
     for p in a:
         out.update(p + q for q in b)
         if cap is not None and len(out) > cap:
-            raise ResourceCapExceeded(
-                f"sumset grew past the cardinality cap {cap}"
-            )
+            raise _past_cap(cap)
     return tuple(sorted(out))
 
 

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tribound import cochain
 from tribound.cochain import (
+    DENSE_FACTOR,
     MAX_COEFF_BITS,
     MAX_DEGREE,
     CochainFn,
@@ -294,6 +300,25 @@ def test_image_delta(f3, f5, f4):
         assert 0 in image_delta(f)
 
 
+def _seeded_f(seed: int) -> str:
+    """A random quadratic times (y - z), so that f(x, y, y) = 0."""
+    rng = random.Random(seed)
+    c = [rng.randint(-5, 5) for _ in range(4)]
+    return f"(y-z)*({c[0]}*x^2 + {c[1]}*x*y + {c[2]}*y*z + {c[3]})"
+
+
+@pytest.mark.parametrize("f_str", [*REFERENCE_FUNCTIONS, _seeded_f(8)])
+def test_image_delta_matches_delta_f(f_str):
+    # image_delta reads a star table and hoists rows; delta_f is the
+    # six-term formula evaluated one tuple at a time
+    for n in range(1, 9):
+        f = CochainFn.build(f_str, n)
+        brute = {
+            delta_f(f, *t) for t in itertools.product(range(n), repeat=4)
+        }
+        assert image_delta(f) == tuple(sorted(brute))
+
+
 # -- level sets --------------------------------------------------------------
 
 
@@ -320,6 +345,67 @@ def test_sumset():
         sumset(range(100), range(100), cap=10)
 
 
+def _sumset_case(a, b, dense):
+    """sumset(a, b) against the brute-force sum, with the kernel checked:
+    a is passed as an iterator and b reversed, so neither is a sorted
+    tuple.  A nonempty sum one element past ``cap`` must raise the same
+    message on either kernel."""
+    want = tuple(sorted({p + q for p in a for q in b}))
+    spy = mock.patch.object(
+        cochain, "_sumset_dense", wraps=cochain._sumset_dense
+    )
+    with spy as kernel:
+        assert sumset(iter(a), b[::-1]) == want
+        assert sumset(a, b, cap=len(want)) == want
+        if want:
+            with pytest.raises(ResourceCapExceeded) as err:
+                sumset(a, b, cap=len(want) - 1)
+            assert str(err.value) == (
+                f"sumset grew past the cardinality cap {len(want) - 1}"
+            )
+    assert kernel.called == (dense and bool(a) and bool(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lo=st.integers(-10**6, 10**6),
+    a=st.lists(st.integers(0, 300), max_size=60),
+    b=st.lists(st.integers(-300, 300), max_size=60),
+    chunk=st.integers(1, 9) | st.just(cochain._READ_CHUNK),
+)
+def test_sumset_dense_matches_brute_force(lo, a, b, chunk):
+    # span at most 901 <= DENSE_FACTOR * |a| for any nonempty a; a read
+    # chunk of a few bytes makes the read-back cross chunk boundaries
+    assert 901 <= DENSE_FACTOR
+    with mock.patch.object(cochain, "_READ_CHUNK", chunk):
+        _sumset_case([lo + p for p in a], b, dense=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=st.lists(st.integers(-10**12, 10**12), max_size=20),
+    b=st.lists(st.integers(-10**12, 10**12), max_size=20),
+)
+def test_sumset_sparse_matches_brute_force(a, b):
+    # the two pinned values make the span at least 4e12, far past
+    # DENSE_FACTOR * |a|
+    a = a + [-(2 * 10**12), 2 * 10**12]
+    _sumset_case(a, b, dense=False)
+    _sumset_case([], a, dense=False)
+    _sumset_case(a, [], dense=False)
+
+
+def test_sumset_dense_factor_boundary():
+    # span 1025 over |a| = 1 is sparse, span 1024 is dense
+    with mock.patch.object(
+        cochain, "_sumset_dense", wraps=cochain._sumset_dense
+    ) as kernel:
+        assert sumset((0,), (0, DENSE_FACTOR)) == (0, DENSE_FACTOR)
+        assert not kernel.called
+        assert sumset((5,), (0, DENSE_FACTOR - 1)) == (5, DENSE_FACTOR + 4)
+        assert kernel.called
+
+
 def test_level_cap(f3):
     with pytest.raises(ResourceCapExceeded):
         delta_reach(f3, 2, cap=5)
@@ -332,3 +418,32 @@ def test_reach_memo_extends(f5):
     r2 = delta_reach(f5, 2)
     assert r2.levels[: 2] == r1.levels
     assert len(r2.levels) == 3
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(json.dumps(list(values)).encode()).hexdigest()
+
+
+def test_paper_d3_levels_pinned(f5):
+    # Delta_1 and Delta_2 of the d3/d4 function, as built by the set loop
+    # alone before the bitmask kernel existed.  Delta_2 spans 7.4e7 for
+    # 238 689 values, so both levels stay on the set loop.
+    with mock.patch.object(
+        cochain, "_sumset_dense", wraps=cochain._sumset_dense
+    ) as kernel:
+        levels = delta_reach(f5, 2).levels
+    assert not kernel.called
+    assert tuple(len(lv) for lv in levels) == (1, 701, 238689)
+    assert _digest(levels[1]) == (
+        "f2b59f069fcc85158547de112c888f54af8ecab1d4a282636766a2f5b0d5c45f"
+    )
+    assert _digest(levels[2]) == (
+        "a7495555bb5443f117f4815b5b0b468806e944f1587a2ede6e5eb71c1c7e1f79"
+    )
+
+
+def test_dense_levels_match_set_loop(monkeypatch):
+    f = CochainFn.build("(x-y)*(y-z)*z", 7)
+    dense = delta_reach(f, 3).levels
+    monkeypatch.setattr(cochain, "DENSE_FACTOR", 0)
+    assert delta_reach(f, 3).levels == dense

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 from collections import Counter
 
@@ -245,6 +247,24 @@ def test_reference_certificates(diagrams):
         cert = certify_lower_bound(d, d2, case.s, f, case.max_m)
         assert cert.m == case.expected_m
         assert verify_certificate(cert, d, d2)
+
+
+# SHA-256 of json.dumps(cert.to_dict(), sort_keys=True) for each of
+# FIXTURE_CASES, recorded before Delta sums had a bitmask kernel
+CERT_DIGESTS = {
+    ("d1", "d2"): "817d662ffe30678e89a00d03996b3ea32e443aa2e8c18d06ec28866c004afc5c",
+    ("d3", "d4"): "bbd285e2a48f11d2e3e86a4fb118cc4e93f74246b976d6a22601f2b0e465bf02",
+    ("d5", "d6"): "21aa4b5f2d0c05374e5f2a56d179a2e094110c19b6b2e192c7f7198374e6c4a8",
+}
+
+
+def test_reference_certificates_pinned(diagrams):
+    for case in FIXTURE_CASES:
+        d, d2 = diagrams[case.pair[0]], diagrams[case.pair[1]]
+        f = CochainFn.build(case.f_str, case.n)
+        cert = certify_lower_bound(d, d2, case.s, f, case.max_m)
+        text = json.dumps(cert.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == CERT_DIGESTS[case.pair]
 
 
 def test_same_diagram_gives_no_bound(diagrams, f3):
