@@ -1,18 +1,17 @@
 """On-disk cache for coboundary images and level sets.
 
 One JSON file per (modulus, canonical function), named by a short hash
-of the canonical form.  Writers take a lock file so concurrent CLI runs
-never interleave partial writes; readers need no lock (writes go through
-an atomic rename).
+of the canonical form.  A writer publishes its own temp file by atomic
+rename, so readers, who take no lock, never see a partial entry.  An
+entry not readable as {n, f, im_delta, delta_levels} of integers is a
+miss, so a warm run gives the same result and exit code as a cold one.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
-import time
 from pathlib import Path
 
 from .cochain import CochainFn, DeltaReach
@@ -20,35 +19,6 @@ from .cochain import CochainFn, DeltaReach
 __all__ = ["default_cache_dir", "cache_path", "load_reach", "store_reach"]
 
 ENV_VAR = "TRIBOUND_CACHE"
-
-_LOCK_TIMEOUT_S = 30.0
-_LOCK_STALE_S = 300.0
-
-
-@contextlib.contextmanager
-def _lock_file(path: Path):
-    """Exclusive advisory lock via O_CREAT|O_EXCL; stale locks from dead
-    writers are broken after a grace period."""
-    deadline = time.monotonic() + _LOCK_TIMEOUT_S
-    while True:
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            try:
-                if time.time() - path.stat().st_mtime > _LOCK_STALE_S:
-                    path.unlink(missing_ok=True)
-                    continue
-            except FileNotFoundError:
-                continue
-            if time.monotonic() > deadline:
-                raise TimeoutError(f"could not acquire cache lock {path}")
-            time.sleep(0.05)
-    try:
-        yield
-    finally:
-        os.close(fd)
-        path.unlink(missing_ok=True)
 
 
 def default_cache_dir() -> Path:
@@ -67,36 +37,40 @@ def cache_path(f: CochainFn, directory: Path | None = None) -> Path:
 
 
 def load_reach(f: CochainFn, directory: Path | None = None) -> DeltaReach | None:
-    """Cached levels for f, or None on miss/stale content."""
-    path = cache_path(f, directory)
+    """Cached levels for f, or None on a miss: no entry, an entry for
+    another f, or one that does not hold integer levels."""
     try:
-        obj = json.loads(path.read_text())
-    except (FileNotFoundError, json.JSONDecodeError):
+        obj = json.loads(cache_path(f, directory).read_text())
+        if obj["n"] != f.n or obj["f"] != f.canonical():
+            return None
+        im_delta = tuple(obj["im_delta"])
+        levels = tuple(tuple(lv) for lv in obj["delta_levels"])
+    except (OSError, ValueError, LookupError, TypeError):
         return None
-    if obj.get("n") != f.n or obj.get("f") != f.canonical():
+    if not all(type(v) is int for lv in (im_delta, *levels) for v in lv):
         return None
-    return DeltaReach(
-        f=f,
-        im_delta=tuple(obj["im_delta"]),
-        levels=tuple(tuple(lv) for lv in obj["delta_levels"]),
-    )
+    return DeltaReach(f=f, im_delta=im_delta, levels=levels)
 
 
 def store_reach(reach: DeltaReach, directory: Path | None = None) -> Path:
-    """Write (or extend) the cache entry for reach.f; returns the path."""
+    """Write (or extend) the cache entry for reach.f; returns the path.
+    Racing writers are not serialised: the last rename wins even with
+    fewer levels, and a run that needs more misses and rebuilds them."""
     path = cache_path(reach.f, directory)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with _lock_file(path.with_suffix(".lock")):
-        existing = load_reach(reach.f, directory)
-        if existing is not None and existing.max_level >= reach.max_level:
-            return path
-        payload = {
-            "n": reach.f.n,
-            "f": reach.f.canonical(),
-            "im_delta": list(reach.im_delta),
-            "delta_levels": [list(lv) for lv in reach.levels],
-        }
-        tmp = path.with_suffix(".tmp")
+    existing = load_reach(reach.f, directory)
+    if existing is not None and existing.max_level >= reach.max_level:
+        return path
+    payload = {
+        "n": reach.f.n,
+        "f": reach.f.canonical(),
+        "im_delta": list(reach.im_delta),
+        "delta_levels": [list(lv) for lv in reach.levels],
+    }
+    tmp = path.with_name(f"{path.stem}.{os.urandom(6).hex()}.tmp")
+    try:
         tmp.write_text(json.dumps(payload))
         os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path

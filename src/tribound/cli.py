@@ -258,12 +258,13 @@ def _reach_with_cache(
     report: RunReport,
     cap: int = DEFAULT_LEVEL_CAP,
 ) -> DeltaReach:
-    # a cached entry whose needed levels pass the cap is not used, so that
-    # delta_reach enforces the cap, and rejects cap < 1, warm or cold
+    # a cached entry is not used for a level below 0 or when its needed
+    # levels pass the cap, so that delta_reach rejects max_level < 0 and
+    # cap < 1, and enforces the cap, warm or cold
     cached = load_reach(f, cache_dir)
     if (
         cached is not None
-        and cached.max_level >= max_level
+        and 0 <= max_level <= cached.max_level
         and all(len(lv) <= cap for lv in cached.levels[: max_level + 1])
     ):
         report.cache["hits"] += 1

@@ -63,9 +63,6 @@ class Coloring:
     n: int
     arc_colors: tuple[int, ...]
 
-    def color(self, arc_id: int) -> int:
-        return self.arc_colors[arc_id]
-
 
 @dataclass(frozen=True)
 class ExtendedColoring:
@@ -79,12 +76,6 @@ class ExtendedColoring:
     @property
     def n(self) -> int:
         return self.base.n
-
-    def arc_color(self, arc_id: int) -> int:
-        return self.base.arc_colors[arc_id]
-
-    def region_color(self, face_id: int) -> int:
-        return self.region_colors[face_id]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

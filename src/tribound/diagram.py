@@ -159,18 +159,6 @@ class Diagram:
                 return c
         raise KeyError(f"no crossing with id {cid}")
 
-    def edge(self, eid: int) -> Edge:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise KeyError(f"no edge with id {eid}")
-
-    def face(self, fid: int) -> Face:
-        for f in self.faces:
-            if f.id == fid:
-                return f
-        raise KeyError(f"no face with id {fid}")
-
     def arc_of_edge(self, eid: int) -> int:
         """Arc id containing the given edge."""
         return self.tables.edge_arc[eid]

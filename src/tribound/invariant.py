@@ -77,9 +77,6 @@ class PhiSet:
     values: tuple[int, ...]
     witnesses: dict[int, tuple[int, ...]] = field(compare=False)
 
-    def __contains__(self, value: int) -> bool:
-        return value in set(self.values)
-
     @classmethod
     def from_weights(
         cls, diagram: str, s: int, n: int, weights: Iterable[tuple[int, int]]

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import threading
 import time
 
 from tribound.cache import (
-    _lock_file,
     cache_path,
     default_cache_dir,
     load_reach,
@@ -45,23 +45,17 @@ def test_load_rejects_stale_content(tmp_path, f3, f4):
     assert load_reach(f3, tmp_path) is None
 
 
-def test_lock_is_released(tmp_path):
-    lock = tmp_path / "x.lock"
-    with _lock_file(lock):
-        assert lock.exists()
-    assert not lock.exists()
-
-
-def test_stale_lock_is_broken(tmp_path):
-    lock = tmp_path / "x.lock"
-    lock.touch()
-    old = time.time() - 10_000
-    import os
-
-    os.utime(lock, (old, old))
-    with _lock_file(lock):
-        pass
-    assert not lock.exists()
+def test_leftover_lock_and_tmp_files_are_ignored(tmp_path, f3):
+    # what a writer killed mid-store may leave beside the entry
+    path = cache_path(f3, tmp_path)
+    path.with_suffix(".lock").touch()
+    path.with_suffix(".tmp").write_text('{"n": 3, "f": "trun')
+    reach = delta_reach(f3, 2)
+    start = time.perf_counter()
+    assert store_reach(reach, tmp_path) == path
+    assert time.perf_counter() - start < 1.0
+    cached = load_reach(f3, tmp_path)
+    assert cached is not None and cached.levels == reach.levels
 
 
 def test_concurrent_writers(tmp_path, f3):
@@ -83,3 +77,36 @@ def test_concurrent_writers(tmp_path, f3):
     assert not errors
     cached = load_reach(f3, tmp_path)
     assert cached is not None and cached.levels == reach.levels
+
+
+def _store_then_load(f, directory, depth, rounds):
+    """Clear f's entry, store f's levels up to depth and read the entry
+    back, rounds times; returns the reads that were torn or not exact
+    levels of f."""
+    reach = delta_reach(f, depth)
+    want = {k: delta_reach(f, k).levels for k in (1, 2)}
+    path = cache_path(f, directory)
+    bad = []
+    for _ in range(rounds):
+        path.unlink(missing_ok=True)
+        store_reach(reach, directory)
+        try:
+            json.loads(path.read_text())
+        except FileNotFoundError:  # cleared again by another writer
+            pass
+        except ValueError as exc:
+            bad.append(repr(exc))
+        got = load_reach(f, directory)
+        if got is not None and got.levels != want.get(got.max_level):
+            bad.append(got.max_level)
+    return bad
+
+
+def test_concurrent_writer_processes(tmp_path, f3):
+    jobs = [(f3, tmp_path, depth, 200) for depth in (1, 1, 2, 2)]
+    with multiprocessing.Pool(len(jobs)) as pool:
+        results = pool.starmap(_store_then_load, jobs)
+    assert results == [[]] * len(jobs)
+    store_reach(delta_reach(f3, 2), tmp_path)
+    cached = load_reach(f3, tmp_path)
+    assert cached is not None and cached.levels == delta_reach(f3, 2).levels

@@ -278,16 +278,20 @@ def test_delta_cap_exit_code(capsys, tmp_path):
 
 def test_delta_cap_below_one_is_usage_error(capsys, tmp_path):
     # Delta_0 = {0} is built without a sumset, so no level passes a cap
-    # of 0; it is refused up front, on a cold and on a warm cache
+    # of 0; it is refused up front, as is a level below 0, on a cold and
+    # on a warm cache
     args = (
-        "delta", "-n", "3", "-f", "(x-y)*(y-z)*z", "--max-m", "0",
+        "delta", "-n", "3", "-f", "(x-y)*(y-z)*z",
         "--cache", str(tmp_path / "c"),
     )
     for _ in range(2):
-        code, _, err = run(capsys, *args, "--cap", "0")
+        code, _, err = run(capsys, *args, "--max-m", "0", "--cap", "0")
         assert code == 2
         assert "cap must be >= 1, got 0" in err
-        assert run(capsys, *args)[0] == 0
+        code, _, err = run(capsys, *args, "--max-m", "-1")
+        assert code == 2
+        assert "max_m must be >= 0, got -1" in err
+        assert run(capsys, *args, "--max-m", "0")[0] == 0
 
 
 def test_function_size_cap_exit_code(capsys, tmp_path):
@@ -349,6 +353,29 @@ def test_certify_rejects_corrupted_cache(capsys, tmp_path):
     assert report["results"]["certificate"]["m"] == 3
     assert report["results"]["verified"] is False
     assert code == 3
+
+
+def test_certify_treats_malformed_cache_as_miss(capsys, tmp_path):
+    cache = tmp_path / "c"
+    args = (
+        "certify", "d1", "d2", "-n", "3", "-f", "(x-y)*(y-z)*z",
+        "-s", "0", "--max-m", "2", "--cache", str(cache),
+    )
+    code, cold, _ = run_json(capsys, *args)
+    assert code == 0 and cold["cache"] == {"hits": 0, "misses": 1}
+    (path,) = cache.glob("delta_*.json")
+    good = json.loads(path.read_text())
+    for bad in (
+        [],
+        {k: v for k, v in good.items() if k != "im_delta"},
+        {**good, "delta_levels": 5},
+        {**good, "delta_levels": [[[0]], *good["delta_levels"][1:]]},
+    ):
+        path.write_text(json.dumps(bad))
+        code, warm, _ = run_json(capsys, *args)
+        assert code == 0
+        assert warm["cache"] == {"hits": 0, "misses": 1}
+        assert warm["results"] == cold["results"]
 
 
 def test_certify_max_m_zero(capsys, tmp_path):

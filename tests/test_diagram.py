@@ -78,6 +78,7 @@ def test_arcs_partition_edges_and_break_at_unders(rng):
     for i in range(10):
         d = random_closed_braid(rng, name=f"r{i}")
         seen = [e for a in d.arcs for e in a.edges]
+        edge = {e.id: e for e in d.edges}
         assert sorted(seen) == sorted(e.id for e in d.edges)
         # consecutive arc edges meet at a crossing through its over slots
         for a in d.arcs:
@@ -85,8 +86,8 @@ def test_arcs_partition_edges_and_break_at_unders(rng):
             if a.closed and len(a.edges) > 1:
                 pairs.append((a.edges[-1], a.edges[0]))
             for e1, e2 in pairs:
-                c1, k1 = d.edge(e1).head
-                c2, k2 = d.edge(e2).tail
+                c1, k1 = edge[e1].head
+                c2, k2 = edge[e2].tail
                 assert c1 == c2
                 cr = d.crossing(c1)
                 assert cr.slots[k1].level == "over"
@@ -159,7 +160,7 @@ def test_set_outer_face(diagrams):
 
 def test_outer_face_by_edge_list(diagrams):
     code = diagram_to_dict(diagrams["d1"])
-    face = diagrams["d1"].face(diagrams["d1"].outer_face)
+    face = diagrams["d1"].faces[diagrams["d1"].outer_face]
     code["outer_face"] = [e for (e, _) in face.boundary]
     assert diagram_from_dict(code).outer_face == diagrams["d1"].outer_face
     code["outer_face"] = [97, 98]
