@@ -19,6 +19,7 @@ the weight invariant can move (one summand per move).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
@@ -42,7 +43,9 @@ __all__ = [
     "image_delta",
     "DeltaReach",
     "delta_reach",
+    "delta_halves",
     "sumset",
+    "sumset_size",
     "DEFAULT_LEVEL_CAP",
     "MAX_DEGREE",
     "MAX_COEFF_BITS",
@@ -492,17 +495,26 @@ DENSE_FACTOR = 1024
 # and the translation of that string's "0" and "1" into bytes 0 and 1
 _READ_CHUNK = 1 << 16
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
+# sumset_size counts a sparse sum one value range at a time; a range holds
+# at most max(PAIR_BUDGET, PAIRS_PER_VALUE * |a|) pairs p + q unless it is
+# one value wide.  Each range costs a pass over a, so scaling the budget
+# with |a| keeps that pass small against the pairs.
+PAIR_BUDGET = 1 << 16
+PAIRS_PER_VALUE = 16
 
 
 def _past_cap(cap: int) -> ResourceCapExceeded:
     return ResourceCapExceeded(f"sumset grew past the cardinality cap {cap}")
 
 
-def _sumset_dense(
-    a: tuple[int, ...], b: tuple[int, ...], cap: int | None
-) -> tuple[int, ...]:
-    """The bitmask kernel: bit k of ``out`` stands for min(a) + min(b) + k,
-    and each q in b ORs in the mask of a shifted by q - min(b).  Each
+def _is_dense(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    width = max(a) - min(a) + max(b) - min(b) + 1
+    return width <= DENSE_FACTOR * len(a)
+
+
+def _dense_mask(a: tuple[int, ...], b: tuple[int, ...], cap: int | None) -> int:
+    """The bitmask kernel: bit k of the result stands for min(a) + min(b)
+    + k, and each q in b ORs in the mask of a shifted by q - min(b).  Each
     width/8-byte buffer is dropped once it is spent, so at most four are
     alive at a time."""
     lo_a, lo_b = min(a), min(b)
@@ -513,18 +525,30 @@ def _sumset_dense(
     mask = int.from_bytes(buf, "little")
     del buf
     out = 0
-    for q in set(b):
+    for i, q in enumerate(set(b), 1):
         out |= mask << (q - lo_b)
+        # the count only grows: test the cap after ORs 1, 2, 4, 8, ...
+        if cap is not None and i & (i - 1) == 0 and out.bit_count() > cap:
+            raise _past_cap(cap)
     del mask
     if cap is not None and out.bit_count() > cap:
         raise _past_cap(cap)
+    return out
+
+
+def _sumset_dense(
+    a: tuple[int, ...], b: tuple[int, ...], cap: int | None
+) -> tuple[int, ...]:
+    """The values of the bitmask kernel's mask, read back in chunks."""
+    lo = min(a) + min(b)
+    out = _dense_mask(a, b, cap)
     raw = out.to_bytes((out.bit_length() + 7) // 8, "little")
     del out
     values: list[int] = []
     for i in range(0, len(raw), _READ_CHUNK):
         # bit string least significant bit first: character j is bit j
         bits = bin(int.from_bytes(raw[i:i + _READ_CHUNK], "little"))[:1:-1]
-        start = lo_a + lo_b + 8 * i
+        start = lo + 8 * i
         values.extend(
             itertools.compress(
                 range(start, start + len(bits)), bits.encode().translate(_BITS)
@@ -543,10 +567,8 @@ def sumset(a: Iterable[int], b: Iterable[int], cap: int | None = None) -> tuple[
     ResourceCapExceeded.
     """
     a, b = tuple(a), tuple(b)
-    if a and b:
-        width = max(a) - min(a) + max(b) - min(b) + 1
-        if width <= DENSE_FACTOR * len(a):
-            return _sumset_dense(a, b, cap)
+    if a and b and _is_dense(a, b):
+        return _sumset_dense(a, b, cap)
     out: set[int] = set()
     for p in a:
         out.update(p + q for q in b)
@@ -555,17 +577,70 @@ def sumset(a: Iterable[int], b: Iterable[int], cap: int | None = None) -> tuple[
     return tuple(sorted(out))
 
 
+def sumset_size(a: Iterable[int], b: Iterable[int], cap: int | None = None) -> int:
+    """``len(sumset(a, b))``, raising the same ResourceCapExceeded past
+    ``cap``, without holding the sum.
+
+    A dense sum is the bitmask kernel's mask, counted with
+    ``int.bit_count``.  A sparse sum is counted one value range [lo, hi)
+    at a time: for each p of a, the q of b with lo <= p + q < hi are a
+    slice of sorted b that starts where the last range's slice ended.
+    Each range is sized from the last one's pair density and halved
+    while it holds more than the pair budget, so the set of distinct
+    sums in hand never passes the budget.
+    """
+    a, b = tuple(a), tuple(b)
+    if not a or not b:
+        return 0
+    if _is_dense(a, b):
+        return _dense_mask(a, b, cap).bit_count()
+    a, b = sorted(set(a)), sorted(set(b))
+    budget = max(PAIR_BUDGET, PAIRS_PER_VALUE * len(a))
+    starts = [0] * len(a)
+    lo, top = a[0] + b[0], a[-1] + b[-1]
+    width, count = 1, 0
+    while lo <= top:
+        hi = lo + width
+        # only p with p + b[-1] >= lo and p + b[0] < hi have pairs in range
+        first = bisect.bisect_left(a, lo - b[-1])
+        last = bisect.bisect_left(a, hi - b[0])
+        ps, js = a[first:last], starts[first:last]
+        ends = [bisect.bisect_left(b, hi - p, j) for p, j in zip(ps, js)]
+        pairs = sum(ends) - sum(js)
+        if pairs > budget and width > 1:
+            width = max(1, width * budget // (2 * pairs))
+            continue
+        count += len({p + q for p, j, e in zip(ps, js, ends) for q in b[j:e]})
+        if cap is not None and count > cap:
+            raise _past_cap(cap)
+        starts[first:last] = ends
+        lo = hi
+        # aim the next range at 3/4 of the budget, growing it at most 4-fold
+        aim = 3 * width * budget // (4 * pairs) if pairs else 2 * width
+        width = max(1, min(4 * width, aim))
+    return count
+
+
 @dataclass(frozen=True)
 class DeltaReach:
-    """Im(df) together with the reachable-change levels Delta_0..Delta_M."""
+    """Im(df), the levels Delta_0..Delta_L built as sorted tuples, and the
+    sizes of the levels above them, |Delta_L+1|..|Delta_M|, counted
+    without building them (``counted``, empty for ``delta_reach``)."""
 
     f: CochainFn
     im_delta: tuple[int, ...]
     levels: tuple[tuple[int, ...], ...]
+    counted: tuple[int, ...] = ()
 
     @property
     def max_level(self) -> int:
+        """L, the highest level built."""
         return len(self.levels) - 1
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        """|Delta_0|..|Delta_M|."""
+        return tuple(map(len, self.levels)) + self.counted
 
     def level(self, m: int) -> tuple[int, ...]:
         return self.levels[m]
@@ -589,3 +664,21 @@ def delta_reach(f: CochainFn, max_m: int, cap: int = DEFAULT_LEVEL_CAP) -> Delta
     while len(levels) <= max_m:
         levels.append(sumset(levels[-1], pm_im, cap=cap))
     return DeltaReach(f=f, im_delta=im, levels=tuple(levels))
+
+
+def delta_halves(f: CochainFn, max_m: int, cap: int = DEFAULT_LEVEL_CAP) -> DeltaReach:
+    """Delta_0..Delta_h built, h = ceil(max_m / 2), and |Delta_k| counted
+    for h < k <= max_m.
+
+    Levels add, Delta_i + Delta_j = Delta_i+j, so each counted size is
+    ``sumset_size(Delta_h, Delta_k-h)``; a level past ``cap`` raises
+    ResourceCapExceeded as in ``delta_reach``.
+    """
+    if max_m < 0:
+        raise ValueError(f"max_m must be >= 0, got {max_m}")
+    half = delta_reach(f, (max_m + 1) // 2, cap=cap)
+    levels, h = half.levels, half.max_level
+    counted = tuple(
+        sumset_size(levels[h], levels[k - h], cap) for k in range(h + 1, max_m + 1)
+    )
+    return DeltaReach(f=f, im_delta=half.im_delta, levels=levels, counted=counted)

@@ -18,9 +18,16 @@ certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
-from .cochain import CochainFn, DeltaReach, delta_reach
+from .cochain import (
+    DEFAULT_LEVEL_CAP,
+    CochainFn,
+    DeltaReach,
+    delta_halves,
+    delta_reach,
+    sumset_size,
+)
 from .coloring import (
     Coloring,
     ExtendedColoring,
@@ -225,18 +232,29 @@ class BoundCertificate:
         }
 
 
+_NO_COLORING = "no non-trivial coloring on the first diagram"
+
+
+def _meet(diffs: set[int], hi: set[int], lo: Iterable[int]) -> set[int]:
+    """The d in diffs with d - b in hi for some b in lo, that is diffs
+    meeting hi + lo, found without building the sum (meet in the
+    middle)."""
+    return {d for d in diffs if not hi.isdisjoint(map(d.__sub__, lo))}
+
+
 def _levels_clear(
-    diffs: set[int], levels: list[set[int]]
+    diffs: set[int], max_m: int, hits: Callable[[set[int], int], set[int]]
 ) -> tuple[int, list[str], int | None]:
-    """Largest m <= len(levels) with diffs disjoint from levels[0..m-1]."""
+    """Largest m <= max_m with diffs disjoint from Delta_0..Delta_m-1,
+    where ``hits(diffs, k)`` is diffs intersected with Delta_k."""
     verdicts: list[str] = []
-    for i, level in enumerate(levels):
-        hit = diffs & level
+    for k in range(max_m):
+        hit = hits(diffs, k)
         if hit:
-            verdicts.append(f"level {i}: hit {min(hit)}")
-            return i, verdicts, i
-        verdicts.append(f"level {i}: empty intersection")
-    return len(levels), verdicts, None
+            verdicts.append(f"level {k}: hit {min(hit)}")
+            return k, verdicts, k
+        verdicts.append(f"level {k}: empty intersection")
+    return max_m, verdicts, None
 
 
 def certify_lower_bound(
@@ -254,29 +272,44 @@ def certify_lower_bound(
     the winner (ties to the smallest coloring id).  m = 0 is an honest
     negative result: every coloring's weight already occurs in Phi, so
     this choice of f certifies nothing for the pair.
+
+    Only the half levels Delta_0..Delta_h, h = ceil((max_m - 1) / 2), are
+    held.  A level k <= h is looked up directly; a higher one is met in
+    the middle, Delta_k = Delta_h + Delta_k-h.  The sizes |Delta_k| come
+    from ``reach``: by default ``delta_halves``, which counts the sizes
+    above h without building those levels; a ``delta_reach`` result up
+    to Delta_max_m-1 works as well.
     """
     if max_m < 1:
         raise ValueError(f"max_m must be >= 1, got {max_m}")
+    h = max_m // 2  # = ceil((max_m - 1) / 2)
     if reach is None:
-        reach = delta_reach(f, max_m - 1)
-    elif reach.max_level < max_m - 1:
+        reach = delta_halves(f, max_m - 1)
+    elif reach.max_level < h or len(reach.sizes) < max_m:
         raise ValueError(
-            f"supplied levels reach Delta_{reach.max_level}, need Delta_{max_m - 1}"
+            f"supplied levels reach Delta_{reach.max_level} with sizes to "
+            f"|Delta_{len(reach.sizes) - 1}|, need Delta_{h} and "
+            f"|Delta_{max_m - 1}|"
         )
     phi = phi_set(d2, s, f)
     phi_vals = set(phi.values)
-    levels = [set(reach.level(i)) for i in range(max_m)]
+    halves = [set(lv) for lv in reach.levels[: h + 1]]
+
+    def hits(diffs: set[int], k: int) -> set[int]:
+        if k <= h:
+            return diffs & halves[k]
+        return _meet(diffs, halves[h], reach.level(k - h))
 
     # (m, coloring id, arc colors, W, verdicts, first hit) of the winner
     best: tuple[int, int | None, tuple[int, ...] | None, int | None, list[str], int | None]
-    best = (0, None, None, None, ["no non-trivial coloring on the first diagram"], None)
+    best = (0, None, None, None, [_NO_COLORING], None)
     found_nontrivial = False
     for cid, col in enumerate(enumerate_colorings(d, f.n)):
         if is_trivial(col):
             continue
         w = weight(d, extend_coloring(d, col, s), f).value
         diffs = {w - v for v in phi_vals}
-        m, verdicts, first_hit = _levels_clear(diffs, levels)
+        m, verdicts, first_hit = _levels_clear(diffs, max_m, hits)
         if not found_nontrivial or m > best[0]:
             best = (m, cid, col.arc_colors, w, verdicts, first_hit)
         found_nontrivial = True
@@ -298,18 +331,11 @@ def certify_lower_bound(
         coloring=colors,
         w=w,
         phi=phi.values,
-        delta_level_sizes=tuple(len(reach.level(i)) for i in range(max_m)),
+        delta_level_sizes=reach.sizes[:max_m],
         level_verdicts=tuple(verdicts),
         first_hit_level=first_hit,
         no_nontrivial_coloring=not found_nontrivial,
     )
-
-
-def _meets_level(diffs: set[int], k: int, halves: list[set[int]]) -> bool:
-    """Whether diffs meets Delta_k = Delta_ceil(k/2) + Delta_floor(k/2),
-    tested from the half levels alone (meet in the middle)."""
-    hi, lo = halves[(k + 1) // 2], halves[k // 2]
-    return any(d - b in hi for d in diffs for b in lo)
 
 
 def verify_certificate(
@@ -318,9 +344,13 @@ def verify_certificate(
     """Independent re-check of an emitted certificate.
 
     Recomputes the weight from the stored arc vector, the Phi set of d2,
-    and the level intersections from f rebuilt out of the stored string,
-    through half levels it builds itself rather than the certifier's
-    levels.  Accepts iff the weight, Phi and the bound m match.
+    the level sizes and the level verdicts from f rebuilt out of the
+    stored string, through half levels it builds itself rather than the
+    certifier's levels.  Every level, the half levels too, is split as
+    Delta_ceil(k/2) + Delta_floor(k/2), where the certifier looks up
+    Delta_k or splits it as Delta_h + Delta_k-h.  Accepts iff the
+    weight, Phi, the sizes, the verdicts, the first hit and the bound m
+    all match.
     """
     if diagram_hash(d) != cert.d_hash or diagram_hash(d2) != cert.d2_hash:
         return False
@@ -329,9 +359,20 @@ def verify_certificate(
     f = CochainFn.build(cert.f_str, cert.n)
     if tuple(phi_set(d2, cert.s, f).values) != cert.phi:
         return False
+    # Delta_0..Delta_{max_m-1} are needed; max_m // 2 = ceil((max_m-1)/2)
+    halves = delta_reach(f, cert.max_m // 2).levels
+    sizes = tuple(map(len, halves)) + tuple(
+        sumset_size(halves[(k + 1) // 2], halves[k // 2], DEFAULT_LEVEL_CAP)
+        for k in range(len(halves), cert.max_m)
+    )
+    if sizes != cert.delta_level_sizes:
+        return False
     if cert.no_nontrivial_coloring:
-        return cert.m == 0 and not any(
-            not is_trivial(c) for c in enumerate_colorings(d, cert.n)
+        return (
+            cert.m == 0
+            and cert.level_verdicts == (_NO_COLORING,)
+            and cert.first_hit_level is None
+            and not any(not is_trivial(c) for c in enumerate_colorings(d, cert.n))
         )
     if cert.coloring is None or cert.w is None:
         return False
@@ -346,11 +387,12 @@ def verify_certificate(
     w = weight(d, extend_coloring(d, col, cert.s), f).value
     if w != cert.w:
         return False
-    # Delta_0..Delta_{max_m-1} are needed; max_m // 2 = ceil((max_m-1)/2)
-    reach = delta_reach(f, cert.max_m // 2)
-    halves = [set(lv) for lv in reach.levels]
-    diffs = {w - v for v in cert.phi}
-    if any(_meets_level(diffs, i, halves) for i in range(cert.m)):
-        return False
-    # the reported bound must be maximal for this coloring
-    return cert.m == cert.max_m or _meets_level(diffs, cert.m, halves)
+    sets = [set(lv) for lv in halves]
+    m, verdicts, first_hit = _levels_clear(
+        {w - v for v in cert.phi},
+        cert.max_m,
+        lambda diffs, k: _meet(diffs, sets[(k + 1) // 2], halves[k // 2]),
+    )
+    return (m, tuple(verdicts), first_hit) == (
+        cert.m, cert.level_verdicts, cert.first_hit_level
+    )

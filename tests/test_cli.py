@@ -335,24 +335,62 @@ def test_certify_reference_pairs(capsys, tmp_path):
 
 
 def test_certify_rejects_corrupted_cache(capsys, tmp_path):
-    # the certifier reads its levels from the cache; the verifier builds
-    # its own and must catch the over-claimed bound
+    # the certifier reads its half levels and the level sizes from the
+    # cache; the verifier builds its own and must catch the over-claimed
+    # bound from a wrong Delta_1 and the wrong size from a wrong
+    # level_sizes entry
     cache = tmp_path / "c"
     args = (
         "certify", "d1", "d2", "-n", "3", "-f", "(x-y)*(y-z)*z",
         "-s", "0", "--max-m", "3", "--cache", str(cache),
     )
-    code, report, _ = run_json(capsys, *args)
-    assert code == 0 and report["results"]["certificate"]["m"] == 2
+    code, cold, _ = run_json(capsys, *args)
+    assert code == 0 and cold["results"]["certificate"]["m"] == 2
     (path,) = cache.glob("delta_*.json")
-    blob = json.loads(path.read_text())
-    blob["delta_levels"][2] = [0]
-    path.write_text(json.dumps(blob))
-    code, report, _ = run_json(capsys, *args)
-    assert report["cache"] == {"hits": 1, "misses": 0}
-    assert report["results"]["certificate"]["m"] == 3
-    assert report["results"]["verified"] is False
-    assert code == 3
+    good = json.loads(path.read_text())
+    assert len(good["delta_levels"]) == 2 and good["level_sizes"] == [1, 15, 39]
+    # Delta_1 with its 15 values moved far away: Delta_1 + Delta_1 then
+    # misses W - Phi, and the sizes still agree with the levels
+    far = [10**6 + v for v in good["delta_levels"][1]]
+    for bad, m in (
+        ({**good, "delta_levels": [[0], far]}, 3),
+        ({**good, "level_sizes": [1, 15, 40]}, 2),
+    ):
+        path.write_text(json.dumps(bad))
+        code, report, _ = run_json(capsys, *args)
+        assert report["cache"] == {"hits": 1, "misses": 0}
+        cert = report["results"]["certificate"]
+        assert cert["m"] == m
+        assert cert["delta_level_sizes"] == bad["level_sizes"]
+        assert report["results"]["verified"] is False
+        assert code == 3
+
+
+def test_certify_and_delta_share_cache_entries(capsys, tmp_path):
+    # a certify hit needs the half levels and every size below max_m; a
+    # delta hit needs every level up to --max-m
+    cache = str(tmp_path / "c")
+    f = ("-n", "3", "-f", "(x-y)*(y-z)*z")
+    certify = ("certify", "d1", "d2", *f, "-s", "0", "--cache", cache)
+    delta = ("delta", *f, "--cache", cache)
+    for argv, hits in (
+        ((*delta, "--max-m", "1"), 0),
+        ((*certify, "--max-m", "2"), 1),    # Delta_0, Delta_1
+        ((*certify, "--max-m", "3"), 0),    # also |Delta_2|
+        ((*certify, "--max-m", "3"), 1),
+        ((*delta, "--max-m", "1"), 1),
+        ((*delta, "--max-m", "2"), 0),      # Delta_2 was only counted
+        ((*certify, "--max-m", "5"), 0),    # Delta_2 and up to |Delta_4|
+        ((*delta, "--max-m", "2"), 1),
+        ((*certify, "--max-m", "4"), 1),
+    ):
+        code, report, _ = run_json(capsys, *argv)
+        assert code == 0, argv
+        assert report["cache"] == {"hits": hits, "misses": 1 - hits}, argv
+    (path,) = (tmp_path / "c").glob("delta_*.json")
+    entry = json.loads(path.read_text())
+    assert len(entry["delta_levels"]) == 3
+    assert entry["level_sizes"] == [1, 15, 39, 61, 83]
 
 
 def test_certify_treats_malformed_cache_as_miss(capsys, tmp_path):

@@ -24,11 +24,13 @@ from tribound.cochain import (
     canonical_str,
     check_sharp,
     delta_f,
+    delta_halves,
     delta_reach,
     image_delta,
     parse_poly,
     sharp_counterexample,
     sumset,
+    sumset_size,
 )
 from tribound.coloring import quandle_star
 from tribound.fixtures import DELTA_TABLE_N3, EXPECTED
@@ -404,6 +406,81 @@ def test_sumset_dense_factor_boundary():
         assert not kernel.called
         assert sumset((5,), (0, DENSE_FACTOR - 1)) == (5, DENSE_FACTOR + 4)
         assert kernel.called
+
+
+def _size_case(a, b, dense):
+    """sumset_size(a, b) against len(sumset(a, b)), with the kernel
+    checked, and the cap raising the exact sumset message one element
+    below the size and passing at the size."""
+    size = len(sumset(a, b))
+    spy = mock.patch.object(cochain, "_dense_mask", wraps=cochain._dense_mask)
+    with spy as kernel:
+        assert sumset_size(iter(a), b[::-1]) == size
+        assert sumset_size(a, b, cap=size) == size
+        if size:
+            with pytest.raises(ResourceCapExceeded) as err:
+                sumset_size(a, b, cap=size - 1)
+            assert str(err.value) == (
+                f"sumset grew past the cardinality cap {size - 1}"
+            )
+    assert kernel.called == (dense and bool(a) and bool(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lo=st.integers(-10**6, 10**6),
+    a=st.lists(st.integers(0, 300), max_size=60),
+    b=st.lists(st.integers(-300, 300), max_size=60),
+)
+def test_sumset_size_dense_matches_sumset(lo, a, b):
+    # span at most 901 <= DENSE_FACTOR * |a|, as in the sumset test
+    _size_case([lo + p for p in a], b, dense=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=st.lists(st.integers(-10**12, 10**12), max_size=20),
+    b=st.lists(st.integers(-10**12, 10**12), max_size=20),
+    small=st.lists(st.integers(-3, 3), max_size=8),
+    budget=st.integers(1, 8) | st.just(cochain.PAIR_BUDGET),
+)
+def test_sumset_size_sparse_matches_sumset(a, b, small, budget):
+    # the pinned values make the span at least 4e12, far past
+    # DENSE_FACTOR * |a|; ``small`` repeats values and sums, so a range
+    # one value wide can hold more pairs than a budget of a few pairs,
+    # and such a budget splits the count into many ranges
+    a = a + small + [-(2 * 10**12), 2 * 10**12]
+    b = b + small
+    with mock.patch.multiple(cochain, PAIR_BUDGET=budget, PAIRS_PER_VALUE=0):
+        _size_case(a, b, dense=False)
+        _size_case([], a, dense=False)
+        _size_case(a, [], dense=False)
+
+
+def test_sumset_size_counts_paper_levels(f5):
+    # |Delta_2| = |Delta_1 + Delta_1| on the sparse path, one range or many
+    reach = delta_reach(f5, 1)
+    level1 = reach.level(1)
+    assert sumset_size(level1, level1) == 238689
+    with mock.patch.object(cochain, "PAIR_BUDGET", 1000):
+        assert sumset_size(level1, level1) == 238689
+
+
+def test_delta_halves_count_the_levels_they_skip(f3, f4):
+    # Delta_0..Delta_ceil(M/2) built, the sizes above counted, all equal
+    # to the fully built levels
+    for f, top in ((f3, 5), (f4, 4)):
+        full = delta_reach(f, top)
+        for max_m in range(top + 1):
+            half = delta_halves(f, max_m)
+            assert half.levels == full.levels[: (max_m + 1) // 2 + 1]
+            assert half.sizes == full.sizes[: max_m + 1]
+            assert half.im_delta == full.im_delta
+    with pytest.raises(ResourceCapExceeded):
+        delta_halves(f3, 2, cap=38)  # |Delta_2| = 39 is counted, not built
+    assert delta_halves(f3, 2, cap=39).sizes == (1, 15, 39)
+    with pytest.raises(ValueError, match="max_m must be >= 0"):
+        delta_halves(f3, -1)
 
 
 def test_level_cap(f3):

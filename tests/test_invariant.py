@@ -311,6 +311,70 @@ def test_no_nontrivial_coloring_flagged(f3):
     assert verify_certificate(cert, kink, kink)
 
 
+def test_bound_stays_put_as_max_m_grows(diagrams, f3, f4):
+    # the reference bounds are the exact optima for their f: more
+    # levels certify no more moves; the sizes above the half levels are
+    # counted, not built
+    for pair, f, s, m, max_ms, sizes in (
+        (("d1", "d2"), f3, 0, 2, range(2, 6), (1, 15, 39, 61, 83)),
+        (("d5", "d6"), f4, 0, 3, range(3, 6), (1, 153, 8621, 55999, 97781)),
+    ):
+        d, d2 = diagrams[pair[0]], diagrams[pair[1]]
+        for max_m in max_ms:
+            cert = certify_lower_bound(d, d2, s, f, max_m)
+            assert cert.m == m
+            assert cert.first_hit_level == (m if max_m > m else None)
+            assert cert.delta_level_sizes == sizes[:max_m]
+            assert verify_certificate(cert, d, d2)
+
+
+def test_certify_memory_stays_at_half_levels(diagrams, f5):
+    # d3 d4 at max_m = 3 holds Delta_0 and Delta_1 (701 values) and
+    # counts |Delta_2| = 238 689 without building it; building Delta_2
+    # took a 21 MiB peak
+    import tracemalloc
+
+    d, d2 = diagrams["d3"], diagrams["d4"]
+    tracemalloc.start()
+    try:
+        cert = certify_lower_bound(d, d2, 2, f5, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.m == 3 and cert.delta_level_sizes == (1, 701, 238689)
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("delta_level_sizes", (1, 999)),
+        ("first_hit_level", 0),
+        ("level_verdicts", ("level 0: hit 7", "level 1: nonsense")),
+    ],
+)
+def test_verifier_checks_level_fields(diagrams, f3, field, value):
+    # each field alone, on a certificate that otherwise verifies; the
+    # verifier used to ignore all three
+    import dataclasses
+
+    d, d2 = diagrams["d1"], diagrams["d2"]
+    cert = certify_lower_bound(d, d2, 0, f3, 2)
+    assert verify_certificate(cert, d, d2)
+    assert getattr(cert, field) != value
+    assert not verify_certificate(dataclasses.replace(cert, **{field: value}), d, d2)
+    # also where no coloring is scored
+    from tribound.diagram import diagram_from_dict
+    from tribound.fixtures import closed_braid_code
+
+    kink = diagram_from_dict(closed_braid_code(2, [(0, "L")], name="kink"))
+    cert = certify_lower_bound(kink, kink, 0, f3, 2)
+    assert verify_certificate(cert, kink, kink)
+    assert not verify_certificate(
+        dataclasses.replace(cert, **{field: value}), kink, kink
+    )
+
+
 def test_verification_rejects_tampering(diagrams, f3, f5, f4):
     import dataclasses
 
@@ -356,26 +420,32 @@ def test_verifier_builds_only_half_levels(diagrams, f5, monkeypatch):
 
 
 def test_verifier_rejects_levels_missing_hits(diagrams, f3):
-    # the certifier trusts the levels it is given; with the hit values
-    # taken out of Delta_2 it over-claims, and the verifier, which builds
-    # its own levels, must refuse the certificate
+    # the certifier trusts the half levels it is given; at max_m = 3 it
+    # meets Delta_2 as Delta_1 + Delta_1, so with every value b of Delta_1
+    # that pairs with some d - b in Delta_1, d in W - Phi of the winning
+    # coloring, taken out it over-claims, and
+    # the verifier, which builds its own levels, must refuse the
+    # certificate, also with the true level sizes put back
+    import dataclasses
+
     d, d2 = diagrams["d1"], diagrams["d2"]
-    assert certify_lower_bound(d, d2, 0, f3, 3).m == 2
-    phi = phi_set(d2, 0, f3).values
-    diffs = {
-        weight(d, extend_coloring(d, col, 0), f3).value - v
-        for col in enumerate_colorings(d, 3)
-        if not is_trivial(col)
-        for v in phi
-    }
-    reach = delta_reach(f3, 2)
-    level2 = tuple(v for v in reach.level(2) if v not in diffs)
-    assert level2 != reach.level(2)
+    good = certify_lower_bound(d, d2, 0, f3, 3)
+    assert good.m == 2 and good.delta_level_sizes == (1, 15, 39)
+    diffs = {good.w - v for v in good.phi}
+    reach = delta_reach(f3, 1)
+    level1 = tuple(
+        b for b in reach.level(1)
+        if not any(dd - b in reach.level(1) for dd in diffs)
+    )
+    assert level1 == (0, 4, 7, 8, 11)
     bad = DeltaReach(f=f3, im_delta=reach.im_delta,
-                     levels=reach.levels[:2] + (level2,))
+                     levels=(reach.level(0), level1), counted=(39,))
     cert = certify_lower_bound(d, d2, 0, f3, 3, reach=bad)
-    assert cert.m == 3
+    assert cert.m == 3 and cert.first_hit_level is None
     assert not verify_certificate(cert, d, d2)
+    assert not verify_certificate(
+        dataclasses.replace(cert, delta_level_sizes=good.delta_level_sizes), d, d2
+    )
 
 
 def test_all_emitted_certificates_reverify(diagrams, f3, f5, f4, rng):
