@@ -30,7 +30,6 @@ from .diagram import (
     trace_faces,
     validate,
 )
-from .fixtures import load_fixture
 from .invariant import (
     BoundCertificate,
     PhiSet,
@@ -43,6 +42,16 @@ from .invariant import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the bundled diagrams are imported on first use, not at start-up
+    if name == "load_fixture":
+        from .fixtures import load_fixture
+
+        return load_fixture
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -15,7 +15,6 @@ result and exit code as a cold one.  An entry written before
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -37,6 +36,8 @@ def default_cache_dir() -> Path:
 
 
 def cache_path(f: CochainFn, directory: Path | None = None) -> Path:
+    import hashlib  # deferred: OpenSSL costs start-up time and memory
+
     directory = directory or default_cache_dir()
     digest = hashlib.sha256(f.canonical().encode()).hexdigest()[:12]
     return directory / f"delta_{f.n}_{digest}.json"

@@ -16,11 +16,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from . import fixtures as fx
 from .cache import cache_path, default_cache_dir, load_reach, store_reach
 from .cochain import (
     DEFAULT_LEVEL_CAP,
@@ -54,13 +52,13 @@ EXIT_NO_BOUND = 5
 _INLINE_SET_LIMIT = 64
 
 
-@dataclass
 class RunReport:
-    command: str
-    inputs: dict[str, Any]
-    results: dict[str, Any] = field(default_factory=dict)
-    timing_s: float = 0.0
-    cache: dict[str, int] = field(default_factory=lambda: {"hits": 0, "misses": 0})
+    def __init__(self, command: str, inputs: dict[str, Any]):
+        self.command = command
+        self.inputs = inputs
+        self.results: dict[str, Any] = {}
+        self.timing_s = 0.0
+        self.cache = {"hits": 0, "misses": 0}
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -78,6 +76,8 @@ def _diagram_text(path: str) -> str:
     p = Path(path)
     if p.exists():
         return p.read_text()
+    from . import fixtures as fx  # the bundled diagrams load only when named
+
     stem = p.stem if p.suffix == ".json" else p.name
     if stem.lower() in fx.fixture_names():
         return json.dumps(fx.fixture_dict(stem))
@@ -327,6 +327,8 @@ def cmd_certify(args: argparse.Namespace, report: RunReport) -> int:
 
 def _reproduce_checks(fixtures_dir: Path | None) -> list[tuple[str, bool, str]]:
     """Every bundled reference computation as (label, ok, detail)."""
+    from . import fixtures as fx
+
     checks: list[tuple[str, bool, str]] = []
 
     def diagram(name: str) -> Diagram:

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .coloring import ResourceCapExceeded, quandle_star
 
@@ -404,8 +403,7 @@ def check_sharp(f: str | Monomials, n: int) -> bool:
     return sharp_counterexample(f, n) is None
 
 
-@dataclass(frozen=True)
-class CochainFn:
+class CochainFn(NamedTuple):
     """A weight function with a precomputed value table.
 
     ``terms`` holds the monomials ((ex, ey, ez), coeff) in canonical
@@ -501,6 +499,14 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")
 # with |a| keeps that pass small against the pairs.
 PAIR_BUDGET = 1 << 16
 PAIRS_PER_VALUE = 16
+# sumset's set loop raises ResourceCapExceeded once its set's estimated
+# size, values times SET_BYTES_PER_VALUE, passes SET_BYTES_CAP.  A value
+# costs its int and its share of the hash table: about 66 bytes of peak
+# RSS at 10^7 values, but about 120 while the table doubles past 1.26
+# million values with old and new table alive (measured on a 64-bit
+# CPython 3.11).  128 keeps the whole process below 150 MB.
+SET_BYTES_CAP = 150 * 10**6
+SET_BYTES_PER_VALUE = 128
 
 
 def _past_cap(cap: int) -> ResourceCapExceeded:
@@ -564,16 +570,23 @@ def sumset(a: Iterable[int], b: Iterable[int], cap: int | None = None) -> tuple[
     most ``DENSE_FACTOR * |a|``, is built as a bitmask on a Python int
     with one shift and OR per value of b; any other sum is built with one
     set insertion per pair.  Both give the same tuple and raise the same
-    ResourceCapExceeded.
+    ResourceCapExceeded.  The set loop also raises once its set's
+    estimated size passes ``SET_BYTES_CAP``.
     """
     a, b = tuple(a), tuple(b)
     if a and b and _is_dense(a, b):
         return _sumset_dense(a, b, cap)
     out: set[int] = set()
+    limit = SET_BYTES_CAP // SET_BYTES_PER_VALUE
     for p in a:
         out.update(p + q for q in b)
         if cap is not None and len(out) > cap:
             raise _past_cap(cap)
+        if len(out) > limit:
+            raise ResourceCapExceeded(
+                f"sumset set grew past {limit} values, about "
+                f"{SET_BYTES_CAP // 10**6} MB (memory cap)"
+            )
     return tuple(sorted(out))
 
 
@@ -621,8 +634,7 @@ def sumset_size(a: Iterable[int], b: Iterable[int], cap: int | None = None) -> i
     return count
 
 
-@dataclass(frozen=True)
-class DeltaReach:
+class DeltaReach(NamedTuple):
     """Im(df), the levels Delta_0..Delta_L built as sorted tuples, and the
     sizes of the levels above them, |Delta_L+1|..|Delta_M|, counted
     without building them (``counted``, empty for ``delta_reach``)."""

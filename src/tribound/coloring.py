@@ -12,8 +12,8 @@ and is exposed as :func:`quandle_star`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
+from typing import NamedTuple
 
 from .diagram import Diagram
 
@@ -56,16 +56,14 @@ class RegionConflictError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """Arc colors indexed by arc id."""
 
     n: int
     arc_colors: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ExtendedColoring:
+class ExtendedColoring(NamedTuple):
     """A coloring plus region colors indexed by face id; the outer face
     carries ``outer_color``."""
 

@@ -15,11 +15,9 @@ from it on first use.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 __all__ = [
     "DiagramError",
@@ -48,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     kind: str
     message: str
 
@@ -94,8 +91,7 @@ LEFT = "left"
 RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class HalfEdgeSlot:
+class HalfEdgeSlot(NamedTuple):
     """One of the four edge-ends at a crossing."""
 
     edge: int
@@ -103,15 +99,13 @@ class HalfEdgeSlot:
     level: str  # "over" | "under"
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     id: int
     slots: tuple[HalfEdgeSlot, HalfEdgeSlot, HalfEdgeSlot, HalfEdgeSlot]
     sign: int  # +1 or -1, derived and cached at construction
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """A strand segment between two crossings, oriented tail -> head."""
 
     id: int
@@ -119,8 +113,7 @@ class Edge:
     head: tuple[int, int]  # (crossing id, slot index) of its "in" end
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """Maximal chain of edges joined through over-passes.
 
     ``closed`` marks an over-loop component (a strand that never goes
@@ -132,8 +125,7 @@ class Arc:
     closed: bool = False
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A complementary region, as the cyclic list of (edge, side) pairs
     met when walking its boundary with the face on the left."""
 
@@ -141,8 +133,7 @@ class Face:
     boundary: tuple[tuple[int, str], ...]
 
 
-@dataclass(frozen=True)
-class Diagram:
+class _DiagramFields(NamedTuple):
     name: str
     crossings: tuple[Crossing, ...]
     edges: tuple[Edge, ...]
@@ -150,6 +141,11 @@ class Diagram:
     faces: tuple[Face, ...]
     outer_face: int
     components: tuple[tuple[int, ...], ...]
+
+
+class Diagram(_DiagramFields):
+    """A fully derived diagram.  A subclass of its NamedTuple record, so
+    that instances have the ``__dict__`` that ``tables`` is cached in."""
 
     # -- lookups -----------------------------------------------------------
 
@@ -185,8 +181,7 @@ class Diagram:
         return _build_tables(self)
 
 
-@dataclass(frozen=True)
-class DiagramTables:
+class DiagramTables(NamedTuple):
     """Index tables of one diagram, read by the coloring and weight loops
     in place of the lookup methods.
 
@@ -606,7 +601,7 @@ def diagram_from_dict(obj: Mapping[str, Any]) -> Diagram:
     issues = _structural_issues(crossings)
     if issues:
         raise DiagramStructureError("; ".join(i.message for i in issues), issues)
-    crossings = [replace(c, sign=_crossing_sign(c.slots)) for c in crossings]
+    crossings = [c._replace(sign=_crossing_sign(c.slots)) for c in crossings]
     _check_connected(crossings)
     edges = _build_edges(crossings)
     faces = trace_faces(crossings, edges)
@@ -672,10 +667,12 @@ def set_outer_face(d: Diagram, face: int) -> Diagram:
     """Same sphere code, different outer region."""
     if not any(f.id == face for f in d.faces):
         raise DiagramStructureError(f"unknown face id {face}")
-    return replace(d, outer_face=face)
+    return d._replace(outer_face=face)
 
 
 def diagram_hash(d: Diagram) -> str:
+    import hashlib  # deferred: OpenSSL costs start-up time and memory
+
     blob = json.dumps(diagram_to_dict(d), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 

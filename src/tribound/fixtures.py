@@ -14,8 +14,7 @@ and ``tribound reproduce`` check every one of them by its outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .diagram import Diagram, diagram_from_dict
 
@@ -163,8 +162,7 @@ def load_fixture(name: str) -> Diagram:
     return diagram_from_dict(fixture_dict(name))
 
 
-@dataclass(frozen=True)
-class FixtureCase:
+class FixtureCase(NamedTuple):
     """One certified pair: diagrams, function, outer color, expectations."""
 
     pair: tuple[str, str]

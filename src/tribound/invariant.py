@@ -17,8 +17,7 @@ certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .cochain import (
     DEFAULT_LEVEL_CAP,
@@ -52,8 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CrossingTriple:
+class CrossingTriple(NamedTuple):
     crossing: int
     s: int
     a: int
@@ -64,14 +62,12 @@ class CrossingTriple:
         return self.epsilon * f(self.s, self.a, self.b)
 
 
-@dataclass(frozen=True)
-class WeightValue:
+class WeightValue(NamedTuple):
     value: int
     per_crossing: tuple[CrossingTriple, ...]
 
 
-@dataclass(frozen=True)
-class PhiSet:
+class PhiSet(NamedTuple):
     """Weight values over all non-trivial colorings with outer color s.
 
     ``witnesses`` maps each value to the coloring ids (indices into the
@@ -82,7 +78,7 @@ class PhiSet:
     s: int
     n: int
     values: tuple[int, ...]
-    witnesses: dict[int, tuple[int, ...]] = field(compare=False)
+    witnesses: dict[int, tuple[int, ...]]
 
     @classmethod
     def from_weights(
@@ -182,8 +178,7 @@ def w4_formula(a: int, b: int, f: CochainFn) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """Witness data proving at least ``m`` type-III moves separate the pair.
 
     Everything needed for an independent re-check is carried verbatim:

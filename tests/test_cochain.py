@@ -490,6 +490,18 @@ def test_level_cap(f3):
         delta_reach(f3, 0, cap=0)
 
 
+def test_set_loop_memory_cap(f5, monkeypatch):
+    # Delta_1 of the d3/d4 function is 701 values from the set loop; the
+    # loop raises once values * SET_BYTES_PER_VALUE pass SET_BYTES_CAP,
+    # well below the cardinality cap
+    per = cochain.SET_BYTES_PER_VALUE
+    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 701 * per)
+    assert len(delta_reach(f5, 1).level(1)) == 701
+    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 700 * per)
+    with pytest.raises(ResourceCapExceeded, match="past 700 values.*memory cap"):
+        delta_reach(f5, 1)
+
+
 def test_reach_memo_extends(f5):
     r1 = delta_reach(f5, 1)
     r2 = delta_reach(f5, 2)

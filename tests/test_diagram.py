@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -185,9 +184,9 @@ def test_validate_clean(diagrams):
 def test_validate_reports_stale_derived_data(diagrams):
     d = diagrams["d3"]
     first = d.crossings[0]
-    flipped = (dataclasses.replace(first, sign=-first.sign),) + d.crossings[1:]
-    stale_sign = dataclasses.replace(d, crossings=flipped)
-    stale_faces = dataclasses.replace(d, faces=tuple(reversed(d.faces)))
+    flipped = (first._replace(sign=-first.sign),) + d.crossings[1:]
+    stale_sign = d._replace(crossings=flipped)
+    stale_faces = d._replace(faces=tuple(reversed(d.faces)))
     for stale, field in ((stale_sign, "crossings"), (stale_faces, "faces")):
         issues = validate(stale)
         assert [i.kind for i in issues] == ["derived"]

@@ -7,6 +7,8 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tribound.cochain import CochainFn, DeltaReach, delta_reach
 from tribound.coloring import (
@@ -237,6 +239,73 @@ def test_component_parity_constant_mod4(diagrams):
             assert len(parities) == 1
 
 
+# -- W is linear in f ----------------------------------------------------------
+
+
+def weight_vector(d, ec) -> Counter:
+    """W as a vector: the signed crossing count per (s, a, b), a != b, read
+    off the slots and the extended coloring, not off weight().  b is the
+    over arc's color, a the color of the under arc right of the oriented
+    over-strand and s the color of the region right of both strands.
+    Corner j lies between slots j and j + 1 (ccw), so a strand leaving
+    through slot j has corner j - 1 on its right, and one entering
+    through slot j has corner j."""
+    vec: Counter = Counter()
+    for c in d.crossings:
+        slot = {(t.level, t.direction): j for j, t in enumerate(c.slots)}
+        p, q = slot["over", "out"], slot["under", "out"]
+        over_right = {(p - 1) % 4, slot["over", "in"]}
+        (corner,) = over_right & {(q - 1) % 4, slot["under", "in"]}
+        edge, direction = c.slots[corner].edge, c.slots[corner].direction
+        face = d.face_of_side(edge, "left" if direction == "out" else "right")
+        a, b = (
+            ec.base.arc_colors[d.arc_of_edge(c.slots[k].edge)]
+            for k in ((p - 1) % 4, p)
+        )
+        if a != b:
+            vec[ec.region_colors[face], a, b] += c.sign
+    return vec
+
+
+@pytest.fixture(scope="module")
+def weight_vectors(diagrams):
+    """(n, d, ec, W vector) for every coloring of d1..d6 at its pair's
+    reference (n, s)."""
+    out = []
+    for case in FIXTURE_CASES:
+        for d in (diagrams[name] for name in case.pair):
+            for col in enumerate_colorings(d, case.n):
+                ec = extend_coloring(d, col, case.s)
+                out.append((case.n, d, ec, weight_vector(d, ec)))
+    return out
+
+
+def assert_projection(weight_vectors, f_str):
+    fns = {}
+    for n, d, ec, vec in weight_vectors:
+        f = fns.setdefault(n, CochainFn.build(f_str, n))
+        assert sum(k * f(*sab) for sab, k in vec.items()) == weight(d, ec, f).value
+
+
+def test_weight_is_projection_of_weight_vector(weight_vectors):
+    assert len(weight_vectors) > 6  # every coloring, not the references only
+    for case in FIXTURE_CASES:
+        assert_projection(weight_vectors, case.f_str)
+
+
+_monomials = st.lists(
+    st.tuples(st.integers(-9, 9), *[st.integers(0, 3)] * 3), max_size=4
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms=_monomials)
+def test_weight_is_projection_for_any_f(weight_vectors, terms):
+    # f = (y - z) * g satisfies f(x, y, y) = 0 for every g
+    g = " + ".join(f"({c})*x^{i}*y^{j}*z^{k}" for c, i, j, k in terms) or "0"
+    assert_projection(weight_vectors, f"(y-z)*({g})")
+
+
 # -- certificates ------------------------------------------------------------
 
 
@@ -356,13 +425,11 @@ def test_certify_memory_stays_at_half_levels(diagrams, f5):
 def test_verifier_checks_level_fields(diagrams, f3, field, value):
     # each field alone, on a certificate that otherwise verifies; the
     # verifier used to ignore all three
-    import dataclasses
-
     d, d2 = diagrams["d1"], diagrams["d2"]
     cert = certify_lower_bound(d, d2, 0, f3, 2)
     assert verify_certificate(cert, d, d2)
     assert getattr(cert, field) != value
-    assert not verify_certificate(dataclasses.replace(cert, **{field: value}), d, d2)
+    assert not verify_certificate(cert._replace(**{field: value}), d, d2)
     # also where no coloring is scored
     from tribound.diagram import diagram_from_dict
     from tribound.fixtures import closed_braid_code
@@ -371,23 +438,21 @@ def test_verifier_checks_level_fields(diagrams, f3, field, value):
     cert = certify_lower_bound(kink, kink, 0, f3, 2)
     assert verify_certificate(cert, kink, kink)
     assert not verify_certificate(
-        dataclasses.replace(cert, **{field: value}), kink, kink
+        cert._replace(**{field: value}), kink, kink
     )
 
 
 def test_verification_rejects_tampering(diagrams, f3, f5, f4):
-    import dataclasses
-
     d, d2 = diagrams["d1"], diagrams["d2"]
     cert = certify_lower_bound(d, d2, 0, f3, 2)
     assert verify_certificate(cert, d, d2)
-    assert not verify_certificate(dataclasses.replace(cert, m=cert.m + 1), d, d2)
-    assert not verify_certificate(dataclasses.replace(cert, w=0), d, d2)
+    assert not verify_certificate(cert._replace(m=cert.m + 1), d, d2)
+    assert not verify_certificate(cert._replace(w=0), d, d2)
     assert not verify_certificate(
-        dataclasses.replace(cert, phi=(cert.phi[0],)), d, d2
+        cert._replace(phi=(cert.phi[0],)), d, d2
     )
     assert not verify_certificate(cert, d2, d)  # wrong diagrams
-    assert not verify_certificate(dataclasses.replace(cert, m=0, max_m=0), d, d2)
+    assert not verify_certificate(cert._replace(m=0, max_m=0), d, d2)
 
     # every wrong m: the verifier reads Delta_2 as Delta_1 + Delta_1 for
     # d3 d4 at max_m = 3, and the first hit, Delta_3, as Delta_2 + Delta_1
@@ -397,7 +462,7 @@ def test_verification_rejects_tampering(diagrams, f3, f5, f4):
         cert = certify_lower_bound(d, d2, s, f, max_m)
         assert cert.m == 3 and verify_certificate(cert, d, d2)
         for m in set(range(max_m + 1)) - {cert.m}:
-            assert not verify_certificate(dataclasses.replace(cert, m=m), d, d2)
+            assert not verify_certificate(cert._replace(m=m), d, d2)
 
 
 def test_verifier_builds_only_half_levels(diagrams, f5, monkeypatch):
@@ -426,8 +491,6 @@ def test_verifier_rejects_levels_missing_hits(diagrams, f3):
     # coloring, taken out it over-claims, and
     # the verifier, which builds its own levels, must refuse the
     # certificate, also with the true level sizes put back
-    import dataclasses
-
     d, d2 = diagrams["d1"], diagrams["d2"]
     good = certify_lower_bound(d, d2, 0, f3, 3)
     assert good.m == 2 and good.delta_level_sizes == (1, 15, 39)
@@ -444,7 +507,7 @@ def test_verifier_rejects_levels_missing_hits(diagrams, f3):
     assert cert.m == 3 and cert.first_hit_level is None
     assert not verify_certificate(cert, d, d2)
     assert not verify_certificate(
-        dataclasses.replace(cert, delta_level_sizes=good.delta_level_sizes), d, d2
+        cert._replace(delta_level_sizes=good.delta_level_sizes), d, d2
     )
 
 
