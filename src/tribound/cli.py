@@ -8,37 +8,29 @@ machine-readable report with stable field names.
 Exit codes: 0 success/valid, 1 usage error, 2 validation/parse error,
 3 reproduction mismatch, 4 resource cap exceeded, 5 certification found
 no obstruction (m = 0).
+
+Every call is a fresh interpreter, so each command imports the modules
+it runs when it runs: ``validate`` loads only ``diagram``, which also
+holds what dispatch needs (``DiagramError``, ``ResourceCapExceeded`` and
+the ``--cap`` default).  The imports read module attributes at call
+time, so a function replaced in its defining module is the one called.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from .cache import cache_path, default_cache_dir, load_reach, store_reach
-from .cochain import (
-    DEFAULT_LEVEL_CAP,
-    CochainFn,
-    DeltaReach,
-    ResourceCapExceeded,
-    delta_f,
-    delta_halves,
-    delta_reach,
-)
-from .coloring import enumerate_colorings, extend_coloring, is_trivial
-from .diagram import Diagram, DiagramError, derived_dict, parse_diagram
-from .invariant import (
-    PhiSet,
-    certify_lower_bound,
-    phi_set,
-    verify_certificate,
-    w4_formula,
-    weight,
-)
+from .diagram import DEFAULT_LEVEL_CAP, DiagramError, ResourceCapExceeded
+
+if TYPE_CHECKING:
+    from pathlib import Path
+
+    from .cochain import CochainFn, DeltaReach
 
 __all__ = ["main"]
 
@@ -73,14 +65,18 @@ class RunReport:
 
 def _diagram_text(path: str) -> str:
     """Text of a diagram file; bare bundled names (d1..d6) work anywhere."""
-    p = Path(path)
-    if p.exists():
-        return p.read_text()
-    from . import fixtures as fx  # the bundled diagrams load only when named
+    if os.path.exists(path):
+        with open(path) as fh:
+            return fh.read()
+    # the bundled diagrams load only when named
+    from .fixtures import fixture_dict, fixture_names
 
-    stem = p.stem if p.suffix == ".json" else p.name
-    if stem.lower() in fx.fixture_names():
-        return json.dumps(fx.fixture_dict(stem))
+    name = os.path.basename(os.path.normpath(path))
+    stem, suffix = os.path.splitext(name)
+    if suffix != ".json":
+        stem = name
+    if stem.lower() in fixture_names():
+        return json.dumps(fixture_dict(stem))
     raise DiagramError(f"no such file or bundled diagram: {path}")
 
 
@@ -113,6 +109,8 @@ def _print_set(label: str, values: tuple[int, ...], dump: Path | None) -> None:
 
 
 def cmd_validate(args: argparse.Namespace, report: RunReport) -> int:
+    from .diagram import derived_dict, parse_diagram
+
     text = _diagram_text(args.path)  # a missing file is an error, not a report
     try:
         d = parse_diagram(text)
@@ -152,6 +150,9 @@ def cmd_validate(args: argparse.Namespace, report: RunReport) -> int:
 
 
 def cmd_colorings(args: argparse.Namespace, report: RunReport) -> int:
+    from .coloring import enumerate_colorings, extend_coloring, is_trivial
+    from .diagram import parse_diagram
+
     d = parse_diagram(_diagram_text(args.path))
     cols = enumerate_colorings(d, args.n)
     rows = []
@@ -190,6 +191,11 @@ def cmd_colorings(args: argparse.Namespace, report: RunReport) -> int:
 
 
 def cmd_weight(args: argparse.Namespace, report: RunReport) -> int:
+    from .cochain import CochainFn
+    from .coloring import enumerate_colorings, extend_coloring, is_trivial
+    from .diagram import parse_diagram
+    from .invariant import PhiSet, weight
+
     d = parse_diagram(_diagram_text(args.path))
     f = CochainFn.build(args.f, args.n)
     cols = enumerate_colorings(d, args.n)
@@ -200,10 +206,9 @@ def cmd_weight(args: argparse.Namespace, report: RunReport) -> int:
         try:
             idx = int(args.coloring)
         except ValueError:
-            print(
-                f"error: --coloring must be an id or 'all', got {args.coloring!r}",
-                file=sys.stderr,
-            )
+            error = f"--coloring must be an id or 'all', got {args.coloring!r}"
+            report.results["error"] = error
+            print(f"error: {error}", file=sys.stderr)
             return EXIT_USAGE
         if not 0 <= idx < len(cols):
             raise DiagramError(
@@ -263,6 +268,9 @@ def _reach_with_cache(
     """Delta_0..Delta_max_level of f from the cache, or built and stored:
     every level built, or with ``halves`` Delta_0..Delta_ceil(max_level/2)
     built and the sizes above them counted (``delta_halves``)."""
+    from .cache import load_reach, store_reach
+    from .cochain import delta_halves, delta_reach
+
     # a cached entry is not used for a level below 0 or when its needed
     # levels pass the cap, so that delta_reach rejects max_level < 0 and
     # cap < 1, and enforces the cap, warm or cold
@@ -283,6 +291,11 @@ def _reach_with_cache(
 
 
 def cmd_delta(args: argparse.Namespace, report: RunReport) -> int:
+    from pathlib import Path
+
+    from .cache import cache_path, default_cache_dir
+    from .cochain import CochainFn
+
     f = CochainFn.build(args.f, args.n)
     cache_dir = Path(args.cache) if args.cache else default_cache_dir()
     reach = _reach_with_cache(f, args.max_m, cache_dir, report, cap=args.cap)
@@ -304,11 +317,20 @@ def cmd_delta(args: argparse.Namespace, report: RunReport) -> int:
 
 
 def cmd_certify(args: argparse.Namespace, report: RunReport) -> int:
+    from pathlib import Path
+
+    from .cache import default_cache_dir
+    from .cochain import CochainFn
+    from .coloring import _check_outer_color
+    from .diagram import parse_diagram
+    from .invariant import certify_lower_bound, verify_certificate
+
     d = parse_diagram(_diagram_text(args.path_d))
     d2 = parse_diagram(_diagram_text(args.path_d2))
     f = CochainFn.build(args.f, args.n)
     if args.max_m < 1:
         raise ValueError(f"max_m must be >= 1, got {args.max_m}")
+    _check_outer_color(args.s, f.n)  # before any level is built or cached
     cache_dir = Path(args.cache) if args.cache else default_cache_dir()
     reach = _reach_with_cache(f, args.max_m - 1, cache_dir, report, halves=True)
     cert = certify_lower_bound(d, d2, args.s, f, args.max_m, reach=reach)
@@ -325,125 +347,13 @@ def cmd_certify(args: argparse.Namespace, report: RunReport) -> int:
     return EXIT_OK if cert.m >= 1 else EXIT_NO_BOUND
 
 
-def _reproduce_checks(fixtures_dir: Path | None) -> list[tuple[str, bool, str]]:
-    """Every bundled reference computation as (label, ok, detail)."""
-    from . import fixtures as fx
-
-    checks: list[tuple[str, bool, str]] = []
-
-    def diagram(name: str) -> Diagram:
-        if fixtures_dir is not None:
-            return parse_diagram((fixtures_dir / f"{name}.json").read_text())
-        return fx.load_fixture(name)
-
-    f3 = CochainFn.build("(x-y)*(y-z)*z", 3)
-    f5 = CochainFn.build("(x+y)^3*(y+z)*(y-z)^3*z^5", 5)
-    f4 = CochainFn.build("(x+y)^2*(y-z)^3*z^5", 4)
-
-    bad = [
-        (t, delta_f(f3, *t), v)
-        for t, v in fx.DELTA_TABLE_N3.items()
-        if delta_f(f3, *t) != v
-    ]
-    degenerate_ok = all(
-        delta_f(f3, x, y, z, w) == 0
-        for x in range(3)
-        for y in range(3)
-        for z in range(3)
-        for w in range(3)
-        if x == y or y == z or z == w
-    )
-    checks.append(
-        (
-            "coboundary table (n=3, 24 values + degenerate zeros)",
-            not bad and degenerate_ok,
-            f"first mismatch {bad[0]}" if bad else "",
-        )
-    )
-
-    reach3 = delta_reach(f3, 1)
-    checks.append(
-        (
-            "Delta_1 set (n=3)",
-            reach3.level(1) == fx.EXPECTED["delta1_n3"],
-            f"got {reach3.level(1)}",
-        )
-    )
-    for n, f in ((5, f5), (4, f4)):
-        size = len(delta_reach(f, 0).im_delta)
-        want = fx.EXPECTED["image_sizes"][n]
-        checks.append(
-            (f"|Im(df)| = {want} (n={n})", size == want, f"got {size}")
-        )
-
-    bad2 = [
-        (ab, w4_formula(*ab, f5), v)
-        for ab, v in fx.W4_TABLE.items()
-        if w4_formula(*ab, f5) != v
-    ]
-    checks.append(
-        (
-            "closed-form weight table (20 values, n=5)",
-            not bad2,
-            f"first mismatch {bad2[0]}" if bad2 else "",
-        )
-    )
-
-    fns = {"d1": f3, "d3": f5, "d5": f4}
-    for name, (cid, colors) in fx.REFERENCE_COLORINGS.items():
-        d = diagram(name)
-        s = next(c.s for c in fx.FIXTURE_CASES if c.pair[0] == name)
-        cols = enumerate_colorings(d, fns[name].n)
-        want = fx.EXPECTED["weights"][name]
-        ok = cid < len(cols) and cols[cid].arc_colors == colors
-        got: Any = None
-        if ok:
-            got = weight(d, extend_coloring(d, cols[cid], s), fns[name]).value
-            ok = got == want
-        checks.append(
-            (f"W({name}) = {want}", ok, f"got {got}")
-        )
-
-    for name, f, s in (("d2", f3, 0), ("d6", f4, 0)):
-        vals = phi_set(diagram(name), s, f).values
-        want_vals = fx.EXPECTED["phi"][name]
-        checks.append(
-            (
-                f"Phi({name}, {s}) = {set(want_vals)}",
-                vals == want_vals,
-                f"got {set(vals)}",
-            )
-        )
-    oracle = tuple(sorted(fx.W4_TABLE.values()))
-    d4_vals = phi_set(diagram("d4"), 2, f5).values
-    checks.append(
-        (
-            "Phi(d4, 2) matches the closed-form value set",
-            d4_vals == oracle,
-            f"got {len(d4_vals)} values",
-        )
-    )
-
-    for case in fx.FIXTURE_CASES:
-        d = diagram(case.pair[0])
-        d2 = diagram(case.pair[1])
-        f = CochainFn.build(case.f_str, case.n)
-        cert = certify_lower_bound(d, d2, case.s, f, case.max_m)
-        ok = cert.m == case.expected_m and verify_certificate(cert, d, d2)
-        checks.append(
-            (
-                f"certified {case.pair[0]}/{case.pair[1]} needs >= "
-                f"{case.expected_m} type-III moves",
-                ok,
-                f"got m = {cert.m}",
-            )
-        )
-    return checks
-
-
 def cmd_reproduce(args: argparse.Namespace, report: RunReport) -> int:
+    from pathlib import Path
+
+    from .fixtures import reproduce_checks
+
     fixtures_dir = Path(args.fixtures_dir) if args.fixtures_dir else None
-    checks = _reproduce_checks(fixtures_dir)
+    checks = reproduce_checks(fixtures_dir)
     report.results["checks"] = [
         {"name": name, "pass": ok, **({"detail": detail} if not ok else {})}
         for name, ok, detail in checks

@@ -23,7 +23,8 @@ import bisect
 import itertools
 from typing import Iterable, NamedTuple
 
-from .coloring import ResourceCapExceeded, quandle_star
+from .coloring import quandle_star
+from .diagram import DEFAULT_LEVEL_CAP, ResourceCapExceeded
 
 __all__ = [
     "ExprError",
@@ -51,7 +52,6 @@ __all__ = [
     "MAX_TERM_PRODUCTS",
 ]
 
-DEFAULT_LEVEL_CAP = 10**7
 # Caps on the size of f, checked before each product or power is formed.
 # 4096 bits is about 1233 decimal digits, below CPython's 4300-digit
 # limit on int/str conversion.  MAX_TERM_PRODUCTS bounds the parser's

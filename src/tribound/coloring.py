@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import gcd, prod
 from typing import NamedTuple
 
-from .diagram import Diagram
+from .diagram import Diagram, ResourceCapExceeded
 
 __all__ = [
     "quandle_star",
@@ -38,13 +38,8 @@ def quandle_star(x: int, y: int, n: int) -> int:
 
 
 # enumerate_colorings refuses to build more colorings than this; the Delta
-# level cap, DEFAULT_LEVEL_CAP, lives with the levels in cochain.py
+# level cap, DEFAULT_LEVEL_CAP, lives in diagram.py
 COLORING_CAP = 10**5
-
-
-class ResourceCapExceeded(RuntimeError):
-    """A coloring list or a level set grew past its cardinality cap, or
-    the weight function f past its degree or coefficient-size cap."""
 
 
 class RegionConflictError(RuntimeError):
@@ -205,6 +200,11 @@ def is_trivial(c: Coloring) -> bool:
     return len(set(c.arc_colors)) == 1
 
 
+def _check_outer_color(s: int, n: int) -> None:
+    if not 0 <= s < n:
+        raise ValueError(f"outer color {s} not in Z({n})")
+
+
 def extend_coloring(d: Diagram, c: Coloring, s: int) -> ExtendedColoring:
     """The unique region extension with outer-region color s.
 
@@ -214,8 +214,7 @@ def extend_coloring(d: Diagram, c: Coloring, s: int) -> ExtendedColoring:
     re-checked afterwards.
     """
     n = c.n
-    if not 0 <= s < n:
-        raise ValueError(f"outer color {s} not in Z({n})")
+    _check_outer_color(s, n)
     t = d.tables
     colors = c.arc_colors
     region = [-1] * len(d.faces)

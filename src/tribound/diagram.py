@@ -25,6 +25,8 @@ __all__ = [
     "DiagramStructureError",
     "DiagramConnectivityError",
     "DiagramPlanarityError",
+    "ResourceCapExceeded",
+    "DEFAULT_LEVEL_CAP",
     "HalfEdgeSlot",
     "Crossing",
     "Edge",
@@ -85,6 +87,17 @@ class DiagramPlanarityError(DiagramError):
     """Face tracing contradicts Euler's formula (non-planar rotation data)."""
 
     kind = "planarity"
+
+
+# The failure and the Delta level cap that every layer shares live here,
+# in the module every command loads, so that the command line can catch
+# the one and show the other without loading the layers that use them.
+DEFAULT_LEVEL_CAP = 10**7
+
+
+class ResourceCapExceeded(RuntimeError):
+    """A coloring list or a level set grew past its cardinality cap, or
+    the weight function f past its degree or coefficient-size cap."""
 
 
 LEFT = "left"

@@ -14,9 +14,12 @@ and ``tribound reproduce`` check every one of them by its outcome.
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .diagram import Diagram, diagram_from_dict
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 __all__ = [
     "closed_braid_code",
@@ -29,6 +32,7 @@ __all__ = [
     "EXPECTED",
     "DELTA_TABLE_N3",
     "W4_TABLE",
+    "reproduce_checks",
 ]
 
 # Crossing layout for braid generators, slots in ccw order
@@ -228,3 +232,130 @@ W4_TABLE: dict[tuple[int, int], int] = {
     (3, 0): -551414, (3, 1): 889088, (3, 2): 10555072, (3, 4): -344431,
     (4, 0): -7107048, (4, 1): -490872, (4, 2): -2814033, (4, 3): -1919488,
 }
+
+
+def reproduce_checks(fixtures_dir: Path | None = None) -> list[tuple[str, bool, str]]:
+    """Every bundled reference computation as (label, ok, detail), on the
+    bundled diagrams or on dN.json files in ``fixtures_dir``."""
+    # the layers load here, so that naming a bundled diagram loads none
+    from .cochain import CochainFn, delta_f, delta_reach
+    from .coloring import enumerate_colorings, extend_coloring
+    from .diagram import parse_diagram
+    from .invariant import (
+        certify_lower_bound,
+        phi_set,
+        verify_certificate,
+        w4_formula,
+        weight,
+    )
+
+    checks: list[tuple[str, bool, str]] = []
+
+    def diagram(name: str) -> Diagram:
+        if fixtures_dir is not None:
+            return parse_diagram((fixtures_dir / f"{name}.json").read_text())
+        return load_fixture(name)
+
+    f3 = CochainFn.build("(x-y)*(y-z)*z", 3)
+    f5 = CochainFn.build("(x+y)^3*(y+z)*(y-z)^3*z^5", 5)
+    f4 = CochainFn.build("(x+y)^2*(y-z)^3*z^5", 4)
+
+    bad = [
+        (t, delta_f(f3, *t), v)
+        for t, v in DELTA_TABLE_N3.items()
+        if delta_f(f3, *t) != v
+    ]
+    degenerate_ok = all(
+        delta_f(f3, x, y, z, w) == 0
+        for x in range(3)
+        for y in range(3)
+        for z in range(3)
+        for w in range(3)
+        if x == y or y == z or z == w
+    )
+    checks.append(
+        (
+            "coboundary table (n=3, 24 values + degenerate zeros)",
+            not bad and degenerate_ok,
+            f"first mismatch {bad[0]}" if bad else "",
+        )
+    )
+
+    reach3 = delta_reach(f3, 1)
+    checks.append(
+        (
+            "Delta_1 set (n=3)",
+            reach3.level(1) == EXPECTED["delta1_n3"],
+            f"got {reach3.level(1)}",
+        )
+    )
+    for n, f in ((5, f5), (4, f4)):
+        size = len(delta_reach(f, 0).im_delta)
+        want = EXPECTED["image_sizes"][n]
+        checks.append(
+            (f"|Im(df)| = {want} (n={n})", size == want, f"got {size}")
+        )
+
+    bad2 = [
+        (ab, w4_formula(*ab, f5), v)
+        for ab, v in W4_TABLE.items()
+        if w4_formula(*ab, f5) != v
+    ]
+    checks.append(
+        (
+            "closed-form weight table (20 values, n=5)",
+            not bad2,
+            f"first mismatch {bad2[0]}" if bad2 else "",
+        )
+    )
+
+    fns = {"d1": f3, "d3": f5, "d5": f4}
+    for name, (cid, colors) in REFERENCE_COLORINGS.items():
+        d = diagram(name)
+        s = next(c.s for c in FIXTURE_CASES if c.pair[0] == name)
+        cols = enumerate_colorings(d, fns[name].n)
+        want = EXPECTED["weights"][name]
+        ok = cid < len(cols) and cols[cid].arc_colors == colors
+        got: Any = None
+        if ok:
+            got = weight(d, extend_coloring(d, cols[cid], s), fns[name]).value
+            ok = got == want
+        checks.append(
+            (f"W({name}) = {want}", ok, f"got {got}")
+        )
+
+    for name, f, s in (("d2", f3, 0), ("d6", f4, 0)):
+        vals = phi_set(diagram(name), s, f).values
+        want_vals = EXPECTED["phi"][name]
+        checks.append(
+            (
+                f"Phi({name}, {s}) = {set(want_vals)}",
+                vals == want_vals,
+                f"got {set(vals)}",
+            )
+        )
+    oracle = tuple(sorted(W4_TABLE.values()))
+    d4_vals = phi_set(diagram("d4"), 2, f5).values
+    checks.append(
+        (
+            "Phi(d4, 2) matches the closed-form value set",
+            d4_vals == oracle,
+            f"got {len(d4_vals)} values",
+        )
+    )
+
+    for case in FIXTURE_CASES:
+        d = diagram(case.pair[0])
+        d2 = diagram(case.pair[1])
+        f = CochainFn.build(case.f_str, case.n)
+        cert = certify_lower_bound(d, d2, case.s, f, case.max_m)
+        ok = cert.m == case.expected_m and verify_certificate(cert, d, d2)
+        checks.append(
+            (
+                f"certified {case.pair[0]}/{case.pair[1]} needs >= "
+                f"{case.expected_m} type-III moves",
+                ok,
+                f"got m = {cert.m}",
+            )
+        )
+    return checks

@@ -28,6 +28,7 @@ from .cochain import (
     sumset_size,
 )
 from .coloring import (
+    _check_outer_color,
     Coloring,
     ExtendedColoring,
     enumerate_colorings,
@@ -277,6 +278,7 @@ def certify_lower_bound(
     """
     if max_m < 1:
         raise ValueError(f"max_m must be >= 1, got {max_m}")
+    _check_outer_color(s, f.n)  # before any level is built
     h = max_m // 2  # = ceil((max_m - 1) / 2)
     if reach is None:
         reach = delta_halves(f, max_m - 1)

@@ -6,7 +6,7 @@ import shlex
 import time
 from pathlib import Path
 
-import tribound.cli as cli
+import tribound.cache as cache
 import tribound.coloring as coloring
 import tribound.diagram as diagram
 import tribound.invariant as invariant
@@ -152,13 +152,13 @@ def test_weight_all(capsys):
 
 def test_weight_all_enumerates_once(capsys, monkeypatch):
     calls = []
-    real = cli.enumerate_colorings
+    real = coloring.enumerate_colorings
 
     def counting(d, n):
         calls.append(n)
         return real(d, n)
 
-    for module in (cli, invariant):
+    for module in (coloring, invariant):
         monkeypatch.setattr(module, "enumerate_colorings", counting)
     code, report, _ = run_json(
         capsys, "weight", "d4", "-n", "5", "-f", "(x-y)*(y-z)*z", "-s", "2",
@@ -202,6 +202,16 @@ def test_weight_coloring_out_of_range(capsys):
     assert "out of range" in err
 
 
+def test_weight_bad_coloring_id_is_reported(capsys):
+    argv = ("weight", "d1", "-n", "3", "-f", "(x-y)*(y-z)*z", "-s", "0", "--coloring", "foo")
+    message = "--coloring must be an id or 'all', got 'foo'"
+    code, report, err = run_json(capsys, *argv)
+    assert code == 1 and report["results"] == {"error": message}
+    assert err == f"error: {message}\n"
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err == f"error: {message}\n"
+
+
 def test_weight_refuses_bad_function(capsys):
     code, _, err = run(
         capsys, "weight", "d1", "-n", "3", "-f", "x", "-s", "0"
@@ -230,13 +240,13 @@ def test_delta_and_cache(capsys, tmp_path):
 
 def test_delta_writes_cache_once(capsys, tmp_path, monkeypatch):
     stores = []
-    real = cli.store_reach
+    real = cache.store_reach
 
     def counting(reach, directory=None):
         stores.append(directory)
         return real(reach, directory)
 
-    monkeypatch.setattr(cli, "store_reach", counting)
+    monkeypatch.setattr(cache, "store_reach", counting)
     args = (
         "delta", "-n", "3", "-f", "(x-y)*(y-z)*z", "--max-m", "1",
         "--cache", str(tmp_path / "c"),
@@ -247,6 +257,22 @@ def test_delta_writes_cache_once(capsys, tmp_path, monkeypatch):
     assert code == 0 and len(stores) == 1
     assert warm["results"]["cache_file"] == cold["results"]["cache_file"]
     assert Path(cold["results"]["cache_file"]).exists()
+
+
+def test_certify_rejects_outer_color_before_levels(capsys, tmp_path):
+    cache = tmp_path / "c"
+    cache.mkdir()
+    argv = (
+        "certify", "d3", "d4", "-n", "5", "-f", "(x+y)^3*(y+z)*(y-z)^3*z^5",
+        "-s", "9", "--max-m", "3", "--cache", str(cache),
+    )
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err == "error: outer color 9 not in Z(5)\n"
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 2
+    assert report["results"] == {"error": "outer color 9 not in Z(5)"}
+    assert report["cache"] == {"hits": 0, "misses": 0}
+    assert list(cache.iterdir()) == []
 
 
 def test_delta_large_set_summarized(capsys, tmp_path):

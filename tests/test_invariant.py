@@ -484,6 +484,18 @@ def test_verifier_builds_only_half_levels(diagrams, f5, monkeypatch):
         assert asked and max(asked) <= math.ceil((max_m - 1) / 2)
 
 
+def test_certify_rejects_outer_color_before_levels(diagrams, f5, monkeypatch):
+    import tribound.invariant as invariant
+
+    def no_levels(*args, **kwargs):
+        raise AssertionError("levels built for an outer color out of range")
+
+    monkeypatch.setattr(invariant, "delta_halves", no_levels)
+    for s in (-1, 5, 9):
+        with pytest.raises(ValueError, match=rf"^outer color {s} not in Z\(5\)$"):
+            certify_lower_bound(diagrams["d3"], diagrams["d4"], s, f5, 3)
+
+
 def test_verifier_rejects_levels_missing_hits(diagrams, f3):
     # the certifier trusts the half levels it is given; at max_m = 3 it
     # meets Delta_2 as Delta_1 + Delta_1, so with every value b of Delta_1

@@ -1,11 +1,14 @@
 """Start-up cost: each command imports only what it runs.
 
 Every CLI call is a fresh interpreter, so a module imported at start-up
-is paid on every call.  ``dataclasses`` (with ``inspect``, ``ast`` and
-``dis``) is not used at all, ``hashlib`` (OpenSSL) only where a hash is
-taken, and ``tribound.fixtures`` only where a bundled diagram is named.
-Each call runs in a child interpreter without ``site``, so that nothing
-but tribound and the probe below loads modules.
+is paid on every call.  ``import tribound`` loads no submodule; each
+command loads the ``tribound`` modules it runs when it runs, ``hashlib``
+(OpenSSL) only where a hash is taken, ``pathlib`` only where a cache or
+fixtures directory is named, ``tribound.fixtures`` only where a bundled
+diagram is named, and ``dataclasses`` (with ``inspect``, ``ast`` and
+``dis``) nowhere.  Each call runs in a child interpreter without
+``site``, so that nothing but tribound and the probe below loads
+modules.
 """
 
 from __future__ import annotations
@@ -16,44 +19,92 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import tribound
 from tribound.fixtures import fixture_dict
 
 ROOT = Path(__file__).resolve().parents[1]
-WATCHED = ("dataclasses", "hashlib", "tribound.fixtures")
+WATCHED = ("dataclasses", "hashlib", "pathlib")
 PROBE = """
 import json, sys
 import tribound.cli
 code = tribound.cli.main(sys.argv[1:])
-loaded = [m for m in {watched!r} if m in sys.modules]
+loaded = [m for m in sys.modules if m.split(".")[0] == "tribound" or m in {watched!r}]
 sys.stderr.write(json.dumps({{"code": code, "loaded": loaded}}))
 """.format(watched=WATCHED)
 
+F = "(x-y)*(y-z)*z"
+CORE = {"tribound", "tribound.cli", "tribound.diagram"}
+LAYERS = CORE | {"tribound.coloring", "tribound.cochain", "tribound.invariant"}
 
-def loaded_by(tmp_path: Path, *argv: str) -> tuple[int, set[str]]:
+
+def child(tmp_path: Path, *argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     env["TRIBOUND_CACHE"] = str(tmp_path / "cache")
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", PROBE, *argv, "--json"],
+    return subprocess.run(
+        [sys.executable, "-S", *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def loaded_by(tmp_path: Path, *argv: str) -> tuple[int, set[str]]:
+    proc = child(tmp_path, "-c", PROBE, *argv, "--json")
     result = json.loads(proc.stderr)
     return result["code"], set(result["loaded"])
+
+
+# each command with the tribound modules (and watched standard modules)
+# it loads
+COMMANDS = (
+    (("validate", "d1.json"), CORE),
+    (("colorings", "d1.json", "-n", "3"), CORE | {"tribound.coloring"}),
+    (("weight", "d1.json", "-n", "3", "-f", F, "-s", "0", "--coloring", "all"), LAYERS),
+    (
+        ("delta", "-n", "3", "-f", F, "--max-m", "2"),
+        LAYERS - {"tribound.invariant"} | {"tribound.cache", "hashlib", "pathlib"},
+    ),
+    (
+        ("certify", "d1.json", "d2.json", "-n", "3", "-f", F, "-s", "0", "--max-m", "2"),
+        LAYERS | {"tribound.cache", "hashlib", "pathlib"},
+    ),
+    # a bundled name still resolves, through the fixtures loaded on demand
+    (("validate", "d1"), CORE | {"tribound.fixtures"}),
+)
 
 
 def test_commands_import_only_what_they_run(tmp_path):
     for name in ("d1", "d2"):
         (tmp_path / f"{name}.json").write_text(json.dumps(fixture_dict(name)))
-    f = "(x-y)*(y-z)*z"
-    assert loaded_by(tmp_path, "validate", "d1.json") == (0, set())
-    assert loaded_by(
-        tmp_path, "weight", "d1.json", "-n", "3", "-f", f, "-s", "0",
-        "--coloring", "all",
-    ) == (0, set())
-    code, loaded = loaded_by(
-        tmp_path, "certify", "d1.json", "d2.json", "-n", "3", "-f", f,
-        "-s", "0", "--max-m", "2",
+    for argv, modules in COMMANDS:
+        assert loaded_by(tmp_path, *argv) == (0, modules), argv
+
+
+def test_package_loads_no_submodule(tmp_path):
+    proc = child(
+        tmp_path, "-c",
+        "import sys, tribound; print(sorted(m for m in sys.modules if 'tribound' in m))",
     )
-    assert code == 0 and not loaded & {"dataclasses", "tribound.fixtures"}
-    # a bundled name still resolves, through the fixtures loaded on demand
-    assert loaded_by(tmp_path, "validate", "d1") == (0, {"tribound.fixtures"})
+    assert proc.stdout.strip() == "['tribound']"
+
+
+def test_package_resolves_public_names_lazily():
+    for name in tribound.__all__:
+        assert getattr(tribound, name) is not None
+        assert name in dir(tribound)
+    assert tribound.weight is tribound.invariant.weight
+    assert tribound.load_fixture is tribound.fixtures.load_fixture
+    for module in ("cli", "diagram", "coloring", "cochain", "invariant", "cache"):
+        assert getattr(tribound, module) is sys.modules[f"tribound.{module}"]
+    # one class, caught by the command line without loading the layers
+    assert (
+        tribound.coloring.ResourceCapExceeded
+        is tribound.cochain.ResourceCapExceeded
+        is tribound.diagram.ResourceCapExceeded
+    )
+    namespace: dict[str, object] = {}
+    exec("from tribound import *", namespace)
+    assert set(tribound.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        tribound.no_such_name  # noqa: B018
