@@ -23,7 +23,6 @@ import bisect
 import itertools
 from typing import Iterable, NamedTuple
 
-from .coloring import quandle_star
 from .diagram import DEFAULT_LEVEL_CAP, ResourceCapExceeded
 
 __all__ = [
@@ -447,13 +446,14 @@ def delta_f(f: CochainFn, x: int, y: int, z: int, w: int) -> int:
     """The six-term coboundary value at (x, y, z, w)."""
     n = f.n
     t = f.table
+    # the dihedral star p * q = 2q - p (mod n), as coloring.quandle_star
     return (
         t[x][z][w]
         - t[x][y][w]
         + t[x][y][z]
-        - t[quandle_star(x, y, n)][z][w]
-        + t[quandle_star(x, z, n)][quandle_star(y, z, n)][w]
-        - t[quandle_star(x, w, n)][quandle_star(y, w, n)][quandle_star(z, w, n)]
+        - t[(2 * y - x) % n][z][w]
+        + t[(2 * z - x) % n][(2 * z - y) % n][w]
+        - t[(2 * w - x) % n][(2 * w - y) % n][(2 * w - z) % n]
     )
 
 
@@ -467,7 +467,7 @@ def image_delta(f: CochainFn) -> tuple[int, ...]:
     """
     n = f.n
     t = f.table
-    star = [[quandle_star(x, y, n) for y in range(n)] for x in range(n)]
+    star = [[(2 * y - x) % n for y in range(n)] for x in range(n)]  # x * y
     values: set[int] = set()
     for x in range(n):
         tx, sx = t[x], star[x]

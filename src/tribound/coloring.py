@@ -12,6 +12,7 @@ and is exposed as :func:`quandle_star`.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import gcd, prod
 from typing import NamedTuple
 
@@ -141,30 +142,83 @@ def _diagonalize(
     return diag, cols
 
 
+def _seed_forms(
+    relations: tuple[tuple[int, int, int], ...], k: int, n: int
+) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
+    """Every arc color as a linear form over Z/n in a few seed arcs.
+
+    At a crossing whose over color b and one under color a are known,
+    the other under color is 2b - a.  When no crossing can be used, the
+    lowest-index unknown arc becomes a new seed, whose form reads its own
+    coordinate.  Returns the forms (coefficient lists, shorter ones
+    padded with zeros up to the final seed count) and the relations that
+    derived no arc: the colorings are exactly the seed vectors on which
+    those relations hold, mapped through the forms.
+    """
+    forms: list[list[int] | None] = [None] * k
+    at_arc: list[list[int]] = [[] for _ in range(k)]
+    for i, rel in enumerate(relations):
+        for arc in set(rel):
+            at_arc[arc].append(i)
+    used = [False] * len(relations)
+    seeds = 0
+    queue: list[int] = []
+    for start in range(k):
+        if forms[start] is not None:
+            continue
+        forms[start] = [0] * seeds + [1 % n]
+        seeds += 1
+        queue.append(start)
+        while queue:
+            for i in at_arc[queue.pop()]:
+                under_in, under_out, over = relations[i]
+                b = forms[over]
+                if used[i] or b is None:
+                    continue
+                if forms[under_in] is None:
+                    known, new = forms[under_out], under_in
+                else:
+                    known, new = forms[under_in], under_out
+                if known is None or forms[new] is not None:
+                    continue
+                forms[new] = [
+                    (2 * x - y) % n
+                    for x, y in zip_longest(b, known, fillvalue=0)
+                ]
+                used[i] = True
+                queue.append(new)
+    padded = [f + [0] * (seeds - len(f)) for f in forms]  # type: ignore[operator]
+    return padded, [rel for i, rel in enumerate(relations) if not used[i]]
+
+
 def enumerate_colorings(d: Diagram, n: int) -> list[Coloring]:
     """All Fox n-colorings, in lexicographic order of arc-color vectors.
 
     The colorings are the kernel of the crossings x arcs coloring matrix
-    (a + c - 2b per crossing) over Z/n, for any modulus n.  Unimodular
-    row and column operations bring the matrix to a diagonal D with
-    column transform V; the kernel is then every V*y where y_i runs over
-    the multiples of n / gcd(d_i, n).  The number of colorings,
-    prod gcd(d_i, n), is known before any vector is built: past
-    ``COLORING_CAP`` the call raises ResourceCapExceeded.  The cost
-    follows the number of colorings, not the numbering of the edges.
+    (a + c - 2b per crossing) over Z/n, for any modulus n.  Colors are
+    first propagated through the crossings, so that every arc color is a
+    linear form in a few seed arcs (``_seed_forms``; a braid closure
+    needs about one seed per strand), and the relations that derived no
+    arc become the rows of a small seeds x seeds system with the same
+    kernel.  Unimodular row and column operations bring that system to a
+    diagonal D with column transform V; the kernel is then every V*y
+    where y_i runs over the multiples of n / gcd(d_i, n), mapped through
+    the forms to arc colors.  The number of colorings, prod gcd(d_i, n),
+    is known before any vector is built: past ``COLORING_CAP`` the call
+    raises ResourceCapExceeded.  Every vector is checked against every
+    crossing relation before it is returned.
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
     k = len(d.arcs)
     relations = d.tables.relations
-    matrix = []
-    for under_in, under_out, over in relations:
-        row = [0] * k
-        row[under_in] += 1
-        row[under_out] += 1
-        row[over] -= 2
-        matrix.append([x % n for x in row])
-    diag, cols = _diagonalize(matrix, k, n)
+    forms, rest = _seed_forms(relations, k, n)
+    seeds = len(forms[0]) if forms else 0
+    matrix = [
+        [(x + y - 2 * z) % n for x, y, z in zip(forms[a], forms[c], forms[b])]
+        for a, c, b in rest
+    ]
+    diag, cols = _diagonalize(matrix, seeds, n)
     orders = [gcd(x, n) for x in diag]
     count = prod(orders)
     if count > COLORING_CAP:
@@ -177,8 +231,9 @@ def enumerate_colorings(d: Diagram, n: int) -> list[Coloring]:
         if order == 1:
             continue
         step = n // order
+        arc_col = [sum(x * y for x, y in zip(form, col)) % n for form in forms]
         gens = [
-            tuple(j * step * x % n for x in col) for j in range(order)
+            tuple(j * step * x % n for x in arc_col) for j in range(order)
         ]
         vectors = [
             tuple((x + y) % n for x, y in zip(vec, gen))

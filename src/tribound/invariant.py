@@ -142,12 +142,22 @@ def weight(d: Diagram, ec: ExtendedColoring, f: CochainFn) -> WeightValue:
     )
 
 
+def _weight_value(d: Diagram, ec: ExtendedColoring, f: CochainFn) -> int:
+    """``weight(d, ec, f).value``, summed straight off the crossing rows
+    without a per-crossing record; for loops over many colorings."""
+    arcs, regions, table = ec.base.arc_colors, ec.region_colors, f.table
+    return sum(
+        sign * table[regions[corner]][arcs[under]][arcs[over]]
+        for _, sign, under, over, corner in d.tables.crossing_rows
+    )
+
+
 def phi_set(d: Diagram, s: int, f: CochainFn) -> PhiSet:
     """Weight values of every non-trivial coloring with outer color s."""
     return PhiSet.from_weights(
         d.name, s, f.n,
         (
-            (cid, weight(d, extend_coloring(d, col, s), f).value)
+            (cid, _weight_value(d, extend_coloring(d, col, s), f))
             for cid, col in enumerate(enumerate_colorings(d, f.n))
             if not is_trivial(col)
         ),
@@ -304,7 +314,7 @@ def certify_lower_bound(
     for cid, col in enumerate(enumerate_colorings(d, f.n)):
         if is_trivial(col):
             continue
-        w = weight(d, extend_coloring(d, col, s), f).value
+        w = _weight_value(d, extend_coloring(d, col, s), f)
         diffs = {w - v for v in phi_vals}
         m, verdicts, first_hit = _levels_clear(diffs, max_m, hits)
         if not found_nontrivial or m > best[0]:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tribound import coloring
 from tribound.cochain import CochainFn
 from tribound.coloring import (
     Coloring,
@@ -17,15 +19,15 @@ from tribound.coloring import (
     quandle_star,
 )
 from tribound.diagram import diagram_from_dict, diagram_to_dict, set_outer_face
+from tribound.fixtures import closed_braid_code
 from tribound.invariant import phi_set
 
 from conftest import random_closed_braid
 
 
-def brute_force_colorings(d, n):
-    """Independent oracle: try every arc-color assignment and keep the
-    ones satisfying a + c = 2b (mod n) at each crossing, reading the
-    crossing structure straight off the slots."""
+def slot_relations(d):
+    """(under-in arc, under-out arc, over arc) per crossing, read straight
+    off the slots rather than from ``Diagram.tables``."""
     relations = []
     for c in d.crossings:
         under_in = under_out = over = None
@@ -38,6 +40,13 @@ def brute_force_colorings(d, n):
             elif s.direction == "in":
                 over = arc
         relations.append((under_in, under_out, over))
+    return relations
+
+
+def brute_force_colorings(d, n):
+    """Independent oracle: try every arc-color assignment and keep the
+    ones satisfying a + c = 2b (mod n) at each crossing."""
+    relations = slot_relations(d)
     found = []
     for assignment in itertools.product(range(n), repeat=len(d.arcs)):
         if all(
@@ -174,6 +183,65 @@ def test_kernel_matches_brute_force_and_relabelling(seed, n):
     f = CochainFn.build("(x-y)*(y-z)*z", n)
     s = rng.randrange(n)
     assert phi_set(twin, s, f).values == phi_set(d, s, f).values
+
+
+def full_matrix_colorings(d, n):
+    """The kernel of the whole crossings x arcs coloring matrix, by
+    ``_diagonalize`` on that matrix, with no color propagation."""
+    k = len(d.arcs)
+    matrix = []
+    for under_in, under_out, over in slot_relations(d):
+        row = [0] * k
+        row[under_in] += 1
+        row[under_out] += 1
+        row[over] -= 2
+        matrix.append([x % n for x in row])
+    diag, cols = coloring._diagonalize(matrix, k, n)
+    gens = [
+        [tuple(j * (n // o) * x % n for x in col) for j in range(o)]
+        for o, col in zip((math.gcd(x, n) for x in diag), cols)
+    ]
+    return sorted(
+        tuple(sum(xs) % n for xs in zip((0,) * k, *parts))
+        for parts in itertools.product(*gens)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    strands=st.integers(2, 4),
+    length=st.integers(0, 61),
+    n=st.integers(1, 12),
+)
+def test_seed_route_matches_full_matrix(seed, strands, length, n):
+    rng = random.Random(seed)
+    word = [(col, rng.choice("LR")) for col in range(strands - 1)]
+    word += [(rng.randrange(strands - 1), rng.choice("LR")) for _ in range(length)]
+    rng.shuffle(word)
+    d = relabel(diagram_from_dict(closed_braid_code(strands, word, name="r")), rng)
+    got = [c.arc_colors for c in enumerate_colorings(d, n)]
+    want = full_matrix_colorings(d, n)
+    assert len(got) == len(want)
+    assert got == want
+
+
+def test_seed_system_of_a_long_closure_is_small(monkeypatch):
+    # colors propagate down the strands, so the 1 536-crossing closure of
+    # a 4-strand braid leaves a system in 4 seed arcs, not in 1 536 arcs
+    seen = []
+    real = coloring._diagonalize
+
+    def spy(rows, k, n):
+        seen.append(k)
+        return real(rows, k, n)
+
+    monkeypatch.setattr(coloring, "_diagonalize", spy)
+    rng = random.Random(3)
+    word = [(rng.randrange(3), rng.choice("LR")) for _ in range(1536)]
+    d = diagram_from_dict(closed_braid_code(4, word, name="b1536"))
+    assert len(enumerate_colorings(d, 3)) == 9
+    assert len(seen) == 1 and seen[0] <= 4
 
 
 def test_is_trivial():

@@ -63,7 +63,7 @@ COMMANDS = (
     (("weight", "d1.json", "-n", "3", "-f", F, "-s", "0", "--coloring", "all"), LAYERS),
     (
         ("delta", "-n", "3", "-f", F, "--max-m", "2"),
-        LAYERS - {"tribound.invariant"} | {"tribound.cache", "hashlib", "pathlib"},
+        CORE | {"tribound.cochain", "tribound.cache", "hashlib", "pathlib"},
     ),
     (
         ("certify", "d1.json", "d2.json", "-n", "3", "-f", F, "-s", "0", "--max-m", "2"),
