@@ -381,7 +381,15 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the subcommands, in the order the full parser lists them
+COMMANDS = ("validate", "colorings", "weight", "delta", "certify", "reproduce")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``tribound`` parser.  Given one of ``COMMANDS``, it holds only
+    that subcommand's parser, which parses an argument list starting
+    with that command as the full parser does: its usage line names
+    every command, as the full parser's does."""
     parser = _ArgumentParser(
         prog="tribound",
         description=(
@@ -390,84 +398,95 @@ def build_parser() -> argparse.ArgumentParser:
             "diagrams."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    listed = "{" + ",".join(COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="machine-readable report")
 
-    p = sub.add_parser("validate", help="check a diagram file")
-    p.add_argument("path")
-    p.add_argument(
-        "--emit-derived",
-        action="store_true",
-        help="include derived arcs/faces/signs in the output",
-    )
-    common(p)
-    p.set_defaults(func=cmd_validate)
+    def wanted(name: str) -> bool:
+        return command is None or command == name
 
-    p = sub.add_parser("colorings", help="enumerate Fox n-colorings")
-    p.add_argument("path")
-    p.add_argument("-n", type=int, required=True, help="modulus")
-    p.add_argument(
-        "--outer-color", type=int, default=None, metavar="S",
-        help="also list region colors for outer color S",
-    )
-    p.add_argument("--nontrivial-only", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_colorings)
+    if wanted("validate"):
+        p = sub.add_parser("validate", help="check a diagram file")
+        p.add_argument("path")
+        p.add_argument(
+            "--emit-derived",
+            action="store_true",
+            help="include derived arcs/faces/signs in the output",
+        )
+        common(p)
+        p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("weight", help="crossing-weight sums and Phi sets")
-    p.add_argument("path")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-f", required=True, help="weight function, e.g. '(x-y)*(y-z)*z'")
-    p.add_argument("-s", type=int, required=True, help="outer region color")
-    p.add_argument(
-        "--coloring", default="all", metavar="ID|all",
-        help="coloring id, or 'all' (default) for every coloring plus Phi",
-    )
-    common(p)
-    p.set_defaults(func=cmd_weight)
+    if wanted("colorings"):
+        p = sub.add_parser("colorings", help="enumerate Fox n-colorings")
+        p.add_argument("path")
+        p.add_argument("-n", type=int, required=True, help="modulus")
+        p.add_argument(
+            "--outer-color", type=int, default=None, metavar="S",
+            help="also list region colors for outer color S",
+        )
+        p.add_argument("--nontrivial-only", action="store_true")
+        common(p)
+        p.set_defaults(func=cmd_colorings)
 
-    p = sub.add_parser("delta", help="coboundary image and level sets")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-f", required=True)
-    p.add_argument("--max-m", type=int, default=1, help="highest level to compute")
-    p.add_argument("--cache", default=None, help="cache directory")
-    p.add_argument(
-        "--cap", type=int, default=DEFAULT_LEVEL_CAP,
-        help="abort if a level exceeds this many values (default 10^7)",
-    )
-    common(p)
-    p.set_defaults(func=cmd_delta)
+    if wanted("weight"):
+        p = sub.add_parser("weight", help="crossing-weight sums and Phi sets")
+        p.add_argument("path")
+        p.add_argument("-n", type=int, required=True)
+        p.add_argument("-f", required=True, help="weight function, e.g. '(x-y)*(y-z)*z'")
+        p.add_argument("-s", type=int, required=True, help="outer region color")
+        p.add_argument(
+            "--coloring", default="all", metavar="ID|all",
+            help="coloring id, or 'all' (default) for every coloring plus Phi",
+        )
+        common(p)
+        p.set_defaults(func=cmd_weight)
 
-    p = sub.add_parser(
-        "certify", help="certify a lower bound on type-III moves for a pair"
-    )
-    p.add_argument("path_d")
-    p.add_argument("path_d2")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-f", required=True)
-    p.add_argument("-s", type=int, required=True)
-    p.add_argument("--max-m", type=int, default=3)
-    p.add_argument("--cache", default=None)
-    common(p)
-    p.set_defaults(func=cmd_certify)
+    if wanted("delta"):
+        p = sub.add_parser("delta", help="coboundary image and level sets")
+        p.add_argument("-n", type=int, required=True)
+        p.add_argument("-f", required=True)
+        p.add_argument("--max-m", type=int, default=1, help="highest level to compute")
+        p.add_argument("--cache", default=None, help="cache directory")
+        p.add_argument(
+            "--cap", type=int, default=DEFAULT_LEVEL_CAP,
+            help="abort if a level exceeds this many values (default 10^7)",
+        )
+        common(p)
+        p.set_defaults(func=cmd_delta)
 
-    p = sub.add_parser(
-        "reproduce",
-        help="re-run all bundled reference computations and compare",
-    )
-    p.add_argument(
-        "--fixtures-dir", default=None,
-        help="load d1..d6 from this directory instead of the bundled diagrams",
-    )
-    common(p)
-    p.set_defaults(func=cmd_reproduce)
+    if wanted("certify"):
+        p = sub.add_parser(
+            "certify", help="certify a lower bound on type-III moves for a pair"
+        )
+        p.add_argument("path_d")
+        p.add_argument("path_d2")
+        p.add_argument("-n", type=int, required=True)
+        p.add_argument("-f", required=True)
+        p.add_argument("-s", type=int, required=True)
+        p.add_argument("--max-m", type=int, default=3)
+        p.add_argument("--cache", default=None)
+        common(p)
+        p.set_defaults(func=cmd_certify)
+
+    if wanted("reproduce"):
+        p = sub.add_parser(
+            "reproduce",
+            help="re-run all bundled reference computations and compare",
+        )
+        p.add_argument(
+            "--fixtures-dir", default=None,
+            help="load d1..d6 from this directory instead of the bundled diagrams",
+        )
+        common(p)
+        p.set_defaults(func=cmd_reproduce)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # usage error (1) or --help (0)

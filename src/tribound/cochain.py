@@ -496,9 +496,11 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")
 # sumset_size counts a sparse sum one value range at a time; a range holds
 # at most max(PAIR_BUDGET, PAIRS_PER_VALUE * |a|) pairs p + q unless it is
 # one value wide.  Each range costs a pass over a, so scaling the budget
-# with |a| keeps that pass small against the pairs.
-PAIR_BUDGET = 1 << 16
-PAIRS_PER_VALUE = 16
+# with |a| keeps that pass small against the pairs.  The range's set of
+# distinct sums is the count's working set: near the ends of a sum it
+# holds about one value per pair.
+PAIR_BUDGET = 1 << 12
+PAIRS_PER_VALUE = 8
 # sumset's set loop raises ResourceCapExceeded once its set's estimated
 # size, values times SET_BYTES_PER_VALUE, passes SET_BYTES_CAP.  A value
 # costs its int and its share of the hash table: about 66 bytes of peak
@@ -516,6 +518,11 @@ def _past_cap(cap: int) -> ResourceCapExceeded:
 def _is_dense(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     width = max(a) - min(a) + max(b) - min(b) + 1
     return width <= DENSE_FACTOR * len(a)
+
+
+def _is_symmetric(values: list[int]) -> bool:
+    """True iff sorted distinct ``values`` equal their negation."""
+    return all(p == -q for p, q in zip(values, reversed(values)))
 
 
 def _dense_mask(a: tuple[int, ...], b: tuple[int, ...], cap: int | None) -> int:
@@ -601,6 +608,12 @@ def sumset_size(a: Iterable[int], b: Iterable[int], cap: int | None = None) -> i
     Each range is sized from the last one's pair density and halved
     while it holds more than the pair budget, so the set of distinct
     sums in hand never passes the budget.
+
+    The sparse count reads two properties off its operands, as every
+    Delta level has them.  If a and b are both symmetric (a = -a), so is
+    their sum: only its negative values are counted, twice, plus one
+    for 0, which is a sum exactly when a and b share a value.  If a and
+    b are equal, p + q = q + p: row p of the count starts at q = p.
     """
     a, b = tuple(a), tuple(b)
     if not a or not b:
@@ -608,12 +621,18 @@ def sumset_size(a: Iterable[int], b: Iterable[int], cap: int | None = None) -> i
     if _is_dense(a, b):
         return _dense_mask(a, b, cap).bit_count()
     a, b = sorted(set(a)), sorted(set(b))
-    budget = max(PAIR_BUDGET, PAIRS_PER_VALUE * len(a))
-    starts = [0] * len(a)
     lo, top = a[0] + b[0], a[-1] + b[-1]
-    width, count = 1, 0
+    scale, count = 1, 0
+    if _is_symmetric(a) and _is_symmetric(b):
+        # the count runs up from the sparse edge of the sum, so a cap trips
+        # before the dense middle is reached
+        scale, count, top = 2, int(not set(a).isdisjoint(b)), -1
+    budget = max(PAIR_BUDGET, PAIRS_PER_VALUE * len(a))
+    # row i of the count starts at the first q of b, or at q = p if a == b
+    starts = list(range(len(a))) if a == b else [0] * len(a)
+    width = 1
     while lo <= top:
-        hi = lo + width
+        hi = min(lo + width, top + 1)
         # only p with p + b[-1] >= lo and p + b[0] < hi have pairs in range
         first = bisect.bisect_left(a, lo - b[-1])
         last = bisect.bisect_left(a, hi - b[0])
@@ -623,7 +642,9 @@ def sumset_size(a: Iterable[int], b: Iterable[int], cap: int | None = None) -> i
         if pairs > budget and width > 1:
             width = max(1, width * budget // (2 * pairs))
             continue
-        count += len({p + q for p, j, e in zip(ps, js, ends) for q in b[j:e]})
+        count += scale * len(
+            {p + q for p, j, e in zip(ps, js, ends) for q in b[j:e]}
+        )
         if cap is not None and count > cap:
             raise _past_cap(cap)
         starts[first:last] = ends

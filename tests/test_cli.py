@@ -6,7 +6,10 @@ import shlex
 import time
 from pathlib import Path
 
+import pytest
+
 import tribound.cache as cache
+import tribound.cli as cli
 import tribound.coloring as coloring
 import tribound.diagram as diagram
 import tribound.invariant as invariant
@@ -505,6 +508,64 @@ def test_usage_error_exit_code(capsys):
     assert main(["colorings", "d1"]) == 1  # missing -n
     assert main(["frobnicate"]) == 1
     assert main(["--help"]) == 0
+
+
+USAGE = "usage: tribound [-h] {validate,colorings,weight,delta,certify,reproduce} ..."
+CHOICES = "'validate', 'colorings', 'weight', 'delta', 'certify', 'reproduce'"
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        ([], 1, f"{USAGE}\ntribound: error: the following arguments are "
+         "required: command\n"),
+        (["bogus"], 1, f"{USAGE}\ntribound: error: argument command: "
+         f"invalid choice: 'bogus' (choose from {CHOICES})\n"),
+        (["colorings", "d1"], 1, "usage: tribound colorings [-h] -n N "
+         "[--outer-color S] [--nontrivial-only] [--json] path\ntribound "
+         "colorings: error: the following arguments are required: -n\n"),
+        (["validate", "d1", "--bogus"], 1, f"{USAGE}\ntribound: error: "
+         "unrecognized arguments: --bogus\n"),
+        (["--help"], 0, ""),
+        (["certify", "--help"], 0, ""),
+    ],
+)
+def test_parser_output_pinned(capsys, monkeypatch, argv, code, err):
+    # a command's own parser answers as the parser of every command does:
+    # same exit code, stdout and stderr
+    monkeypatch.setenv("COLUMNS", "200")
+    got = run(capsys, *argv)
+    assert got == run_full_parser(capsys, monkeypatch, argv)
+    out = got[1]
+    assert (got[0], got[2]) == (code, err)
+    if code == 0:
+        assert out.startswith("usage: tribound") and "-h, --help" in out
+
+
+def run_full_parser(capsys, monkeypatch, argv):
+    """run(), with the parser of every command built whatever argv[0] is."""
+    full = cli.build_parser
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", lambda command=None: full())
+        return run(capsys, *argv)
+
+
+def test_command_parser_holds_one_command(capsys, monkeypatch):
+    assert cli.build_parser("certify").parse_args(
+        ["certify", "d3", "d4", "-n", "5", "-f", "x", "-s", "0"]
+    ).func is cli.cmd_certify
+    with pytest.raises(SystemExit):
+        cli.build_parser("certify").parse_args(["validate", "d1"])
+    assert cli.build_parser().parse_args(["validate", "d1"]).func is cli.cmd_validate
+    # main builds one command's parser only when argv[0] names a command
+    built = []
+    full = cli.build_parser
+    monkeypatch.setattr(
+        cli, "build_parser", lambda command=None: built.append(command) or full(command)
+    )
+    for argv in (["validate", "d1"], ["--help"], ["bogus"], []):
+        run(capsys, *argv)
+    assert built == ["validate", None, None, None]
 
 
 def readme_commands() -> list[list[str]]:

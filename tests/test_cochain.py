@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -462,8 +463,84 @@ def test_sumset_size_counts_paper_levels(f5):
     reach = delta_reach(f5, 1)
     level1 = reach.level(1)
     assert sumset_size(level1, level1) == 238689
-    with mock.patch.object(cochain, "PAIR_BUDGET", 1000):
+    with mock.patch.multiple(cochain, PAIR_BUDGET=1000, PAIRS_PER_VALUE=0):
         assert sumset_size(level1, level1) == 238689
+
+
+def _symmetric(values, zero):
+    """Sorted {+v, -v} over values, with 0 if ``zero``."""
+    return sorted({w for v in values for w in (v, -v)} | ({0} if zero else set()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    xs=st.lists(st.integers(1, 10**12), max_size=6),
+    ys=st.lists(st.integers(1, 10**12), max_size=6),
+    small=st.lists(st.integers(1, 3), max_size=4),
+    zeros=st.tuples(st.booleans(), st.booleans()),
+    other=st.lists(st.integers(-10**12, 10**12), max_size=6),
+    budget=st.integers(1, 8),
+)
+def test_sumset_size_symmetric_and_equal_operands(xs, ys, small, zeros, other, budget):
+    # every Delta level is symmetric and every even level sums a level with
+    # itself; random sets are neither.  The pinned 2e12 makes each sum
+    # sparse, and ``small`` repeats sums, so a one-value range can pass a
+    # budget of a few pairs.  Each case goes through the cap check of
+    # _size_case, so the count must hold at the size and raise below it.
+    far = 2 * 10**12
+    a = _symmetric(xs + small + [far], zeros[0])
+    b = _symmetric(ys + small + [far], zeros[1])
+    lopsided = other + small + [0, far]  # never symmetric: -far is missing
+    with mock.patch.multiple(cochain, PAIR_BUDGET=budget, PAIRS_PER_VALUE=0):
+        _size_case(a, b, dense=False)  # symmetric, 0 a sum iff a, b meet
+        _size_case(a, a, dense=False)  # symmetric and equal
+        _size_case(a, lopsided, dense=False)  # one symmetric operand
+        _size_case(lopsided, a, dense=False)
+        _size_case(lopsided, lopsided, dense=False)  # equal only
+
+
+class _Summand(int):
+    """An int that counts the sums formed with it on the left."""
+
+    sums = 0
+
+    def __add__(self, other):
+        _Summand.sums += 1
+        return int(self) + other
+
+
+@pytest.mark.parametrize(
+    "values", [(-10**9, -4, 0, 4, 10**9), (-10**9, -5, -4, 3, 5, 10**9, 10**10)]
+)
+def test_sumset_size_forms_each_unordered_sum_once(values):
+    # equal operands: row p of the count starts at q = p, so it forms the
+    # sums p + q with p <= q, and a symmetric sum only its negative ones;
+    # the two more are the ends of the sum, a[0] + b[0] and a[-1] + b[-1]
+    pairs = [(p, q) for p in values for q in values if p <= q]
+    if values == tuple(-v for v in reversed(values)):
+        pairs = [(p, q) for p, q in pairs if p + q < 0]
+    _Summand.sums = 0
+    level = tuple(map(_Summand, values))
+    assert sumset_size(level, level) == len(sumset(values, values))
+    assert _Summand.sums == len(pairs) + 2
+
+
+def test_sumset_size_working_set(f5):
+    # |Delta_1 + Delta_1| = 238689 for the d3/d4 function at n = 5: the
+    # sets of sums in hand stay within a pair budget of 8 * 701 pairs
+    level1 = delta_reach(f5, 1).level(1)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert sumset_size(level1, level1) == 238689
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def test_delta_halves_count_the_levels_they_skip(f3, f4):
