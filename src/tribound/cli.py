@@ -263,29 +263,25 @@ def _reach_with_cache(
     cache_dir: Path,
     report: RunReport,
     cap: int = DEFAULT_LEVEL_CAP,
-    halves: bool = False,
 ) -> DeltaReach:
-    """Delta_0..Delta_max_level of f from the cache, or built and stored:
-    every level built, or with ``halves`` Delta_0..Delta_ceil(max_level/2)
-    built and the sizes above them counted (``delta_halves``)."""
+    """Delta_0..Delta_max_level of f (or more) from the cache, or built
+    and stored."""
     from .cache import load_reach, store_reach
-    from .cochain import delta_halves, delta_reach
+    from .cochain import delta_reach
 
     # a cached entry is not used for a level below 0 or when its needed
     # levels pass the cap, so that delta_reach rejects max_level < 0 and
     # cap < 1, and enforces the cap, warm or cold
-    built = (max_level + 1) // 2 if halves else max_level
     cached = load_reach(f, cache_dir)
     if (
         cached is not None
-        and 0 <= max_level < len(cached.sizes)
-        and built <= cached.max_level
-        and all(size <= cap for size in cached.sizes[: max_level + 1])
+        and 0 <= max_level <= cached.max_level
+        and all(len(lv) <= cap for lv in cached.levels[: max_level + 1])
     ):
         report.cache["hits"] += 1
         return cached
     report.cache["misses"] += 1
-    reach = (delta_halves if halves else delta_reach)(f, max_level, cap=cap)
+    reach = delta_reach(f, max_level, cap=cap)
     store_reach(reach, cache_dir)
     return reach
 
@@ -332,7 +328,9 @@ def cmd_certify(args: argparse.Namespace, report: RunReport) -> int:
         raise ValueError(f"max_m must be >= 1, got {args.max_m}")
     _check_outer_color(args.s, f.n)  # before any level is built or cached
     cache_dir = Path(args.cache) if args.cache else default_cache_dir()
-    reach = _reach_with_cache(f, args.max_m - 1, cache_dir, report, halves=True)
+    # the certifier holds Delta_0..Delta_h, h = max_m // 2, and counts the
+    # sizes above them
+    reach = _reach_with_cache(f, args.max_m // 2, cache_dir, report)
     cert = certify_lower_bound(d, d2, args.s, f, args.max_m, reach=reach)
     report.results["certificate"] = cert.to_dict()
     report.results["verified"] = verify_certificate(cert, d, d2)

@@ -42,7 +42,6 @@ __all__ = [
     "image_delta",
     "DeltaReach",
     "delta_reach",
-    "delta_halves",
     "sumset",
     "sumset_size",
     "DEFAULT_LEVEL_CAP",
@@ -601,17 +600,17 @@ def sumset_size(a: Iterable[int], b: Iterable[int], cap: int | None = None) -> i
     """``len(sumset(a, b))``, raising the same ResourceCapExceeded past
     ``cap``, without holding the sum.
 
-    A dense sum is the bitmask kernel's mask, counted with
-    ``int.bit_count``.  A sparse sum is counted one value range [lo, hi)
-    at a time: for each p of a, the q of b with lo <= p + q < hi are a
-    slice of sorted b that starts where the last range's slice ended.
-    Each range is sized from the last one's pair density and halved
-    while it holds more than the pair budget, so the set of distinct
-    sums in hand never passes the budget.
+    A dense sum is the bitmask kernel's mask, whose bits
+    ``int.bit_count`` counts.  A sparse sum is tallied one value range
+    [lo, hi) at a time: for each p of a, the q of b with lo <= p + q < hi
+    are a slice of sorted b that starts where the last range's slice
+    ended.  Each range is sized from the last one's pair density and
+    halved while it holds more than the pair budget, so the set of
+    distinct sums in hand never passes the budget.
 
     The sparse count reads two properties off its operands, as every
     Delta level has them.  If a and b are both symmetric (a = -a), so is
-    their sum: only its negative values are counted, twice, plus one
+    their sum: only its negative values are tallied, twice, plus one
     for 0, which is a sum exactly when a and b share a value.  If a and
     b are equal, p + q = q + p: row p of the count starts at q = p.
     """
@@ -656,24 +655,16 @@ def sumset_size(a: Iterable[int], b: Iterable[int], cap: int | None = None) -> i
 
 
 class DeltaReach(NamedTuple):
-    """Im(df), the levels Delta_0..Delta_L built as sorted tuples, and the
-    sizes of the levels above them, |Delta_L+1|..|Delta_M|, counted
-    without building them (``counted``, empty for ``delta_reach``)."""
+    """Im(df) and the levels Delta_0..Delta_L, each a sorted tuple."""
 
     f: CochainFn
     im_delta: tuple[int, ...]
     levels: tuple[tuple[int, ...], ...]
-    counted: tuple[int, ...] = ()
 
     @property
     def max_level(self) -> int:
         """L, the highest level built."""
         return len(self.levels) - 1
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        """|Delta_0|..|Delta_M|."""
-        return tuple(map(len, self.levels)) + self.counted
 
     def level(self, m: int) -> tuple[int, ...]:
         return self.levels[m]
@@ -698,20 +689,3 @@ def delta_reach(f: CochainFn, max_m: int, cap: int = DEFAULT_LEVEL_CAP) -> Delta
         levels.append(sumset(levels[-1], pm_im, cap=cap))
     return DeltaReach(f=f, im_delta=im, levels=tuple(levels))
 
-
-def delta_halves(f: CochainFn, max_m: int, cap: int = DEFAULT_LEVEL_CAP) -> DeltaReach:
-    """Delta_0..Delta_h built, h = ceil(max_m / 2), and |Delta_k| counted
-    for h < k <= max_m.
-
-    Levels add, Delta_i + Delta_j = Delta_i+j, so each counted size is
-    ``sumset_size(Delta_h, Delta_k-h)``; a level past ``cap`` raises
-    ResourceCapExceeded as in ``delta_reach``.
-    """
-    if max_m < 0:
-        raise ValueError(f"max_m must be >= 0, got {max_m}")
-    half = delta_reach(f, (max_m + 1) // 2, cap=cap)
-    levels, h = half.levels, half.max_level
-    counted = tuple(
-        sumset_size(levels[h], levels[k - h], cap) for k in range(h + 1, max_m + 1)
-    )
-    return DeltaReach(f=f, im_delta=half.im_delta, levels=levels, counted=counted)

@@ -23,7 +23,6 @@ from .cochain import (
     DEFAULT_LEVEL_CAP,
     CochainFn,
     DeltaReach,
-    delta_halves,
     delta_reach,
     sumset_size,
 )
@@ -280,32 +279,37 @@ def certify_lower_bound(
     this choice of f certifies nothing for the pair.
 
     Only the half levels Delta_0..Delta_h, h = ceil((max_m - 1) / 2), are
-    held.  A level k <= h is looked up directly; a higher one is met in
-    the middle, Delta_k = Delta_h + Delta_k-h.  The sizes |Delta_k| come
-    from ``reach``: by default ``delta_halves``, which counts the sizes
-    above h without building those levels; a ``delta_reach`` result up
-    to Delta_max_m-1 works as well.
+    held: from ``reach`` if given, which may hold more levels, else
+    built by ``delta_reach``.  A level k <= h is looked up directly; a
+    higher one is met in the middle, Delta_k = Delta_h + Delta_k-h.  The
+    size |Delta_k| of each level h < k < max_m is ``sumset_size`` of the
+    same split, taken before any coloring is scored, whether the half
+    levels were supplied or built; a size past ``DEFAULT_LEVEL_CAP``
+    raises ResourceCapExceeded.
     """
     if max_m < 1:
         raise ValueError(f"max_m must be >= 1, got {max_m}")
     _check_outer_color(s, f.n)  # before any level is built
     h = max_m // 2  # = ceil((max_m - 1) / 2)
     if reach is None:
-        reach = delta_halves(f, max_m - 1)
-    elif reach.max_level < h or len(reach.sizes) < max_m:
+        reach = delta_reach(f, h)
+    elif reach.max_level < h:
         raise ValueError(
-            f"supplied levels reach Delta_{reach.max_level} with sizes to "
-            f"|Delta_{len(reach.sizes) - 1}|, need Delta_{h} and "
-            f"|Delta_{max_m - 1}|"
+            f"supplied levels reach Delta_{reach.max_level}, need Delta_{h}"
         )
+    levels = reach.levels[: h + 1]
+    sizes = tuple(map(len, levels)) + tuple(
+        sumset_size(levels[h], levels[k - h], DEFAULT_LEVEL_CAP)
+        for k in range(h + 1, max_m)
+    )
     phi = phi_set(d2, s, f)
     phi_vals = set(phi.values)
-    halves = [set(lv) for lv in reach.levels[: h + 1]]
+    halves = [set(lv) for lv in levels]
 
     def hits(diffs: set[int], k: int) -> set[int]:
         if k <= h:
             return diffs & halves[k]
-        return _meet(diffs, halves[h], reach.level(k - h))
+        return _meet(diffs, halves[h], levels[k - h])
 
     # (m, coloring id, arc colors, W, verdicts, first hit) of the winner
     best: tuple[int, int | None, tuple[int, ...] | None, int | None, list[str], int | None]
@@ -338,7 +342,7 @@ def certify_lower_bound(
         coloring=colors,
         w=w,
         phi=phi.values,
-        delta_level_sizes=reach.sizes[:max_m],
+        delta_level_sizes=sizes,
         level_verdicts=tuple(verdicts),
         first_hit_level=first_hit,
         no_nontrivial_coloring=not found_nontrivial,

@@ -21,7 +21,7 @@ def test_shim_traces_cochain_methods(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    env["TRIBOUND_CACHE"] = str(tmp_path / "cache")
+    env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
 
     def spans(run: str) -> set[str]:
         trace = tmp_path / f"{run}.json"

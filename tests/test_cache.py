@@ -11,12 +11,15 @@ from tribound.cache import (
     load_reach,
     store_reach,
 )
-from tribound.cochain import delta_halves, delta_reach
+from tribound.cochain import delta_reach
 
 
 def test_env_override(monkeypatch, tmp_path):
-    monkeypatch.setenv("TRIBOUND_CACHE", str(tmp_path / "envcache"))
-    assert default_cache_dir() == tmp_path / "envcache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert default_cache_dir() == tmp_path / "xdg" / "tribound"
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    assert default_cache_dir() == tmp_path / "home" / ".cache" / "tribound"
 
 
 def test_store_load_round_trip(tmp_path, f3):
@@ -27,10 +30,9 @@ def test_store_load_round_trip(tmp_path, f3):
     assert again is not None
     assert again.levels == reach.levels
     assert again.im_delta == reach.im_delta
-    assert again.sizes == reach.sizes
     payload = json.loads(path.read_text())
-    assert set(payload) == {"n", "f", "im_delta", "delta_levels", "level_sizes"}
-    assert payload["level_sizes"] == [1, 15, 39]
+    assert set(payload) == {"n", "f", "im_delta", "delta_levels"}
+    assert list(map(len, payload["delta_levels"])) == [1, 15, 39]
 
 
 def test_store_never_shrinks(tmp_path, f3):
@@ -40,34 +42,19 @@ def test_store_never_shrinks(tmp_path, f3):
     assert cached is not None and cached.max_level == 2
 
 
-def test_store_merges_levels_and_sizes(tmp_path, f3):
-    # levels and sizes each keep the longer of entry and store
+def test_store_merges_levels(tmp_path, f3):
+    # an entry with at least as many levels wins; one with fewer is replaced
     store_reach(delta_reach(f3, 1), tmp_path)
-    store_reach(delta_halves(f3, 3), tmp_path)  # Delta_0..2 built, to |Delta_3|
+    store_reach(delta_reach(f3, 2), tmp_path)
     cached = load_reach(f3, tmp_path)
     assert cached.levels == delta_reach(f3, 2).levels
-    assert cached.sizes == (1, 15, 39, 61)
-    store_reach(delta_halves(f3, 4), tmp_path)  # to |Delta_4|
-    store_reach(delta_reach(f3, 1), tmp_path)
-    cached = load_reach(f3, tmp_path)
-    assert cached.max_level == 2 and cached.sizes == (1, 15, 39, 61, 83)
+    path = cache_path(f3, tmp_path)
+    before = path.stat().st_mtime_ns
+    store_reach(delta_reach(f3, 2), tmp_path)
+    assert path.stat().st_mtime_ns == before  # equal length: not rewritten
     store_reach(delta_reach(f3, 3), tmp_path)
     cached = load_reach(f3, tmp_path)
     assert cached.levels == delta_reach(f3, 3).levels
-    assert cached.sizes == (1, 15, 39, 61, 83)
-
-
-def test_load_reads_sizes_of_entries_without_them(tmp_path, f3):
-    path = store_reach(delta_halves(f3, 3), tmp_path)
-    blob = json.loads(path.read_text())
-    del blob["level_sizes"]
-    path.write_text(json.dumps(blob))
-    cached = load_reach(f3, tmp_path)
-    assert cached is not None and cached.sizes == (1, 15, 39)
-    # sizes that disagree with the levels they cover are a miss
-    for sizes in ([1, 15], [1, 14, 39], [1, 15, 39.0], [1, 15, "39"]):
-        path.write_text(json.dumps({**blob, "level_sizes": sizes}))
-        assert load_reach(f3, tmp_path) is None
 
 
 def test_load_rejects_stale_content(tmp_path, f3, f4):

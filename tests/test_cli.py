@@ -364,10 +364,9 @@ def test_certify_reference_pairs(capsys, tmp_path):
 
 
 def test_certify_rejects_corrupted_cache(capsys, tmp_path):
-    # the certifier reads its half levels and the level sizes from the
-    # cache; the verifier builds its own and must catch the over-claimed
-    # bound from a wrong Delta_1 and the wrong size from a wrong
-    # level_sizes entry
+    # the certifier reads its half levels from the cache; the verifier
+    # builds its own and must catch the bound over-claimed from a wrong
+    # Delta_1
     cache = tmp_path / "c"
     args = (
         "certify", "d1", "d2", "-n", "3", "-f", "(x-y)*(y-z)*z",
@@ -377,27 +376,61 @@ def test_certify_rejects_corrupted_cache(capsys, tmp_path):
     assert code == 0 and cold["results"]["certificate"]["m"] == 2
     (path,) = cache.glob("delta_*.json")
     good = json.loads(path.read_text())
-    assert len(good["delta_levels"]) == 2 and good["level_sizes"] == [1, 15, 39]
+    assert list(map(len, good["delta_levels"])) == [1, 15]
     # Delta_1 with its 15 values moved far away: Delta_1 + Delta_1 then
-    # misses W - Phi, and the sizes still agree with the levels
+    # misses W - Phi, and its size is still 39
     far = [10**6 + v for v in good["delta_levels"][1]]
-    for bad, m in (
-        ({**good, "delta_levels": [[0], far]}, 3),
-        ({**good, "level_sizes": [1, 15, 40]}, 2),
+    path.write_text(json.dumps({**good, "delta_levels": [[0], far]}))
+    code, report, _ = run_json(capsys, *args)
+    assert report["cache"] == {"hits": 1, "misses": 0}
+    cert = report["results"]["certificate"]
+    assert cert["m"] == 3 and cert["delta_level_sizes"] == [1, 15, 39]
+    assert report["results"]["verified"] is False
+    assert code == 3
+
+
+def test_certify_reads_entries_with_level_sizes(capsys, tmp_path):
+    # an entry that also carries level sizes, as entries written before
+    # the certifier counted its own sizes did, is a hit; the sizes are
+    # not read, so a wrong one changes nothing
+    cache = tmp_path / "c"
+    args = (
+        "certify", "d1", "d2", "-n", "3", "-f", "(x-y)*(y-z)*z",
+        "-s", "0", "--max-m", "3", "--cache", str(cache),
+    )
+    code, cold, _ = run_json(capsys, *args)
+    assert code == 0 and cold["cache"] == {"hits": 0, "misses": 1}
+    (path,) = cache.glob("delta_*.json")
+    entry = json.loads(path.read_text())
+    path.write_text(json.dumps({**entry, "level_sizes": [1, 15, 40]}))
+    code, warm, _ = run_json(capsys, *args)
+    assert code == 0 and warm["cache"] == {"hits": 1, "misses": 0}
+    assert warm["results"] == cold["results"]
+    assert warm["results"]["certificate"]["delta_level_sizes"] == [1, 15, 39]
+
+
+def test_certify_warm_matches_cold(capsys, tmp_path):
+    # the certificate from cached half levels is the one built from
+    # scratch, for every max_m up to 5
+    for pair, n, f in (
+        (("d1", "d2"), "3", "(x-y)*(y-z)*z"),
+        (("d5", "d6"), "4", "(x+y)^2*(y-z)^3*z^5"),
     ):
-        path.write_text(json.dumps(bad))
-        code, report, _ = run_json(capsys, *args)
-        assert report["cache"] == {"hits": 1, "misses": 0}
-        cert = report["results"]["certificate"]
-        assert cert["m"] == m
-        assert cert["delta_level_sizes"] == bad["level_sizes"]
-        assert report["results"]["verified"] is False
-        assert code == 3
+        for max_m in range(1, 6):
+            cache = str(tmp_path / f"{pair[0]}-{max_m}")
+            args = ("certify", *pair, "-n", n, "-f", f, "-s", "0",
+                    "--max-m", str(max_m), "--cache", cache)
+            code, cold, _ = run_json(capsys, *args)
+            assert cold["cache"] == {"hits": 0, "misses": 1}
+            warm_code, warm, _ = run_json(capsys, *args)
+            assert warm["cache"] == {"hits": 1, "misses": 0}
+            assert (warm_code, warm["results"]) == (code, cold["results"])
+            assert warm["results"]["verified"] is True
 
 
 def test_certify_and_delta_share_cache_entries(capsys, tmp_path):
-    # a certify hit needs the half levels and every size below max_m; a
-    # delta hit needs every level up to --max-m
+    # certify --max-m m needs Delta_0..Delta_m//2 and delta --max-m M
+    # needs Delta_0..Delta_M: one hit rule, on the levels an entry holds
     cache = str(tmp_path / "c")
     f = ("-n", "3", "-f", "(x-y)*(y-z)*z")
     certify = ("certify", "d1", "d2", *f, "-s", "0", "--cache", cache)
@@ -405,11 +438,11 @@ def test_certify_and_delta_share_cache_entries(capsys, tmp_path):
     for argv, hits in (
         ((*delta, "--max-m", "1"), 0),
         ((*certify, "--max-m", "2"), 1),    # Delta_0, Delta_1
-        ((*certify, "--max-m", "3"), 0),    # also |Delta_2|
+        ((*certify, "--max-m", "3"), 1),    # the same
         ((*certify, "--max-m", "3"), 1),
         ((*delta, "--max-m", "1"), 1),
-        ((*delta, "--max-m", "2"), 0),      # Delta_2 was only counted
-        ((*certify, "--max-m", "5"), 0),    # Delta_2 and up to |Delta_4|
+        ((*delta, "--max-m", "2"), 0),      # Delta_2
+        ((*certify, "--max-m", "5"), 1),    # Delta_0..Delta_2
         ((*delta, "--max-m", "2"), 1),
         ((*certify, "--max-m", "4"), 1),
     ):
@@ -419,7 +452,7 @@ def test_certify_and_delta_share_cache_entries(capsys, tmp_path):
     (path,) = (tmp_path / "c").glob("delta_*.json")
     entry = json.loads(path.read_text())
     assert len(entry["delta_levels"]) == 3
-    assert entry["level_sizes"] == [1, 15, 39, 61, 83]
+    assert set(entry) == {"n", "f", "im_delta", "delta_levels"}
 
 
 def test_certify_treats_malformed_cache_as_miss(capsys, tmp_path):
@@ -437,6 +470,8 @@ def test_certify_treats_malformed_cache_as_miss(capsys, tmp_path):
         {k: v for k, v in good.items() if k != "im_delta"},
         {**good, "delta_levels": 5},
         {**good, "delta_levels": [[[0]], *good["delta_levels"][1:]]},
+        {**good, "delta_levels": [[0], [float(v) for v in good["delta_levels"][1]]]},
+        {**good, "im_delta": [True, *good["im_delta"][1:]]},
     ):
         path.write_text(json.dumps(bad))
         code, warm, _ = run_json(capsys, *args)
@@ -578,7 +613,7 @@ def readme_commands() -> list[list[str]]:
 
 def test_readme_command_line_examples_run(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("TRIBOUND_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     commands = readme_commands()
     assert len(commands) >= 6
     for argv in commands:

@@ -25,7 +25,6 @@ from tribound.cochain import (
     canonical_str,
     check_sharp,
     delta_f,
-    delta_halves,
     delta_reach,
     image_delta,
     parse_poly,
@@ -541,23 +540,6 @@ def test_sumset_size_working_set(f5):
         if not tracing:
             tracemalloc.stop()
     assert peak < 1.5 * 2**20
-
-
-def test_delta_halves_count_the_levels_they_skip(f3, f4):
-    # Delta_0..Delta_ceil(M/2) built, the sizes above counted, all equal
-    # to the fully built levels
-    for f, top in ((f3, 5), (f4, 4)):
-        full = delta_reach(f, top)
-        for max_m in range(top + 1):
-            half = delta_halves(f, max_m)
-            assert half.levels == full.levels[: (max_m + 1) // 2 + 1]
-            assert half.sizes == full.sizes[: max_m + 1]
-            assert half.im_delta == full.im_delta
-    with pytest.raises(ResourceCapExceeded):
-        delta_halves(f3, 2, cap=38)  # |Delta_2| = 39 is counted, not built
-    assert delta_halves(f3, 2, cap=39).sizes == (1, 15, 39)
-    with pytest.raises(ValueError, match="max_m must be >= 0"):
-        delta_halves(f3, -1)
 
 
 def test_level_cap(f3):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tribound.cochain import CochainFn, DeltaReach, delta_reach
+from tribound.cochain import CochainFn, DeltaReach, ResourceCapExceeded, delta_reach
 from tribound.coloring import (
     Coloring,
     enumerate_colorings,
@@ -382,8 +382,8 @@ def test_no_nontrivial_coloring_flagged(f3):
 
 def test_bound_stays_put_as_max_m_grows(diagrams, f3, f4):
     # the reference bounds are the exact optima for their f: more
-    # levels certify no more moves; the sizes above the half levels are
-    # counted, not built
+    # levels certify no more moves; the certifier counts the sizes above
+    # its half levels without building those levels
     for pair, f, s, m, max_ms, sizes in (
         (("d1", "d2"), f3, 0, 2, range(2, 6), (1, 15, 39, 61, 83)),
         (("d5", "d6"), f4, 0, 3, range(3, 6), (1, 153, 8621, 55999, 97781)),
@@ -490,7 +490,7 @@ def test_certify_rejects_outer_color_before_levels(diagrams, f5, monkeypatch):
     def no_levels(*args, **kwargs):
         raise AssertionError("levels built for an outer color out of range")
 
-    monkeypatch.setattr(invariant, "delta_halves", no_levels)
+    monkeypatch.setattr(invariant, "delta_reach", no_levels)
     for s in (-1, 5, 9):
         with pytest.raises(ValueError, match=rf"^outer color {s} not in Z\(5\)$"):
             certify_lower_bound(diagrams["d3"], diagrams["d4"], s, f5, 3)
@@ -514,13 +514,42 @@ def test_verifier_rejects_levels_missing_hits(diagrams, f3):
     )
     assert level1 == (0, 4, 7, 8, 11)
     bad = DeltaReach(f=f3, im_delta=reach.im_delta,
-                     levels=(reach.level(0), level1), counted=(39,))
+                     levels=(reach.level(0), level1))
     cert = certify_lower_bound(d, d2, 0, f3, 3, reach=bad)
     assert cert.m == 3 and cert.first_hit_level is None
     assert not verify_certificate(cert, d, d2)
     assert not verify_certificate(
         cert._replace(delta_level_sizes=good.delta_level_sizes), d, d2
     )
+
+
+def test_certify_counts_sizes_under_the_level_cap(diagrams, f3, monkeypatch):
+    # |Delta_2| = 39 is counted against the cap, cold and with the half
+    # levels supplied, before any coloring is scored
+    import tribound.invariant as invariant
+
+    d, d2 = diagrams["d1"], diagrams["d2"]
+    warm = delta_reach(f3, 1)
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("Phi built before the level sizes were counted")
+
+    with monkeypatch.context() as m:
+        m.setattr(invariant, "DEFAULT_LEVEL_CAP", 38)
+        m.setattr(invariant, "phi_set", no_scoring)
+        for reach in (None, warm):
+            with pytest.raises(
+                ResourceCapExceeded,
+                match=r"^sumset grew past the cardinality cap 38$",
+            ):
+                certify_lower_bound(d, d2, 0, f3, 3, reach=reach)
+    monkeypatch.setattr(invariant, "DEFAULT_LEVEL_CAP", 39)
+    for reach in (None, warm):
+        cert = certify_lower_bound(d, d2, 0, f3, 3, reach=reach)
+        assert cert.delta_level_sizes == (1, 15, 39) and cert.m == 2
+    # supplied levels must reach Delta_h
+    with pytest.raises(ValueError, match=r"^supplied levels reach Delta_0, need Delta_1$"):
+        certify_lower_bound(d, d2, 0, f3, 3, reach=delta_reach(f3, 0))
 
 
 def test_all_emitted_certificates_reverify(diagrams, f3, f5, f4, rng):

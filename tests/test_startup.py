@@ -42,7 +42,7 @@ LAYERS = CORE | {"tribound.coloring", "tribound.cochain", "tribound.invariant"}
 def child(tmp_path: Path, *argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
-    env["TRIBOUND_CACHE"] = str(tmp_path / "cache")
+    env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
     return subprocess.run(
         [sys.executable, "-S", *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
