@@ -4,8 +4,10 @@ A diagram is a 4-valent plane graph: crossings carry four half-edge slots
 in counterclockwise cyclic order, each slot tagged with the edge occupying
 it, the edge's direction relative to the crossing (``in``/``out``) and its
 level (``over``/``under``).  The rotation system alone determines the
-embedding on the sphere; faces come out of face tracing, and the planar
-picture is fixed by designating one face as the outer region.
+embedding on the sphere, and the planar picture is fixed by designating
+one face as the outer region.  Faces, arcs and link components are the
+chains of three maps (the face-tracing step on darts, and the strand
+successor on edges over one or both levels), numbered by least element.
 
 Everything derived (arcs, faces, crossing signs, components) is computed
 eagerly at construction and is immutable afterwards.  The flat index
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple, TypeVar
 
 __all__ = [
     "DiagramError",
@@ -295,7 +297,7 @@ def _check_schema(obj: Any) -> None:
     for c in obj["crossings"]:
         if not isinstance(c, Mapping) or "id" not in c or "slots" not in c:
             raise DiagramSyntaxError("each crossing needs 'id' and 'slots'")
-        if not isinstance(c["id"], int):
+        if type(c["id"]) is not int:  # JSON true/false are Python ints
             raise DiagramSyntaxError("crossing ids must be integers")
         slots = c["slots"]
         if not isinstance(slots, list) or len(slots) != 4:
@@ -307,7 +309,7 @@ def _check_schema(obj: Any) -> None:
                 raise DiagramSyntaxError(
                     f"crossing {c['id']}: slots need exactly keys edge/dir/level"
                 )
-            if not isinstance(s["edge"], int):
+            if type(s["edge"]) is not int:
                 raise DiagramSyntaxError("slot 'edge' must be an integer")
             if s["dir"] not in ("in", "out"):
                 raise DiagramSyntaxError("slot 'dir' must be 'in' or 'out'")
@@ -408,118 +410,93 @@ def _check_connected(crossings: list[Crossing]) -> None:
         )
 
 
+_T = TypeVar("_T")
+
+
+def _chains(succ: Mapping[_T, _T], ids: Iterable[_T]) -> list[tuple[list[_T], bool]]:
+    """The maximal paths and cycles of a one-to-one partial map on ids,
+    as (ids in order, closed), sorted by least id.
+
+    A path starts at an id that nothing maps to, a cycle at its least id.
+    A walk that meets an id it has already passed stops there, unclosed.
+    """
+    ids = sorted(ids)
+    targets = set(succ.values())
+    seen: set[_T] = set()
+    chains: list[tuple[list[_T], bool]] = []
+    for start in [i for i in ids if i not in targets] + ids:
+        if start in seen:
+            continue
+        chain: list[_T] = []
+        nxt: _T | None = start
+        while nxt is not None and nxt not in seen:
+            chain.append(nxt)
+            seen.add(nxt)
+            nxt = succ.get(nxt)
+        chains.append((chain, nxt == start))
+    chains.sort(key=lambda ch: min(ch[0]))
+    return chains
+
+
 def trace_faces(
     crossings: Iterable[Crossing], edges: Iterable[Edge]
 ) -> tuple[Face, ...]:
     """Trace the complementary regions of the rotation system.
 
-    A dart is a directed traversal of an edge; walking with the face on the
-    left, a dart arriving at slot k continues from slot k-1 (ccw).  Faces
-    are the orbits of that step.  Raises DiagramPlanarityError if the face
-    count contradicts Euler's formula for the sphere.
+    A dart (edge, 0) runs along an edge and (edge, 1) against it, so it
+    sorts like its (edge, side) boundary pair; walking with the face on
+    the left, a dart arriving at slot k continues from slot k-1 (ccw).
+    Faces are the orbits of that step, each from its least dart and
+    numbered by it.  Raises DiagramPlanarityError if the face count
+    contradicts Euler's formula for the sphere.
     """
     crossings = list(crossings)
     edges = list(edges)
-    edge_by_id = {e.id: e for e in edges}
-    slot_edge: dict[tuple[int, int], HalfEdgeSlot] = {}
-    for c in crossings:
-        for k, s in enumerate(c.slots):
-            slot_edge[(c.id, k)] = s
+    slot = {(c.id, k): s for c in crossings for k, s in enumerate(c.slots)}
+    step: dict[tuple[int, int], tuple[int, int]] = {}
+    for e in edges:
+        for side, (cid, k) in ((0, e.head), (1, e.tail)):
+            s = slot[(cid, (k - 1) % 4)]
+            step[(e.id, side)] = (s.edge, 0 if s.direction == "out" else 1)
 
-    def next_dart(dart: tuple[int, bool]) -> tuple[int, bool]:
-        eid, forward = dart
-        e = edge_by_id[eid]
-        cid, k = e.head if forward else e.tail
-        s = slot_edge[(cid, (k - 1) % 4)]
-        return (s.edge, s.direction == "out")
-
-    seen: set[tuple[int, bool]] = set()
-    boundaries: list[list[tuple[int, str]]] = []
-    for eid in sorted(edge_by_id):
-        for forward in (True, False):
-            start = (eid, forward)
-            if start in seen:
-                continue
-            orbit: list[tuple[int, bool]] = []
-            dart = start
-            while dart not in seen:
-                seen.add(dart)
-                orbit.append(dart)
-                dart = next_dart(dart)
-            if dart != start:
-                raise DiagramStructureError(
-                    "face tracing walked into the middle of another orbit"
-                )
-            boundaries.append(
-                [(e, LEFT if fwd else RIGHT) for (e, fwd) in orbit]
-            )
-
+    orbits = [orbit for orbit, _ in _chains(step, step.keys())]
+    if any(step[orbit[-1]] != orbit[0] for orbit in orbits):
+        raise DiagramStructureError(
+            "face tracing walked into the middle of another orbit"
+        )
     expected = 2 - len(crossings) + len(edges)
-    if len(boundaries) != expected:
+    if len(orbits) != expected:
         raise DiagramPlanarityError(
-            f"face tracing found {len(boundaries)} faces where Euler's "
+            f"face tracing found {len(orbits)} faces where Euler's "
             f"formula needs {expected}; the code is not planar"
         )
-
-    def canonical(boundary: list[tuple[int, str]]) -> tuple[tuple[int, str], ...]:
-        key = min(range(len(boundary)), key=lambda i: _side_key(boundary[i]))
-        return tuple(boundary[key:] + boundary[:key])
-
-    canon = sorted((canonical(b) for b in boundaries), key=lambda b: _side_key(b[0]))
-    return tuple(Face(id=i, boundary=b) for i, b in enumerate(canon))
+    return tuple(
+        Face(id=i, boundary=tuple((e, (LEFT, RIGHT)[side]) for e, side in orbit))
+        for i, orbit in enumerate(orbits)
+    )
 
 
-def _side_key(pair: tuple[int, str]) -> tuple[int, int]:
-    eid, side = pair
-    return (eid, 0 if side == LEFT else 1)
+def _strand_succ(crossings: Iterable[Crossing], levels: Iterable[str]) -> dict[int, int]:
+    """Edge -> the next edge of its strand through crossings at these levels."""
+    succ: dict[int, int] = {}
+    for c in crossings:
+        ends = {(s.level, s.direction): s.edge for s in c.slots}
+        for lv in levels:
+            succ[ends[(lv, "in")]] = ends[(lv, "out")]
+    return succ
 
 
 def merge_arcs(
     crossings: Iterable[Crossing], edges: Iterable[Edge]
 ) -> tuple[Arc, ...]:
-    """Chain edges through over-passes into maximal arcs.
+    """Chain edges through over-passes into maximal arcs, numbered by
+    their least edge.
 
-    Arcs break exactly at under slots; a component that passes over at
-    every crossing it meets yields a closed arc.
+    Arcs break exactly at under slots, so an open arc starts at an edge
+    that emerges from under a crossing; a component that passes over at
+    every crossing it meets yields a closed arc, from its least edge.
     """
-    crossings = list(crossings)
-    succ: dict[int, int] = {}
-    pred: dict[int, int] = {}
-    for c in crossings:
-        over = [s for s in c.slots if s.level == "over"]
-        incoming = next(s.edge for s in over if s.direction == "in")
-        outgoing = next(s.edge for s in over if s.direction == "out")
-        succ[incoming] = outgoing
-        pred[outgoing] = incoming
-
-    edge_ids = sorted(e.id for e in edges)
-    assigned: set[int] = set()
-    chains: list[tuple[list[int], bool]] = []
-    # Open chains start at an edge that emerges from under a crossing.
-    for eid in edge_ids:
-        if eid in assigned or eid in pred:
-            continue
-        chain = [eid]
-        assigned.add(eid)
-        while chain[-1] in succ:
-            chain.append(succ[chain[-1]])
-            assigned.add(chain[-1])
-        chains.append((chain, False))
-    # What remains are closed over-loops.
-    for eid in edge_ids:
-        if eid in assigned:
-            continue
-        loop = [eid]
-        assigned.add(eid)
-        nxt = succ[eid]
-        while nxt != eid:
-            loop.append(nxt)
-            assigned.add(nxt)
-            nxt = succ[nxt]
-        start = loop.index(min(loop))
-        chains.append((loop[start:] + loop[:start], True))
-
-    chains.sort(key=lambda ch: min(ch[0]))
+    chains = _chains(_strand_succ(crossings, ("over",)), (e.id for e in edges))
     return tuple(
         Arc(id=i, edges=tuple(ch), closed=closed)
         for i, (ch, closed) in enumerate(chains)
@@ -527,30 +504,8 @@ def merge_arcs(
 
 
 def _components(crossings: list[Crossing], edges: list[Edge]) -> tuple[tuple[int, ...], ...]:
-    parent: dict[int, int] = {e.id: e.id for e in edges}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for c in crossings:
-        for lv in ("over", "under"):
-            pair = [s.edge for s in c.slots if s.level == lv]
-            union(pair[0], pair[1])
-
-    groups: dict[int, list[int]] = {}
-    for e in edges:
-        groups.setdefault(find(e.id), []).append(e.id)
-    return tuple(
-        tuple(sorted(g)) for g in sorted(groups.values(), key=min)
-    )
+    chains = _chains(_strand_succ(crossings, ("over", "under")), (e.id for e in edges))
+    return tuple(tuple(sorted(ch)) for ch, _ in chains)
 
 
 def _crossing_sign(slots: tuple[HalfEdgeSlot, ...]) -> int:
@@ -569,13 +524,13 @@ def _resolve_outer_face(designator: Any, faces: tuple[Face, ...]) -> int:
     if isinstance(designator, bool):
         raise DiagramSyntaxError("outer_face must be a face id or edge list")
     if isinstance(designator, int):
-        if not any(f.id == designator for f in faces):
+        if not 0 <= designator < len(faces):
             raise DiagramStructureError(
                 f"outer_face {designator} does not name a face "
                 f"(0..{len(faces) - 1})"
             )
         return designator
-    if isinstance(designator, list) and all(isinstance(x, int) for x in designator):
+    if isinstance(designator, list) and all(type(x) is int for x in designator):
         want = sorted(designator)
         hits = [
             f.id
@@ -678,7 +633,7 @@ def derived_dict(d: Diagram) -> dict[str, Any]:
 
 def set_outer_face(d: Diagram, face: int) -> Diagram:
     """Same sphere code, different outer region."""
-    if not any(f.id == face for f in d.faces):
+    if type(face) is not int or not 0 <= face < len(d.faces):
         raise DiagramStructureError(f"unknown face id {face}")
     return d._replace(outer_face=face)
 

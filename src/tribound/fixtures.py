@@ -52,85 +52,49 @@ def closed_braid_code(
 
     ``word`` lists crossings top to bottom as (column, type) with
     ``column`` joining strand positions column and column+1 and type
-    "L"/"R" choosing which strand passes over.  Every column must be
-    involved in at least one crossing, otherwise the closure would be a
-    split diagram.
+    "L"/"R" choosing which strand passes over.  Every column must have
+    at least one crossing, otherwise the closure would be a split
+    diagram.
     """
     if strands < 2:
         raise ValueError("need at least two strand positions")
     if any(not 0 <= col < strands - 1 for col, _ in word):
         raise ValueError("braid word uses a column outside the strand range")
-    touched = {col for col, _ in word} | {col + 1 for col, _ in word}
-    if touched != set(range(strands)):
+    if {col for col, _ in word} != set(range(strands - 1)):
         raise ValueError("every column needs a crossing; closure would split")
 
-    tails: dict[int, tuple[int, int] | None] = {}
-    heads: dict[int, tuple[int, int] | None] = {}
-    open_edge: list[int] = []
-    first_edge: list[int] = []
-    next_eid = 0
-    for j in range(strands):
-        tails[next_eid] = None  # tail supplied by the closure merge
-        heads[next_eid] = None
-        open_edge.append(next_eid)
-        first_edge.append(next_eid)
-        next_eid += 1
-
-    crossings: list[dict[str, Any]] = []
+    # Edge j < strands enters the top of column j, crossing i starts edges
+    # strands+2i (SW) and strands+2i+1 (SE); renumbering by tail order
+    # drops the top edges, which the closure joins to the bottom ones.
+    head: dict[int, tuple[int, int]] = {}
+    tail: dict[int, tuple[int, int]] = {}
+    col_edge = list(range(strands))
     for cid, (col, typ) in enumerate(word):
         if typ not in _LEVELS:
             raise ValueError(f"crossing type must be 'L' or 'R', got {typ!r}")
-        # incoming: column col at NW (slot 1), column col+1 at NE (slot 0)
-        heads[open_edge[col]] = (cid, 1)
-        heads[open_edge[col + 1]] = (cid, 0)
-        # outgoing: SW (slot 2) continues column col, SE (slot 3) col+1
-        sw, se = next_eid, next_eid + 1
-        next_eid += 2
-        tails[sw] = (cid, 2)
-        heads[sw] = None
-        tails[se] = (cid, 3)
-        heads[se] = None
-        open_edge[col], open_edge[col + 1] = sw, se
-        crossings.append({"cid": cid, "type": typ})
-
-    # Close up: the edge still flowing down column j is the same edge
-    # that entered the top of column j.
-    drop: set[int] = set()
+        # the edges flowing down columns col and col+1 enter at NW and NE
+        head[col_edge[col]], head[col_edge[col + 1]] = (cid, 1), (cid, 0)
+        out = strands + 2 * cid
+        tail[out], tail[out + 1] = (cid, 2), (cid, 3)
+        col_edge[col], col_edge[col + 1] = out, out + 1
     for j in range(strands):
-        bottom, top = open_edge[j], first_edge[j]
-        heads[bottom] = heads[top]
-        drop.add(top)
-
-    renumber = {
-        old: new
-        for new, old in enumerate(e for e in sorted(tails) if e not in drop)
-    }
+        head[col_edge[j]] = head[j]  # the bottom edge wraps round to the top
     slot_edge: dict[tuple[int, int], int] = {}
-    for old, new in renumber.items():
-        tail, head = tails[old], heads[old]
-        assert tail is not None and head is not None
-        slot_edge[tail] = new
-        slot_edge[head] = new
+    for new, old in enumerate(sorted(tail)):
+        slot_edge[tail[old]] = slot_edge[head[old]] = new
 
-    out_crossings = []
-    for c in crossings:
-        cid = c["cid"]
-        levels = _LEVELS[c["type"]]
-        dirs = ("in", "in", "out", "out")
-        out_crossings.append(
-            {
-                "id": cid,
-                "slots": [
-                    {
-                        "edge": slot_edge[(cid, k)],
-                        "dir": dirs[k],
-                        "level": levels[k],
-                    }
-                    for k in range(4)
-                ],
-            }
-        )
-    return {"name": name, "crossings": out_crossings, "outer_face": outer_face}
+    dirs = ("in", "in", "out", "out")
+    crossings = [
+        {
+            "id": cid,
+            "slots": [
+                {"edge": slot_edge[(cid, k)], "dir": d, "level": lv}
+                for k, (d, lv) in enumerate(zip(dirs, _LEVELS[typ]))
+            ],
+        }
+        for cid, (_, typ) in enumerate(word)
+    ]
+    return {"name": name, "crossings": crossings, "outer_face": outer_face}
 
 
 # ---------------------------------------------------------------------------

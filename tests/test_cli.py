@@ -103,6 +103,24 @@ def test_validate_broken_file(capsys, tmp_path):
     assert "INVALID" in out
 
 
+def test_validate_rejects_booleans_as_ids(capsys, tmp_path):
+    # JSON true equals 1 in Python; as a crossing id or a slot edge it
+    # must not pass for one
+    for where in ("id", "edge"):
+        code = fixture_dict("d1")
+        if where == "id":
+            code["crossings"][1]["id"] = True
+        else:
+            slot = next(s for c in code["crossings"] for s in c["slots"]
+                        if s["edge"] == 1)
+            slot["edge"] = True
+        path = tmp_path / f"{where}.json"
+        path.write_text(json.dumps(code))
+        status, report, _ = run_json(capsys, "validate", str(path))
+        assert status == 2
+        assert [i["kind"] for i in report["results"]["issues"]] == ["syntax"]
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "no-such-diagram.json")
     assert code == 2

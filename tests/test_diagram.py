@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import copy
+import hashlib
 import json
+import random
 
 import pytest
 
 from tribound.diagram import (
     DiagramConnectivityError,
+    DiagramError,
     DiagramPlanarityError,
     DiagramStructureError,
     DiagramSyntaxError,
+    derived_dict,
     diagram_from_dict,
     diagram_to_dict,
     parse_diagram,
@@ -153,8 +158,9 @@ def test_set_outer_face(diagrams):
     assert moved.outer_face == 3
     assert moved.faces == d.faces and moved.arcs == d.arcs
     assert set_outer_face(d, d.outer_face) == d
-    with pytest.raises(DiagramStructureError):
-        set_outer_face(d, 99)
+    for bad in (99, len(d.faces), -1, True, 1.0, "1"):
+        with pytest.raises(DiagramStructureError, match="unknown face id"):
+            set_outer_face(d, bad)
 
 
 def test_outer_face_by_edge_list(diagrams):
@@ -169,7 +175,7 @@ def test_outer_face_by_edge_list(diagrams):
 
 def test_outer_face_of_wrong_type_is_syntax(diagrams):
     code = diagram_to_dict(diagrams["d1"])
-    for bad in (True, "x"):
+    for bad in (True, "x", [0, True]):
         code["outer_face"] = bad
         with pytest.raises(DiagramSyntaxError) as err:
             diagram_from_dict(code)
@@ -305,3 +311,125 @@ def test_closed_over_loop_component():
     assert len(closed) == 1
     assert sorted(closed[0].edges) == [0, 1]
     assert len(d.arcs) == 3  # the under circle is cut twice
+
+
+def _pinned_cases(rng):
+    """(strands, braid word) pairs for the pinned digest.
+
+    Valid words on 2-6 strand positions have a crossing in every column;
+    invalid ones use a bad type, a column out of range, fewer than two
+    positions, or leave the last position untouched.  Words whose closure
+    is split although every position is touched are left to
+    ``tests/test_fixtures.py``.
+    """
+    for _ in range(500):
+        strands = rng.randint(2, 6)
+        word = [(col, rng.choice("LR")) for col in range(strands - 1)]
+        word += [
+            (rng.randrange(strands - 1), rng.choice("LR"))
+            for _ in range(rng.randint(0, 6))
+        ]
+        rng.shuffle(word)
+        flaw = rng.randrange(8)
+        if flaw == 0:
+            i = rng.randrange(len(word))
+            word[i] = (word[i][0], rng.choice("QXl"))
+        elif flaw == 1:
+            word.append((rng.choice([-1, strands - 1, strands + 3]), "L"))
+        elif flaw == 2:
+            strands = rng.randint(0, 1)
+        elif flaw == 3:
+            word = [w for w in word if w[0] != strands - 2]
+        yield strands, word
+
+
+def _pinned_records():
+    """What the builder and the parser make of each word.
+
+    Each code that parses also gives a copy with crossing and edge ids
+    relabeled, crossings reordered, slots rotated and the outer face named
+    by an edge list or a stray id; two copies with the levels of some
+    crossings flipped; and copies with two slot edges, or two slots of
+    one crossing, swapped.
+    """
+    rng = random.Random(20261018)
+    records = []
+
+    def derive(code):
+        try:
+            d = diagram_from_dict(code)
+        except DiagramError as exc:
+            records.append(
+                [type(exc).__name__, str(exc), [list(i) for i in exc.issues]]
+            )
+            return None
+        records.append(["ok", diagram_to_dict(d), derived_dict(d)])
+        return d
+
+    for strands, word in _pinned_cases(rng):
+        try:
+            code = closed_braid_code(strands, word, name="w", outer_face=rng.randrange(3))
+        except ValueError as exc:
+            records.append(["ValueError", str(exc)])
+            continue
+        records.append(["code", code])
+        d = derive(code)
+        if d is None:
+            continue
+
+        edges = [e.id for e in d.edges]
+        edge_map = dict(zip(edges, rng.sample(range(3 * len(edges)), len(edges))))
+        cids = [c["id"] for c in code["crossings"]]
+        cid_map = dict(zip(cids, rng.sample(range(50), len(cids))))
+        relabeled = copy.deepcopy(code)
+        for c in relabeled["crossings"]:
+            c["id"] = cid_map[c["id"]]
+            k = rng.randrange(4)
+            c["slots"] = c["slots"][k:] + c["slots"][:k]
+            for s in c["slots"]:
+                s["edge"] = edge_map[s["edge"]]
+        rng.shuffle(relabeled["crossings"])
+        if rng.random() < 0.7:
+            face = d.faces[rng.randrange(len(d.faces))]
+            relabeled["outer_face"] = [edge_map[e] for e, _ in face.boundary]
+        else:
+            relabeled["outer_face"] = rng.randrange(-1, len(d.faces) + 2)
+        derive(relabeled)
+
+        for _ in range(2):
+            flipped = copy.deepcopy(code)
+            for c in flipped["crossings"]:
+                if rng.random() < 0.5:
+                    for s in c["slots"]:
+                        s["level"] = "over" if s["level"] == "under" else "under"
+            derive(flipped)
+
+        swapped = copy.deepcopy(code)
+        slots = [s for c in swapped["crossings"] for s in c["slots"]]
+        a, b = rng.sample(slots, 2)
+        a["edge"], b["edge"] = b["edge"], a["edge"]
+        derive(swapped)
+
+        swapped = copy.deepcopy(code)
+        slots = swapped["crossings"][rng.randrange(len(word))]["slots"]
+        i, j = rng.sample(range(4), 2)
+        slots[i], slots[j] = slots[j], slots[i]
+        derive(swapped)
+    return records
+
+
+def test_derived_outputs_match_pinned_digest():
+    # The braid closures, parsed diagrams, derived data (arcs, faces,
+    # signs, components) and rejection messages of a fixed random sample,
+    # hashed together; the digest pins today's numbering conventions.
+    records = _pinned_records()
+    kinds = {r[0] for r in records}
+    assert {"ok", "code", "ValueError", "DiagramStructureError",
+            "DiagramPlanarityError"} <= kinds
+    assert any(
+        a["closed"] for r in records if r[0] == "ok" for a in r[2]["arcs"]
+    )
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "4d9f4b52588c93b2e6ae0248c4c7170512139357316f2a9eba1b792f75cd80d4"
+    )

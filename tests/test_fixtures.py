@@ -41,6 +41,8 @@ def test_braid_builder_rejects_bad_words():
         closed_braid_code(1, [], name="x")
     with pytest.raises(ValueError):
         closed_braid_code(3, [(0, "L")], name="x")  # column 2 untouched
+    with pytest.raises(ValueError, match="closure would split"):
+        closed_braid_code(4, [(0, "L"), (2, "L")], name="x")  # column 1 empty
     with pytest.raises(ValueError):
         closed_braid_code(2, [(5, "L")], name="x")
     with pytest.raises(ValueError):
