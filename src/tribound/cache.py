@@ -17,6 +17,7 @@ import os
 from pathlib import Path
 
 from .cochain import CochainFn, DeltaReach
+from .diagram import sha256_hex
 
 __all__ = ["default_cache_dir", "cache_path", "load_reach", "store_reach"]
 
@@ -28,10 +29,8 @@ def default_cache_dir() -> Path:
 
 
 def cache_path(f: CochainFn, directory: Path | None = None) -> Path:
-    import hashlib  # deferred: OpenSSL costs start-up time and memory
-
     directory = directory or default_cache_dir()
-    digest = hashlib.sha256(f.canonical().encode()).hexdigest()[:12]
+    digest = sha256_hex(f.canonical().encode())[:12]
     return directory / f"delta_{f.n}_{digest}.json"
 
 

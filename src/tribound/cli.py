@@ -63,6 +63,36 @@ class RunReport:
         }
 
 
+def _write_json(obj: Any, write: Callable[[str], object]) -> None:
+    """Write ``json.dumps(obj)`` and a newline through ``write``, a piece
+    at a time, so that no string of the whole report is ever built.
+
+    Dicts are walked key by key and each list item is encoded whole.
+    Brackets and separators ride with the next piece: one call per dict
+    key whose value is not itself walked, one per list item, one last.
+    """
+    write(_write_pieces(obj, write, "") + "\n")
+
+
+def _write_pieces(obj: Any, write: Callable[[str], object], head: str) -> str:
+    """Write head, then obj but for its closing brackets, which are
+    returned for the caller to put before its next piece."""
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        sep = "{"
+        for key, value in obj.items():
+            head = _write_pieces(value, write, f"{head}{sep}{json.dumps(key)}: ")
+            sep = ", "
+        return head + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        sep = "["
+        for item in obj:
+            write(f"{head}{sep}{json.dumps(item)}")
+            head, sep = "", ", "
+        return "]"
+    write(head + json.dumps(obj))
+    return ""
+
+
 def _diagram_text(path: str) -> str:
     """Text of a diagram file; bare bundled names (d1..d6) work anywhere."""
     if os.path.exists(path):
@@ -511,7 +541,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"resource cap: {exc}", file=sys.stderr)
     report.timing_s = time.perf_counter() - start
     if args.json:
-        print(json.dumps(report.to_dict()))
+        _write_json(report.to_dict(), sys.stdout.write)
     return code
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "set_outer_face",
     "validate",
     "diagram_hash",
+    "sha256_hex",
 ]
 
 
@@ -317,7 +318,21 @@ def _check_schema(obj: Any) -> None:
                 raise DiagramSyntaxError("slot 'level' must be 'over' or 'under'")
 
 
-def _structural_issues(crossings: list[Crossing]) -> list[ValidationIssue]:
+# edge id -> {"in": [...], "out": [...]}, the (crossing id, slot index)
+# of each end of the edge by direction
+_EdgeEnds = dict[int, dict[str, list[tuple[int, int]]]]
+
+
+def _edge_ends(crossings: list[Crossing]) -> _EdgeEnds:
+    """The one edge map a parse builds."""
+    ends: _EdgeEnds = {}
+    for c in crossings:
+        for k, s in enumerate(c.slots):
+            ends.setdefault(s.edge, {"in": [], "out": []})[s.direction].append((c.id, k))
+    return ends
+
+
+def _structural_issues(crossings: list[Crossing], ends: _EdgeEnds) -> list[ValidationIssue]:
     issues: list[ValidationIssue] = []
     seen_ids: set[int] = set()
     for c in crossings:
@@ -355,44 +370,31 @@ def _structural_issues(crossings: list[Crossing]) -> list[ValidationIssue]:
                     )
                 )
 
-    usage: dict[int, dict[str, list[tuple[int, int]]]] = {}
-    for c in crossings:
-        for k, s in enumerate(c.slots):
-            usage.setdefault(s.edge, {"in": [], "out": []})[s.direction].append(
-                (c.id, k)
-            )
-    for eid, ends in sorted(usage.items()):
-        total = len(ends["in"]) + len(ends["out"])
-        if total != 2 or len(ends["in"]) != 1 or len(ends["out"]) != 1:
+    for eid, d in sorted(ends.items()):
+        n_in, n_out = len(d["in"]), len(d["out"])
+        if n_in != 1 or n_out != 1:
             issues.append(
                 ValidationIssue(
                     "structure",
-                    f"edge {eid} used {total} times "
-                    f"({len(ends['out'])} out, {len(ends['in'])} in); "
+                    f"edge {eid} used {n_in + n_out} times "
+                    f"({n_out} out, {n_in} in); "
                     "expected exactly one of each",
                 )
             )
     return issues
 
 
-def _build_edges(crossings: list[Crossing]) -> list[Edge]:
-    ends: dict[int, dict[str, tuple[int, int]]] = {}
-    for c in crossings:
-        for k, s in enumerate(c.slots):
-            ends.setdefault(s.edge, {})[s.direction] = (c.id, k)
+def _build_edges(ends: _EdgeEnds) -> list[Edge]:
+    """Edges by id, from an edge map whose every edge has one end each way."""
     return [
-        Edge(id=eid, tail=d["out"], head=d["in"]) for eid, d in sorted(ends.items())
+        Edge(id=eid, tail=d["out"][0], head=d["in"][0]) for eid, d in sorted(ends.items())
     ]
 
 
-def _check_connected(crossings: list[Crossing]) -> None:
+def _check_connected(crossings: list[Crossing], edges: Iterable[Edge]) -> None:
     adjacency: dict[int, set[int]] = {c.id: set() for c in crossings}
-    by_edge: dict[int, list[int]] = {}
-    for c in crossings:
-        for s in c.slots:
-            by_edge.setdefault(s.edge, []).append(c.id)
-    for cids in by_edge.values():
-        a, b = cids
+    for e in edges:
+        a, b = e.tail[0], e.head[0]
         adjacency[a].add(b)
         adjacency[b].add(a)
     start = crossings[0].id
@@ -450,13 +452,12 @@ def trace_faces(
     numbered by it.  Raises DiagramPlanarityError if the face count
     contradicts Euler's formula for the sphere.
     """
-    crossings = list(crossings)
+    slots = {c.id: c.slots for c in crossings}
     edges = list(edges)
-    slot = {(c.id, k): s for c in crossings for k, s in enumerate(c.slots)}
     step: dict[tuple[int, int], tuple[int, int]] = {}
     for e in edges:
         for side, (cid, k) in ((0, e.head), (1, e.tail)):
-            s = slot[(cid, (k - 1) % 4)]
+            s = slots[cid][(k - 1) % 4]
             step[(e.id, side)] = (s.edge, 0 if s.direction == "out" else 1)
 
     orbits = [orbit for orbit, _ in _chains(step, step.keys())]
@@ -464,7 +465,7 @@ def trace_faces(
         raise DiagramStructureError(
             "face tracing walked into the middle of another orbit"
         )
-    expected = 2 - len(crossings) + len(edges)
+    expected = 2 - len(slots) + len(edges)
     if len(orbits) != expected:
         raise DiagramPlanarityError(
             f"face tracing found {len(orbits)} faces where Euler's "
@@ -566,12 +567,13 @@ def diagram_from_dict(obj: Mapping[str, Any]) -> Diagram:
         )
         for c in obj["crossings"]
     ]
-    issues = _structural_issues(crossings)
+    ends = _edge_ends(crossings)
+    issues = _structural_issues(crossings, ends)
     if issues:
         raise DiagramStructureError("; ".join(i.message for i in issues), issues)
     crossings = [c._replace(sign=_crossing_sign(c.slots)) for c in crossings]
-    _check_connected(crossings)
-    edges = _build_edges(crossings)
+    edges = _build_edges(ends)
+    _check_connected(crossings, edges)
     faces = trace_faces(crossings, edges)
     arcs = merge_arcs(crossings, edges)
     components = _components(crossings, edges)
@@ -638,11 +640,22 @@ def set_outer_face(d: Diagram, face: int) -> Diagram:
     return d._replace(outer_face=face)
 
 
-def diagram_hash(d: Diagram) -> str:
-    import hashlib  # deferred: OpenSSL costs start-up time and memory
+def sha256_hex(data: bytes) -> str:
+    """Hex SHA-256 of data, from CPython's built-in module where it has
+    one: ``hashlib`` loads OpenSSL, 2.4 MB of RSS in every process."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
 
+
+def diagram_hash(d: Diagram) -> str:
     blob = json.dumps(diagram_to_dict(d), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return sha256_hex(blob)
 
 
 def validate(d: Diagram) -> tuple[ValidationIssue, ...]:

@@ -57,6 +57,21 @@ def test_store_merges_levels(tmp_path, f3):
     assert cached.levels == delta_reach(f3, 3).levels
 
 
+def test_entry_names_are_pinned(tmp_path, f3, f4, f5):
+    # the names every earlier version wrote, so that a cache it filled
+    # still answers
+    names = ["delta_3_13d4eac24b84.json", "delta_4_771d316e4633.json",
+             "delta_5_aacd3cbdde8f.json"]
+    assert [cache_path(f, tmp_path).name for f in (f3, f4, f5)] == names
+    reach = delta_reach(f3, 2)
+    (tmp_path / names[0]).write_text(json.dumps({
+        "n": 3, "f": f3.canonical(), "im_delta": list(reach.im_delta),
+        "delta_levels": [list(lv) for lv in reach.levels],
+    }))
+    cached = load_reach(f3, tmp_path)
+    assert cached is not None and cached.levels == reach.levels
+
+
 def test_load_rejects_stale_content(tmp_path, f3, f4):
     path = store_reach(delta_reach(f3, 1), tmp_path)
     assert load_reach(f4, tmp_path) is None  # different function

@@ -4,9 +4,12 @@ import json
 import re
 import shlex
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tribound.cache as cache
 import tribound.cli as cli
@@ -15,7 +18,7 @@ import tribound.diagram as diagram
 import tribound.invariant as invariant
 from tribound.cli import main
 from tribound.cochain import CochainFn
-from tribound.fixtures import fixture_dict, fixture_names, load_fixture
+from tribound.fixtures import closed_braid_code, fixture_dict, fixture_names, load_fixture
 from tribound.invariant import phi_set
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -43,6 +46,109 @@ def write_fixtures(directory: Path) -> Path:
 def test_missing_subcommand_is_usage_error(capsys, tmp_path):
     code, out, _ = run(capsys, str(write_fixtures(tmp_path) / "d1.json"))
     assert code == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+def pieces(obj) -> list[str]:
+    """What the report writer passes to write, call by call."""
+    out: list[str] = []
+    cli._write_json(obj, out.append)
+    return out
+
+
+def walked(obj) -> int:
+    """The dict keys and list items the report writer reaches: it walks
+    into dicts and encodes each list item whole."""
+    if isinstance(obj, dict):
+        return len(obj) + sum(walked(v) for v in obj.values())
+    return len(obj) if isinstance(obj, list) else 0
+
+
+@given(JSON_VALUES)
+@example({})
+@example([])
+@example({"a": {}, "b": [], "c": {"d": {"e": [{}, []]}}, "f": {"g": 0}})
+@example(["\"\\\n\t\x00\u2028", "ünïcødé ✓ 😀", {"ключ": ["€"]}])
+@example({"x": [1.5, -0.0, 1e300, 2**70, -3, True, False, None]})
+@example({"a": {1: "x", None: 2.5, True: []}})  # keys json.dumps converts
+@settings(max_examples=300, deadline=None)
+def test_report_writer_matches_json_dumps(obj):
+    out = pieces(obj)
+    assert "".join(out) == json.dumps(obj) + "\n"
+    # the newline rides alone after a bare value or an empty container
+    assert len(out) <= max(walked(obj), 1) + 1
+
+
+def report_of(monkeypatch, capsys, *argv):
+    """Exit code, the report dict main hands to the writer, and stdout."""
+    seen = []
+    real = cli._write_json
+
+    def keep(obj, write):
+        seen.append(obj)
+        real(obj, write)
+
+    monkeypatch.setattr(cli, "_write_json", keep)
+    code = main([*argv, "--json"])
+    (report,) = seen
+    return code, report, capsys.readouterr().out
+
+
+def x48_weight_argv(directory: Path) -> tuple[str, ...]:
+    """weight --coloring all on a 48-crossing closure with 81 colorings:
+    a cube of one generator acts trivially on 3-colorings, so a word of
+    cubes lets the four strands take any colors."""
+    path = directory / "x48.json"
+    word = [(k % 3, "L") for k in range(16) for _ in range(3)]
+    path.write_text(json.dumps(closed_braid_code(4, word, name="x48")))
+    return ("weight", str(path), "-n", "3", "-f", "(x-y)*(y-z)*z", "-s", "0",
+            "--coloring", "all")
+
+
+def test_reports_are_written_as_json_dumps(capsys, monkeypatch, tmp_path):
+    cases = (
+        (0, x48_weight_argv(tmp_path)),
+        (0, ("certify", "d3", "d4", "-n", "5", "-f", "(x+y)^3*(y+z)*(y-z)^3*z^5",
+             "-s", "2", "--max-m", "3", "--cache", str(tmp_path / "cache"))),
+        (0, ("validate", "d3", "--emit-derived")),
+        (2, ("validate", str(tmp_path / "missing.json"))),
+    )
+    for want, argv in cases:
+        code, report, out = report_of(monkeypatch, capsys, *argv)
+        assert code == want, argv
+        assert out == json.dumps(report) + "\n", argv
+        assert len(pieces(report)) <= walked(report), argv
+
+
+def test_report_writer_holds_one_item_at_a_time(capsys, monkeypatch, tmp_path):
+    _, report, out = report_of(monkeypatch, capsys, *x48_weight_argv(tmp_path))
+    written = 0
+
+    def sink(piece):
+        nonlocal written
+        written += len(piece)
+
+    def traced_peak(call) -> int:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        writer_peak = traced_peak(lambda: cli._write_json(report, sink))
+        dumps_peak = traced_peak(lambda: json.dumps(report))
+    finally:
+        tracemalloc.stop()
+    assert written == len(out) > 250_000
+    assert writer_peak < len(out) / 4
+    assert dumps_peak > len(out)  # one string of the whole report, at least
 
 
 def test_validate_ok(capsys, tmp_path):

@@ -4,8 +4,11 @@ import copy
 import hashlib
 import json
 import random
+import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tribound.diagram import (
     DiagramConnectivityError,
@@ -18,6 +21,7 @@ from tribound.diagram import (
     diagram_to_dict,
     parse_diagram,
     set_outer_face,
+    sha256_hex,
     validate,
 )
 from tribound.fixtures import closed_braid_code
@@ -433,3 +437,24 @@ def test_derived_outputs_match_pinned_digest():
     assert hashlib.sha256(blob).hexdigest() == (
         "4d9f4b52588c93b2e6ae0248c4c7170512139357316f2a9eba1b792f75cd80d4"
     )
+
+
+@given(st.binary(max_size=300))
+def test_sha256_hex_matches_hashlib(data):
+    assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+def test_sha256_hex_falls_back_to_hashlib(monkeypatch):
+    # an interpreter built without its own SHA-256 module
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
+    calls = []
+    real = hashlib.sha256
+
+    def spy(data):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(hashlib, "sha256", spy)
+    assert sha256_hex(b"tribound") == real(b"tribound").hexdigest()
+    assert calls == [b"tribound"]

@@ -2,13 +2,13 @@
 
 Every CLI call is a fresh interpreter, so a module imported at start-up
 is paid on every call.  ``import tribound`` loads no submodule; each
-command loads the ``tribound`` modules it runs when it runs, ``hashlib``
-(OpenSSL) only where a hash is taken, ``pathlib`` only where a cache or
-fixtures directory is named, ``tribound.fixtures`` only where a bundled
-diagram is named, and ``dataclasses`` (with ``inspect``, ``ast`` and
-``dis``) nowhere.  Each call runs in a child interpreter without
-``site``, so that nothing but tribound and the probe below loads
-modules.
+command loads the ``tribound`` modules it runs when it runs, ``pathlib``
+only where a cache or fixtures directory is named, ``tribound.fixtures``
+only where a bundled diagram is named, and nowhere ``hashlib`` or its
+OpenSSL module ``_hashlib`` (hashes come from the interpreter's built-in
+SHA-256), nor ``dataclasses`` (with ``inspect``, ``ast`` and ``dis``).
+Each call runs in a child interpreter without ``site``, so that nothing
+but tribound and the probe below loads modules.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import tribound
 from tribound.fixtures import fixture_dict
 
 ROOT = Path(__file__).resolve().parents[1]
-WATCHED = ("dataclasses", "hashlib", "pathlib")
+WATCHED = ("dataclasses", "hashlib", "_hashlib", "pathlib")
 PROBE = """
 import json, sys
 import tribound.cli
@@ -63,11 +63,11 @@ COMMANDS = (
     (("weight", "d1.json", "-n", "3", "-f", F, "-s", "0", "--coloring", "all"), LAYERS),
     (
         ("delta", "-n", "3", "-f", F, "--max-m", "2"),
-        CORE | {"tribound.cochain", "tribound.cache", "hashlib", "pathlib"},
+        CORE | {"tribound.cochain", "tribound.cache", "pathlib"},
     ),
     (
         ("certify", "d1.json", "d2.json", "-n", "3", "-f", F, "-s", "0", "--max-m", "2"),
-        LAYERS | {"tribound.cache", "hashlib", "pathlib"},
+        LAYERS | {"tribound.cache", "pathlib"},
     ),
     # a bundled name still resolves, through the fixtures loaded on demand
     (("validate", "d1"), CORE | {"tribound.fixtures"}),
