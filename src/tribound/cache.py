@@ -16,10 +16,10 @@ import json
 import os
 from pathlib import Path
 
-from .cochain import CochainFn, DeltaReach
+from .cochain import DEFAULT_LEVEL_CAP, CochainFn, DeltaReach, delta_reach
 from .diagram import sha256_hex
 
-__all__ = ["default_cache_dir", "cache_path", "load_reach", "store_reach"]
+__all__ = ["default_cache_dir", "cache_path", "load_reach", "store_reach", "cached_reach"]
 
 
 def default_cache_dir() -> Path:
@@ -28,13 +28,13 @@ def default_cache_dir() -> Path:
     return base / "tribound"
 
 
-def cache_path(f: CochainFn, directory: Path | None = None) -> Path:
-    directory = directory or default_cache_dir()
+def cache_path(f: CochainFn, directory: str | Path | None = None) -> Path:
+    base = Path(directory) if directory else default_cache_dir()
     digest = sha256_hex(f.canonical().encode())[:12]
-    return directory / f"delta_{f.n}_{digest}.json"
+    return base / f"delta_{f.n}_{digest}.json"
 
 
-def load_reach(f: CochainFn, directory: Path | None = None) -> DeltaReach | None:
+def load_reach(f: CochainFn, directory: str | Path | None = None) -> DeltaReach | None:
     """Cached levels for f, or None on a miss: no entry, an entry for
     another f, or one that does not hold integer levels."""
     try:
@@ -50,7 +50,7 @@ def load_reach(f: CochainFn, directory: Path | None = None) -> DeltaReach | None
     return DeltaReach(f=f, im_delta=im_delta, levels=levels)
 
 
-def store_reach(reach: DeltaReach, directory: Path | None = None) -> Path:
+def store_reach(reach: DeltaReach, directory: str | Path | None = None) -> Path:
     """Write the cache entry for reach.f unless an entry with at least as
     many levels is there; returns the path.  Racing writers are not
     serialised: the last rename wins even with fewer levels, and a run
@@ -58,7 +58,7 @@ def store_reach(reach: DeltaReach, directory: Path | None = None) -> Path:
     path = cache_path(reach.f, directory)
     path.parent.mkdir(parents=True, exist_ok=True)
     existing = load_reach(reach.f, directory)
-    if existing is not None and existing.max_level >= reach.max_level:
+    if existing is not None and len(existing.levels) >= len(reach.levels):
         return path
     payload = {
         "n": reach.f.n,
@@ -73,3 +73,25 @@ def store_reach(reach: DeltaReach, directory: Path | None = None) -> Path:
     finally:
         tmp.unlink(missing_ok=True)
     return path
+
+
+def cached_reach(
+    f: CochainFn,
+    max_level: int,
+    directory: str | Path | None = None,
+    cap: int = DEFAULT_LEVEL_CAP,
+) -> tuple[DeltaReach, bool]:
+    """Delta_0..Delta_max_level of f, or more, and whether the cache
+    served them; a miss builds and stores them.  An entry is not served
+    for a level below 0 or past the cap, so that ``delta_reach`` rejects
+    max_level < 0 and cap < 1, and enforces the cap, warm or cold."""
+    cached = load_reach(f, directory)
+    if (
+        cached is not None
+        and 0 <= max_level < len(cached.levels)
+        and all(len(lv) <= cap for lv in cached.levels[: max_level + 1])
+    ):
+        return cached, True
+    reach = delta_reach(f, max_level, cap=cap)
+    store_reach(reach, directory)
+    return reach, False

@@ -287,50 +287,19 @@ def cmd_weight(args: argparse.Namespace, report: RunReport) -> int:
     return EXIT_OK
 
 
-def _reach_with_cache(
-    f: CochainFn,
-    max_level: int,
-    cache_dir: Path,
-    report: RunReport,
-    cap: int = DEFAULT_LEVEL_CAP,
-) -> DeltaReach:
-    """Delta_0..Delta_max_level of f (or more) from the cache, or built
-    and stored."""
-    from .cache import load_reach, store_reach
-    from .cochain import delta_reach
-
-    # a cached entry is not used for a level below 0 or when its needed
-    # levels pass the cap, so that delta_reach rejects max_level < 0 and
-    # cap < 1, and enforces the cap, warm or cold
-    cached = load_reach(f, cache_dir)
-    if (
-        cached is not None
-        and 0 <= max_level <= cached.max_level
-        and all(len(lv) <= cap for lv in cached.levels[: max_level + 1])
-    ):
-        report.cache["hits"] += 1
-        return cached
-    report.cache["misses"] += 1
-    reach = delta_reach(f, max_level, cap=cap)
-    store_reach(reach, cache_dir)
-    return reach
-
-
 def cmd_delta(args: argparse.Namespace, report: RunReport) -> int:
-    from pathlib import Path
-
-    from .cache import cache_path, default_cache_dir
+    from .cache import cache_path, cached_reach
     from .cochain import CochainFn
 
     f = CochainFn.build(args.f, args.n)
-    cache_dir = Path(args.cache) if args.cache else default_cache_dir()
-    reach = _reach_with_cache(f, args.max_m, cache_dir, report, cap=args.cap)
-    dump = cache_path(f, cache_dir)
+    reach, hit = cached_reach(f, args.max_m, args.cache, cap=args.cap)
+    report.cache["hits" if hit else "misses"] += 1
+    dump = cache_path(f, args.cache)
     report.results["f_canonical"] = f.canonical()
     report.results["im_size"] = len(reach.im_delta)
     report.results["im"] = _set_summary(reach.im_delta, dump)
     report.results["levels"] = [
-        _set_summary(reach.level(m), dump) for m in range(args.max_m + 1)
+        _set_summary(reach.levels[m], dump) for m in range(args.max_m + 1)
     ]
     report.results["cache_file"] = str(dump)
     if not args.json:
@@ -338,30 +307,30 @@ def cmd_delta(args: argparse.Namespace, report: RunReport) -> int:
         print(f"|Im(df)| = {len(reach.im_delta)}")
         _print_set("Im(df)", reach.im_delta, dump)
         for m in range(args.max_m + 1):
-            _print_set(f"Delta_{m}", reach.level(m), dump)
+            _print_set(f"Delta_{m}", reach.levels[m], dump)
     return EXIT_OK
 
 
 def cmd_certify(args: argparse.Namespace, report: RunReport) -> int:
-    from pathlib import Path
-
-    from .cache import default_cache_dir
-    from .cochain import CochainFn
-    from .coloring import _check_outer_color
+    from .cache import cached_reach
+    from .cochain import CochainFn, delta_reach
     from .diagram import parse_diagram
     from .invariant import certify_lower_bound, verify_certificate
 
     d = parse_diagram(_diagram_text(args.path_d))
     d2 = parse_diagram(_diagram_text(args.path_d2))
     f = CochainFn.build(args.f, args.n)
-    if args.max_m < 1:
-        raise ValueError(f"max_m must be >= 1, got {args.max_m}")
-    _check_outer_color(args.s, f.n)  # before any level is built or cached
-    cache_dir = Path(args.cache) if args.cache else default_cache_dir()
-    # the certifier holds Delta_0..Delta_h, h = max_m // 2, and counts the
-    # sizes above them
-    reach = _reach_with_cache(f, args.max_m // 2, cache_dir, report)
-    cert = certify_lower_bound(d, d2, args.s, f, args.max_m, reach=reach)
+
+    def levels(f: CochainFn, h: int) -> DeltaReach:
+        try:
+            reach, hit = cached_reach(f, h, args.cache)
+        except OSError as exc:  # a cache that cannot be written is a miss
+            print(f"warning: cache not written: {exc}", file=sys.stderr)
+            reach, hit = delta_reach(f, h), False
+        report.cache["hits" if hit else "misses"] += 1
+        return reach
+
+    cert = certify_lower_bound(d, d2, args.s, f, args.max_m, levels=levels)
     report.results["certificate"] = cert.to_dict()
     report.results["verified"] = verify_certificate(cert, d, d2)
     if not args.json:

@@ -661,14 +661,6 @@ class DeltaReach(NamedTuple):
     im_delta: tuple[int, ...]
     levels: tuple[tuple[int, ...], ...]
 
-    @property
-    def max_level(self) -> int:
-        """L, the highest level built."""
-        return len(self.levels) - 1
-
-    def level(self, m: int) -> tuple[int, ...]:
-        return self.levels[m]
-
 
 def delta_reach(f: CochainFn, max_m: int, cap: int = DEFAULT_LEVEL_CAP) -> DeltaReach:
     """Delta_0 = {0}; Delta_m = Delta_{m-1} + (+/- Im df), each sorted.

@@ -640,17 +640,25 @@ def set_outer_face(d: Diagram, face: int) -> Diagram:
     return d._replace(outer_face=face)
 
 
+# the SHA-256 constructor, found on the first hash: a failed import is
+# retried on every call, about 0.1 ms each
+_SHA256: Any = None
+
+
 def sha256_hex(data: bytes) -> str:
     """Hex SHA-256 of data, from CPython's built-in module where it has
     one: ``hashlib`` loads OpenSSL, 2.4 MB of RSS in every process."""
-    try:
-        from _sha2 import sha256  # Python 3.12+
-    except ImportError:
+    global _SHA256
+    if _SHA256 is None:
         try:
-            from _sha256 import sha256  # Python 3.10-3.11
+            from _sha2 import sha256  # Python 3.12+
         except ImportError:
-            from hashlib import sha256
-    return sha256(data).hexdigest()
+            try:
+                from _sha256 import sha256  # Python 3.10-3.11
+            except ImportError:
+                from hashlib import sha256
+        _SHA256 = sha256
+    return _SHA256(data).hexdigest()
 
 
 def diagram_hash(d: Diagram) -> str:

@@ -28,7 +28,6 @@ from .cochain import (
 )
 from .coloring import (
     _check_outer_color,
-    Coloring,
     ExtendedColoring,
     enumerate_colorings,
     extend_coloring,
@@ -268,7 +267,7 @@ def certify_lower_bound(
     s: int,
     f: CochainFn,
     max_m: int,
-    reach: DeltaReach | None = None,
+    levels: Callable[[CochainFn, int], DeltaReach] | None = None,
 ) -> BoundCertificate:
     """Best obstruction over all non-trivial colorings of d.
 
@@ -279,37 +278,36 @@ def certify_lower_bound(
     this choice of f certifies nothing for the pair.
 
     Only the half levels Delta_0..Delta_h, h = ceil((max_m - 1) / 2), are
-    held: from ``reach`` if given, which may hold more levels, else
-    built by ``delta_reach``.  A level k <= h is looked up directly; a
-    higher one is met in the middle, Delta_k = Delta_h + Delta_k-h.  The
-    size |Delta_k| of each level h < k < max_m is ``sumset_size`` of the
-    same split, taken before any coloring is scored, whether the half
-    levels were supplied or built; a size past ``DEFAULT_LEVEL_CAP``
+    held.  ``levels(f, h)``, by default ``delta_reach``, gives them and
+    may give more; it is called once, after max_m and s are checked.  A
+    level k <= h is looked up directly; a higher one is met in the
+    middle, Delta_k = Delta_h + Delta_k-h.  The size |Delta_k| of each
+    level h < k < max_m is ``sumset_size`` of the same split, taken
+    before any coloring is scored; a size past ``DEFAULT_LEVEL_CAP``
     raises ResourceCapExceeded.
     """
     if max_m < 1:
         raise ValueError(f"max_m must be >= 1, got {max_m}")
-    _check_outer_color(s, f.n)  # before any level is built
+    _check_outer_color(s, f.n)  # before any level is asked for
     h = max_m // 2  # = ceil((max_m - 1) / 2)
-    if reach is None:
-        reach = delta_reach(f, h)
-    elif reach.max_level < h:
+    # the default is looked up here, so that a replaced delta_reach is used
+    held = (levels or delta_reach)(f, h).levels[: h + 1]
+    if len(held) <= h:
         raise ValueError(
-            f"supplied levels reach Delta_{reach.max_level}, need Delta_{h}"
+            f"supplied levels reach Delta_{len(held) - 1}, need Delta_{h}"
         )
-    levels = reach.levels[: h + 1]
-    sizes = tuple(map(len, levels)) + tuple(
-        sumset_size(levels[h], levels[k - h], DEFAULT_LEVEL_CAP)
+    sizes = tuple(map(len, held)) + tuple(
+        sumset_size(held[h], held[k - h], DEFAULT_LEVEL_CAP)
         for k in range(h + 1, max_m)
     )
     phi = phi_set(d2, s, f)
     phi_vals = set(phi.values)
-    halves = [set(lv) for lv in levels]
+    halves = [set(lv) for lv in held]
 
     def hits(diffs: set[int], k: int) -> set[int]:
         if k <= h:
             return diffs & halves[k]
-        return _meet(diffs, halves[h], levels[k - h])
+        return _meet(diffs, halves[h], held[k - h])
 
     # (m, coloring id, arc colors, W, verdicts, first hit) of the winner
     best: tuple[int, int | None, tuple[int, ...] | None, int | None, list[str], int | None]
@@ -385,15 +383,11 @@ def verify_certificate(
             and cert.first_hit_level is None
             and not any(not is_trivial(c) for c in enumerate_colorings(d, cert.n))
         )
-    if cert.coloring is None or cert.w is None:
-        return False
-    col = Coloring(n=cert.n, arc_colors=cert.coloring)
     colorings = enumerate_colorings(d, cert.n)
-    if cert.coloring_id is None or cert.coloring_id >= len(colorings):
+    if cert.coloring_id is None or not 0 <= cert.coloring_id < len(colorings):
         return False
-    if colorings[cert.coloring_id].arc_colors != cert.coloring:
-        return False
-    if is_trivial(col):
+    col = colorings[cert.coloring_id]
+    if col.arc_colors != cert.coloring or is_trivial(col):
         return False
     w = weight(d, extend_coloring(d, col, cert.s), f).value
     if w != cert.w:

@@ -75,7 +75,7 @@ def test_criterion_1_delta_table():
 def test_criterion_2_delta1_set():
     with criterion("2. Delta_1 = {0,±1,±2,±4,±5,±7,±8,±11} for n=3", 1.0):
         f3 = CochainFn.build("(x-y)*(y-z)*z", 3)
-        assert delta_reach(f3, 1).level(1) == EXPECTED["delta1_n3"]
+        assert delta_reach(f3, 1).levels[1] == EXPECTED["delta1_n3"]
 
 
 def test_criterion_3_image_sizes():

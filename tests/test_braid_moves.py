@@ -84,4 +84,4 @@ def test_type_three_move_certifies_at_most_one(case, data):
     reach = six_term_reach(f)
     for a, b in ((d, d2), (d2, d)):
         assert certify_lower_bound(a, b, s, f, 2).m <= 1
-        assert certify_lower_bound(a, b, s, f, 2, reach=reach).m <= 1
+        assert certify_lower_bound(a, b, s, f, 2, levels=lambda f, h: reach).m <= 1

@@ -5,13 +5,16 @@ import multiprocessing
 import threading
 import time
 
+import pytest
+
 from tribound.cache import (
     cache_path,
+    cached_reach,
     default_cache_dir,
     load_reach,
     store_reach,
 )
-from tribound.cochain import delta_reach
+from tribound.cochain import ResourceCapExceeded, delta_reach
 
 
 def test_env_override(monkeypatch, tmp_path):
@@ -20,6 +23,13 @@ def test_env_override(monkeypatch, tmp_path):
     monkeypatch.delenv("XDG_CACHE_HOME")
     monkeypatch.setenv("HOME", str(tmp_path / "home"))
     assert default_cache_dir() == tmp_path / "home" / ".cache" / "tribound"
+
+
+def test_cache_path_takes_the_option_string(monkeypatch, tmp_path, f3):
+    # --cache arrives as a string, or None when not given
+    assert cache_path(f3, str(tmp_path)) == cache_path(f3, tmp_path)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert cache_path(f3).parent == cache_path(f3, None).parent == default_cache_dir()
 
 
 def test_store_load_round_trip(tmp_path, f3):
@@ -39,7 +49,7 @@ def test_store_never_shrinks(tmp_path, f3):
     store_reach(delta_reach(f3, 2), tmp_path)
     store_reach(delta_reach(f3, 1), tmp_path)
     cached = load_reach(f3, tmp_path)
-    assert cached is not None and cached.max_level == 2
+    assert cached is not None and len(cached.levels) == 3
 
 
 def test_store_merges_levels(tmp_path, f3):
@@ -131,8 +141,8 @@ def _store_then_load(f, directory, depth, rounds):
         except ValueError as exc:
             bad.append(repr(exc))
         got = load_reach(f, directory)
-        if got is not None and got.levels != want.get(got.max_level):
-            bad.append(got.max_level)
+        if got is not None and got.levels != want.get(len(got.levels) - 1):
+            bad.append(len(got.levels) - 1)
     return bad
 
 
@@ -144,3 +154,38 @@ def test_concurrent_writer_processes(tmp_path, f3):
     store_reach(delta_reach(f3, 2), tmp_path)
     cached = load_reach(f3, tmp_path)
     assert cached is not None and cached.levels == delta_reach(f3, 2).levels
+
+
+def test_cached_reach_serves_entries_holding_the_levels(tmp_path, f3):
+    directory = str(tmp_path)
+    reach, hit = cached_reach(f3, 1, directory)
+    assert not hit and reach.levels == delta_reach(f3, 1).levels
+    for level in (0, 1):
+        again, hit = cached_reach(f3, level, directory)
+        assert hit and again.levels == reach.levels  # the whole entry
+    deeper, hit = cached_reach(f3, 2, directory)  # Delta_2 is not held
+    assert not hit and deeper.levels == delta_reach(f3, 2).levels
+    assert len(load_reach(f3, directory).levels) == 3
+
+
+def test_cached_reach_checks_level_and_cap_warm_as_cold(tmp_path, f3):
+    # |Delta_2| = 39; the warm directory holds Delta_0..Delta_2, and the
+    # cold one stays empty, as nothing is stored when the build fails
+    warm, cold = tmp_path / "warm", tmp_path / "cold"
+    cached_reach(f3, 2, warm)
+    for directory in (warm, cold):
+        with pytest.raises(ValueError, match=r"^max_m must be >= 0, got -1$"):
+            cached_reach(f3, -1, directory)
+        with pytest.raises(ValueError, match=r"^cap must be >= 1, got 0$"):
+            cached_reach(f3, 0, directory, cap=0)
+        with pytest.raises(ResourceCapExceeded):
+            cached_reach(f3, 2, directory, cap=38)
+    assert not cold.exists()
+    assert cached_reach(f3, 2, warm, cap=39)[1]
+
+
+def test_cached_reach_raises_when_the_store_fails(tmp_path, f3):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(NotADirectoryError):
+        cached_reach(f3, 1, blocker / "c")

@@ -151,6 +151,60 @@ def test_report_writer_holds_one_item_at_a_time(capsys, monkeypatch, tmp_path):
     assert dumps_peak > len(out)  # one string of the whole report, at least
 
 
+PINNED_TEXT = (
+    (
+        'certify d1 d2 -n 3 -f "(x-y)*(y-z)*z" -s 0 --max-m 2',
+        "pair (d1, d2), n=3, s=0\n"
+        "  level 0: empty intersection\n"
+        "  level 1: empty intersection\n"
+        "certified: at least 2 type-III move(s)\n"
+        "re-verification: ok\n",
+    ),
+    (
+        'weight d1 -n 3 -f "(x-y)*(y-z)*z" -s 0',
+        "  coloring #0   W = 0 (trivial)\n"
+        "  coloring #1   W = 2\n"
+        "  coloring #2   W = -2\n"
+        "  coloring #3   W = -8\n"
+        "  coloring #4   W = 0 (trivial)\n"
+        "  coloring #5   W = -4\n"
+        "  coloring #6   W = -1\n"
+        "  coloring #7   W = -5\n"
+        "  coloring #8   W = 0 (trivial)\n"
+        "Phi(d1, 0) = {-8, -5, -4, -2, -1, 2}\n",
+    ),
+    (
+        "colorings d1 -n 3 --outer-color 0",
+        "d1: 9 coloring(s) over Z(3)\n"
+        "  #0   arcs: 0 0 0 (trivial)  regions: 0 0 0 0 0\n"
+        "  #1   arcs: 0 1 2  regions: 0 0 2 1 2\n"
+        "  #2   arcs: 0 2 1  regions: 0 0 1 2 1\n"
+        "  #3   arcs: 1 0 2  regions: 0 2 0 2 1\n"
+        "  #4   arcs: 1 1 1 (trivial)  regions: 0 2 2 0 0\n"
+        "  #5   arcs: 1 2 0  regions: 0 2 1 1 2\n"
+        "  #6   arcs: 2 0 1  regions: 0 1 0 1 2\n"
+        "  #7   arcs: 2 1 0  regions: 0 1 2 2 1\n"
+        "  #8   arcs: 2 2 2 (trivial)  regions: 0 1 1 0 0\n",
+    ),
+    (
+        'delta -n 3 -f "(x-y)*(y-z)*z" --max-m 1',
+        "f = x*y*z - x*z^2 - y^2*z + y*z^2  over Z(3)\n"
+        "|Im(df)| = 13\n"
+        "Im(df): {-8, -7, -5, -4, -2, -1, 0, 1, 2, 4, 5, 7, 11}\n"
+        "Delta_0: {0}\n"
+        "Delta_1: {-11, -8, -7, -5, -4, -2, -1, 0, 1, 2, 4, 5, 7, 8, 11}\n",
+    ),
+)
+
+
+@pytest.mark.parametrize("line, want", PINNED_TEXT, ids=lambda v: v.split()[0])
+def test_text_output_pinned(capsys, monkeypatch, tmp_path, line, want):
+    # cold and warm on the default cache directory
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    for _ in range(2):
+        assert run(capsys, *shlex.split(line)) == (0, want, "")
+
+
 def test_validate_ok(capsys, tmp_path):
     code, out, _ = run(
         capsys, "validate", str(write_fixtures(tmp_path) / "d1.json")
@@ -602,6 +656,32 @@ def test_certify_treats_malformed_cache_as_miss(capsys, tmp_path):
         assert code == 0
         assert warm["cache"] == {"hits": 0, "misses": 1}
         assert warm["results"] == cold["results"]
+
+
+def test_certify_treats_unwritable_cache_as_miss(capsys, monkeypatch, tmp_path):
+    # the cache is an optimisation: a store that fails costs one line on
+    # stderr, not the certificate; delta reports the file it could not
+    # write and fails
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ("certify", "d1", "d2", "-n", "3", "-f", "(x-y)*(y-z)*z",
+            "-s", "0", "--max-m", "2")
+    code, good, _ = run_json(capsys, *argv, "--cache", str(tmp_path / "c"))
+    assert code == 0 and good["cache"] == {"hits": 0, "misses": 1}
+    text = run(capsys, *argv, "--cache", str(tmp_path / "c"))
+    assert text[0] == 0 and text[2] == ""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    for cache_args in (("--cache", str(blocker / "c")), ()):
+        for _ in range(2):  # nothing was stored, so both are misses
+            code, report, err = run_json(capsys, *argv, *cache_args)
+            assert code == 0 and report["cache"] == {"hits": 0, "misses": 1}
+            assert report["results"] == good["results"]
+            assert err.startswith("warning: cache not written: [Errno 20]")
+            assert err.count("\n") == 1
+            assert run(capsys, *argv, *cache_args) == (*text[:2], err)
+        code, _, err = run(capsys, "delta", "-n", "3", "-f", "(x-y)*(y-z)*z",
+                           *cache_args)
+        assert code == 2 and err.startswith("error: [Errno 20] Not a directory")
 
 
 def test_certify_max_m_zero(capsys, tmp_path):

@@ -326,9 +326,9 @@ def test_image_delta_matches_delta_f(f_str):
 
 def test_delta_levels_n3(f3):
     reach = delta_reach(f3, 2)
-    assert reach.level(0) == (0,)
-    assert reach.level(1) == EXPECTED["delta1_n3"]
-    assert 22 in reach.level(2)  # 11 + 11
+    assert reach.levels[0] == (0,)
+    assert reach.levels[1] == EXPECTED["delta1_n3"]
+    assert 22 in reach.levels[2]  # 11 + 11
 
 
 def test_levels_symmetric_and_nested(f3, f4):
@@ -460,7 +460,7 @@ def test_sumset_size_sparse_matches_sumset(a, b, small, budget):
 def test_sumset_size_counts_paper_levels(f5):
     # |Delta_2| = |Delta_1 + Delta_1| on the sparse path, one range or many
     reach = delta_reach(f5, 1)
-    level1 = reach.level(1)
+    level1 = reach.levels[1]
     assert sumset_size(level1, level1) == 238689
     with mock.patch.multiple(cochain, PAIR_BUDGET=1000, PAIRS_PER_VALUE=0):
         assert sumset_size(level1, level1) == 238689
@@ -527,7 +527,7 @@ def test_sumset_size_forms_each_unordered_sum_once(values):
 def test_sumset_size_working_set(f5):
     # |Delta_1 + Delta_1| = 238689 for the d3/d4 function at n = 5: the
     # sets of sums in hand stay within a pair budget of 8 * 701 pairs
-    level1 = delta_reach(f5, 1).level(1)
+    level1 = delta_reach(f5, 1).levels[1]
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -555,7 +555,7 @@ def test_set_loop_memory_cap(f5, monkeypatch):
     # well below the cardinality cap
     per = cochain.SET_BYTES_PER_VALUE
     monkeypatch.setattr(cochain, "SET_BYTES_CAP", 701 * per)
-    assert len(delta_reach(f5, 1).level(1)) == 701
+    assert len(delta_reach(f5, 1).levels[1]) == 701
     monkeypatch.setattr(cochain, "SET_BYTES_CAP", 700 * per)
     with pytest.raises(ResourceCapExceeded, match="past 700 values.*memory cap"):
         delta_reach(f5, 1)

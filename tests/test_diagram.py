@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tribound.diagram as diagram
 from tribound.diagram import (
     DiagramConnectivityError,
     DiagramError,
@@ -448,6 +449,7 @@ def test_sha256_hex_falls_back_to_hashlib(monkeypatch):
     # an interpreter built without its own SHA-256 module
     for name in ("_sha2", "_sha256"):
         monkeypatch.setitem(sys.modules, name, None)
+    monkeypatch.setattr(diagram, "_SHA256", None)  # found again on this call
     calls = []
     real = hashlib.sha256
 

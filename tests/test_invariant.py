@@ -364,7 +364,7 @@ def test_subsearch_never_beats_full_search(diagrams, f3):
         diffs = {w - v for v in phi}
         m = 0
         for i in range(2):
-            if diffs & set(reach.level(i)):
+            if diffs & set(reach.levels[i]):
                 break
             m += 1
         assert m <= full.m
@@ -465,6 +465,49 @@ def test_verification_rejects_tampering(diagrams, f3, f5, f4):
             assert not verify_certificate(cert._replace(m=m), d, d2)
 
 
+def test_verifier_rejects_tampered_colorings(diagrams, f3):
+    # each certificate below is consistent in every field but the one
+    # tampered with: W and the level verdicts are recomputed here for
+    # the coloring it carries, from Delta_0..Delta_max_m-1 in full
+    import tribound.invariant as invariant
+
+    d, d2 = diagrams["d1"], diagrams["d2"]
+    cert = certify_lower_bound(d, d2, 0, f3, 2)
+    levels = delta_reach(f3, cert.max_m - 1).levels
+    cols = enumerate_colorings(d, 3)
+
+    def scored(cid, col):
+        w = weight(d, extend_coloring(d, col, 0), f3).value
+        m, verdicts, first_hit = invariant._levels_clear(
+            {w - v for v in cert.phi}, cert.max_m,
+            lambda diffs, k: diffs & set(levels[k]),
+        )
+        return cert._replace(
+            coloring_id=cid, coloring=col.arc_colors, w=w, m=m,
+            level_verdicts=tuple(verdicts), first_hit_level=first_hit,
+        )
+
+    assert [is_trivial(c) for c in cols].count(False) == 6
+    for cid, col in enumerate(cols):  # the construction itself verifies
+        assert verify_certificate(scored(cid, col), d, d2) != is_trivial(col)
+    assert scored(cert.coloring_id, cols[cert.coloring_id]) == cert
+    other = 2 if cert.coloring_id != 2 else 1
+    for tampered in (
+        cert._replace(coloring=None),
+        cert._replace(w=None),
+        cert._replace(coloring_id=None),
+        cert._replace(coloring_id=len(cols)),
+        scored(cert.coloring_id - len(cols), cols[cert.coloring_id]),
+        scored(cert.coloring_id, cols[other]),  # a valid coloring, not #id
+        scored(0, cols[0]),  # trivial, with its own id
+        cert._replace(
+            m=0, level_verdicts=(invariant._NO_COLORING,),
+            first_hit_level=None, no_nontrivial_coloring=True,
+        ),
+    ):
+        assert not verify_certificate(tampered, d, d2), tampered
+
+
 def test_verifier_builds_only_half_levels(diagrams, f5, monkeypatch):
     import tribound.invariant as invariant
 
@@ -478,22 +521,48 @@ def test_verifier_builds_only_half_levels(diagrams, f5, monkeypatch):
     monkeypatch.setattr(invariant, "delta_reach", spy)
     for max_m in (1, 2, 3):
         reach = delta_reach(f5, max_m - 1)
-        cert = certify_lower_bound(d, d2, 2, f5, max_m, reach=reach)
+        cert = certify_lower_bound(
+            d, d2, 2, f5, max_m, levels=lambda f, h: reach
+        )
         asked.clear()
         assert verify_certificate(cert, d, d2)
         assert asked and max(asked) <= math.ceil((max_m - 1) / 2)
 
 
-def test_certify_rejects_outer_color_before_levels(diagrams, f5, monkeypatch):
-    import tribound.invariant as invariant
+def test_certify_rejects_outer_color_before_levels(diagrams, f5):
+    def no_levels(f, h):
+        raise AssertionError("levels asked for an outer color out of range")
 
-    def no_levels(*args, **kwargs):
-        raise AssertionError("levels built for an outer color out of range")
-
-    monkeypatch.setattr(invariant, "delta_reach", no_levels)
     for s in (-1, 5, 9):
         with pytest.raises(ValueError, match=rf"^outer color {s} not in Z\(5\)$"):
-            certify_lower_bound(diagrams["d3"], diagrams["d4"], s, f5, 3)
+            certify_lower_bound(
+                diagrams["d3"], diagrams["d4"], s, f5, 3, levels=no_levels
+            )
+    with pytest.raises(ValueError, match=r"^max_m must be >= 1, got 0$"):
+        certify_lower_bound(
+            diagrams["d3"], diagrams["d4"], 2, f5, 0, levels=no_levels
+        )
+
+
+def test_certify_asks_for_its_half_levels_once(diagrams, f3, monkeypatch):
+    # h = ceil((max_m - 1) / 2), from the given source or, looked up at
+    # call time, from delta_reach
+    import tribound.invariant as invariant
+
+    d, d2 = diagrams["d1"], diagrams["d2"]
+    asked: list[int] = []
+
+    def source(f, h):
+        asked.append(h)
+        return delta_reach(f, h)
+
+    monkeypatch.setattr(invariant, "delta_reach", source)
+    for max_m in range(1, 6):
+        for levels in (source, None):
+            asked.clear()
+            cert = certify_lower_bound(d, d2, 0, f3, max_m, levels=levels)
+            assert asked == [max_m // 2] == [math.ceil((max_m - 1) / 2)]
+            assert verify_certificate(cert, d, d2)
 
 
 def test_verifier_rejects_levels_missing_hits(diagrams, f3):
@@ -509,13 +578,13 @@ def test_verifier_rejects_levels_missing_hits(diagrams, f3):
     diffs = {good.w - v for v in good.phi}
     reach = delta_reach(f3, 1)
     level1 = tuple(
-        b for b in reach.level(1)
-        if not any(dd - b in reach.level(1) for dd in diffs)
+        b for b in reach.levels[1]
+        if not any(dd - b in reach.levels[1] for dd in diffs)
     )
     assert level1 == (0, 4, 7, 8, 11)
     bad = DeltaReach(f=f3, im_delta=reach.im_delta,
-                     levels=(reach.level(0), level1))
-    cert = certify_lower_bound(d, d2, 0, f3, 3, reach=bad)
+                     levels=(reach.levels[0], level1))
+    cert = certify_lower_bound(d, d2, 0, f3, 3, levels=lambda f, h: bad)
     assert cert.m == 3 and cert.first_hit_level is None
     assert not verify_certificate(cert, d, d2)
     assert not verify_certificate(
@@ -537,19 +606,21 @@ def test_certify_counts_sizes_under_the_level_cap(diagrams, f3, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(invariant, "DEFAULT_LEVEL_CAP", 38)
         m.setattr(invariant, "phi_set", no_scoring)
-        for reach in (None, warm):
+        for levels in (None, lambda f, h: warm):
             with pytest.raises(
                 ResourceCapExceeded,
                 match=r"^sumset grew past the cardinality cap 38$",
             ):
-                certify_lower_bound(d, d2, 0, f3, 3, reach=reach)
+                certify_lower_bound(d, d2, 0, f3, 3, levels=levels)
     monkeypatch.setattr(invariant, "DEFAULT_LEVEL_CAP", 39)
-    for reach in (None, warm):
-        cert = certify_lower_bound(d, d2, 0, f3, 3, reach=reach)
+    for levels in (None, lambda f, h: warm):
+        cert = certify_lower_bound(d, d2, 0, f3, 3, levels=levels)
         assert cert.delta_level_sizes == (1, 15, 39) and cert.m == 2
     # supplied levels must reach Delta_h
     with pytest.raises(ValueError, match=r"^supplied levels reach Delta_0, need Delta_1$"):
-        certify_lower_bound(d, d2, 0, f3, 3, reach=delta_reach(f3, 0))
+        certify_lower_bound(
+            d, d2, 0, f3, 3, levels=lambda f, h: delta_reach(f3, 0)
+        )
 
 
 def test_all_emitted_certificates_reverify(diagrams, f3, f5, f4, rng):
