@@ -21,7 +21,7 @@ _SOURCES = {
         ("coloring", ("Coloring", "ExtendedColoring", "quandle_star",
                       "enumerate_colorings", "is_trivial", "extend_coloring")),
         ("cochain", ("CochainFn", "DeltaReach", "parse_poly", "canonical_str",
-                     "check_sharp", "delta_f", "image_delta", "delta_reach")),
+                     "delta_f", "image_delta", "delta_reach")),
         ("invariant", ("PhiSet", "BoundCertificate", "crossing_triple",
                        "weight", "phi_set", "w4_formula",
                        "certify_lower_bound", "verify_certificate")),

@@ -7,7 +7,8 @@ machine-readable report with stable field names.
 
 Exit codes: 0 success/valid, 1 usage error, 2 validation/parse error,
 3 reproduction mismatch, 4 resource cap exceeded, 5 certification found
-no obstruction (m = 0).
+no obstruction (m = 0), 141 stdout closed by its reader before the
+output was written in full (as a shell reports a death by SIGPIPE).
 
 Every call is a fresh interpreter, so each command imports the modules
 it runs when it runs: ``validate`` loads only ``diagram``, which also
@@ -23,6 +24,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator
 from typing import TYPE_CHECKING, Any, Callable
 
 from .diagram import DEFAULT_LEVEL_CAP, DiagramError, ResourceCapExceeded
@@ -40,6 +42,7 @@ EXIT_INVALID = 2
 EXIT_MISMATCH = 3
 EXIT_RESOURCE = 4
 EXIT_NO_BOUND = 5
+EXIT_BROKEN_PIPE = 141
 
 _INLINE_SET_LIMIT = 64
 
@@ -49,16 +52,19 @@ class RunReport:
         self.command = command
         self.inputs = inputs
         self.results: dict[str, Any] = {}
-        self.timing_s = 0.0
+        self.start = time.perf_counter()
         self.cache = {"hits": 0, "misses": 0}
 
     def to_dict(self) -> dict[str, Any]:
+        """The report for ``_write_json``: ``timing_s`` is read when the
+        writer reaches it, after any results that are produced as they
+        are written."""
         return {
             "schema": 1,
             "command": self.command,
             "inputs": self.inputs,
             "results": self.results,
-            "timing_s": round(self.timing_s, 6),
+            "timing_s": lambda: round(time.perf_counter() - self.start, 6),
             "cache": self.cache,
         }
 
@@ -67,9 +73,12 @@ def _write_json(obj: Any, write: Callable[[str], object]) -> None:
     """Write ``json.dumps(obj)`` and a newline through ``write``, a piece
     at a time, so that no string of the whole report is ever built.
 
-    Dicts are walked key by key and each list item is encoded whole.
-    Brackets and separators ride with the next piece: one call per dict
-    key whose value is not itself walked, one per list item, one last.
+    Dicts are walked key by key and each list item is encoded whole.  An
+    iterator, as a dict value or the whole of obj, is written as a list,
+    item by item as it yields them, and a zero-argument callable as
+    what it returns when the writer reaches it.  Brackets and separators
+    ride with the next piece: one call per dict key whose value is not
+    itself walked, one per list item, one last.
     """
     write(_write_pieces(obj, write, "") + "\n")
 
@@ -77,18 +86,22 @@ def _write_json(obj: Any, write: Callable[[str], object]) -> None:
 def _write_pieces(obj: Any, write: Callable[[str], object], head: str) -> str:
     """Write head, then obj but for its closing brackets, which are
     returned for the caller to put before its next piece."""
+    if callable(obj):
+        obj = obj()
     if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
         sep = "{"
         for key, value in obj.items():
             head = _write_pieces(value, write, f"{head}{sep}{json.dumps(key)}: ")
             sep = ", "
         return head + "}"
-    if isinstance(obj, (list, tuple)) and obj:
+    if isinstance(obj, (list, tuple, Iterator)):
         sep = "["
         for item in obj:
             write(f"{head}{sep}{json.dumps(item)}")
             head, sep = "", ", "
-        return "]"
+        if sep == ", ":
+            return "]"
+        obj = []  # it held no item
     write(head + json.dumps(obj))
     return ""
 
@@ -180,35 +193,48 @@ def cmd_validate(args: argparse.Namespace, report: RunReport) -> int:
 
 
 def cmd_colorings(args: argparse.Namespace, report: RunReport) -> int:
-    from .coloring import enumerate_colorings, extend_coloring, is_trivial
+    from .coloring import (
+        _check_outer_color,
+        enumerate_colorings,
+        extend_coloring,
+        is_trivial,
+    )
     from .diagram import parse_diagram
 
     d = parse_diagram(_diagram_text(args.path))
     cols = enumerate_colorings(d, args.n)
-    rows = []
-    for cid, c in enumerate(cols):
-        if args.nontrivial_only and is_trivial(c):
-            continue
-        row: dict[str, Any] = {
-            "id": cid,
-            "trivial": is_trivial(c),
-            "arc_colors": [[a.id, c.arc_colors[a.id]] for a in d.arcs],
-        }
-        if args.outer_color is not None:
-            ec = extend_coloring(d, c, args.outer_color)
-            row["region_colors"] = [
-                [f.id, ec.region_colors[f.id]] for f in d.faces
-            ]
-        rows.append(row)
+    if args.outer_color is not None:
+        _check_outer_color(args.outer_color, args.n)
+    listed = [
+        cid for cid, c in enumerate(cols)
+        if not (args.nontrivial_only and is_trivial(c))
+    ]
+
+    def rows() -> Iterator[dict[str, Any]]:
+        """One row per listed coloring, built as the report reaches it."""
+        for cid in listed:
+            c = cols[cid]
+            row: dict[str, Any] = {
+                "id": cid,
+                "trivial": is_trivial(c),
+                "arc_colors": [[a.id, c.arc_colors[a.id]] for a in d.arcs],
+            }
+            if args.outer_color is not None:
+                ec = extend_coloring(d, c, args.outer_color)
+                row["region_colors"] = [
+                    [f.id, ec.region_colors[f.id]] for f in d.faces
+                ]
+            yield row
+
     report.results["count_total"] = len(cols)
-    report.results["count_listed"] = len(rows)
-    report.results["colorings"] = rows
+    report.results["count_listed"] = len(listed)
+    report.results["colorings"] = rows()
     if not args.json:
         print(
             f"{d.name}: {len(cols)} coloring(s) over Z({args.n})"
-            + (f", {len(rows)} listed" if args.nontrivial_only else "")
+            + (f", {len(listed)} listed" if args.nontrivial_only else "")
         )
-        for row in rows:
+        for row in report.results["colorings"]:
             vec = " ".join(str(v) for _, v in row["arc_colors"])
             extra = ""
             if "region_colors" in row:
@@ -222,16 +248,21 @@ def cmd_colorings(args: argparse.Namespace, report: RunReport) -> int:
 
 def cmd_weight(args: argparse.Namespace, report: RunReport) -> int:
     from .cochain import CochainFn
-    from .coloring import enumerate_colorings, extend_coloring, is_trivial
+    from .coloring import (
+        _check_outer_color,
+        enumerate_colorings,
+        extend_coloring,
+        is_trivial,
+    )
     from .diagram import parse_diagram
     from .invariant import PhiSet, weight
 
     d = parse_diagram(_diagram_text(args.path))
     f = CochainFn.build(args.f, args.n)
     cols = enumerate_colorings(d, args.n)
-    wanted: list[int]
+    wanted: range | list[int]
     if args.coloring == "all":
-        wanted = list(range(len(cols)))
+        wanted = range(len(cols))
     else:
         try:
             idx = int(args.coloring)
@@ -245,14 +276,19 @@ def cmd_weight(args: argparse.Namespace, report: RunReport) -> int:
                 f"coloring id {idx} out of range (0..{len(cols) - 1})"
             )
         wanted = [idx]
-    rows = []
-    for cid in wanted:
-        ec = extend_coloring(d, cols[cid], args.s)
-        wv = weight(d, ec, f)
-        rows.append(
-            {
+    _check_outer_color(args.s, args.n)
+    nontrivial: list[tuple[int, int]] = []  # (id, W), filled by rows()
+
+    def rows() -> Iterator[dict[str, Any]]:
+        """One row per wanted coloring, built as the report reaches it."""
+        for cid in wanted:
+            trivial = is_trivial(cols[cid])
+            wv = weight(d, extend_coloring(d, cols[cid], args.s), f)
+            if not trivial:
+                nontrivial.append((cid, wv.value))
+            yield {
                 "id": cid,
-                "trivial": is_trivial(cols[cid]),
+                "trivial": trivial,
                 "w": wv.value,
                 "per_crossing": [
                     {
@@ -261,28 +297,29 @@ def cmd_weight(args: argparse.Namespace, report: RunReport) -> int:
                         "s": t.s,
                         "a": t.a,
                         "b": t.b,
-                        "term": t.contribution(f),
+                        "term": term,
                     }
-                    for t in wv.per_crossing
+                    for t, term in zip(wv.per_crossing, wv.terms)
                 ],
             }
-        )
-    report.results["weights"] = rows
-    if args.coloring == "all":
-        phi = PhiSet.from_weights(
-            d.name, args.s, args.n,
-            ((row["id"], row["w"]) for row in rows if not row["trivial"]),
-        )
-        report.results["phi"] = {
-            "values": list(phi.values),
-            "witnesses": {str(v): list(ids) for v, ids in phi.witnesses.items()},
+
+    def phi() -> dict[str, Any]:
+        """Phi of the rows' weights: call it after the last row."""
+        p = PhiSet.from_weights(d.name, args.s, args.n, nontrivial)
+        return {
+            "values": list(p.values),
+            "witnesses": {str(v): list(ids) for v, ids in p.witnesses.items()},
         }
+
+    report.results["weights"] = rows()
+    if args.coloring == "all":
+        report.results["phi"] = phi
     if not args.json:
-        for row in rows:
+        for row in report.results["weights"]:
             marker = " (trivial)" if row["trivial"] else ""
             print(f"  coloring #{row['id']:<3} W = {row['w']}{marker}")
-        if "phi" in report.results:
-            vals = report.results["phi"]["values"]
+        if args.coloring == "all":
+            vals = phi()["values"]
             print(f"Phi({d.name}, {args.s}) = {{{', '.join(map(str, vals))}}}")
     return EXIT_OK
 
@@ -495,9 +532,10 @@ def main(argv: list[str] | None = None) -> int:
         if k not in ("func", "json") and v is not None
     }
     report = RunReport(command=args.command, inputs=inputs)
-    start = time.perf_counter()
     try:
         code = func(args, report)
+    except BrokenPipeError:  # text output to a reader that stopped early
+        return _stdout_closed()
     except (DiagramError, ValueError, OSError) as exc:
         report.results["error"] = str(exc)
         code = EXIT_INVALID
@@ -508,10 +546,23 @@ def main(argv: list[str] | None = None) -> int:
         code = EXIT_RESOURCE
         if not args.json:
             print(f"resource cap: {exc}", file=sys.stderr)
-    report.timing_s = time.perf_counter() - start
-    if args.json:
-        _write_json(report.to_dict(), sys.stdout.write)
+    try:
+        if args.json:
+            _write_json(report.to_dict(), sys.stdout.write)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        return _stdout_closed()
     return code
+
+
+def _stdout_closed() -> int:
+    """stdout's reader is gone (``tribound ... | head``).  Point stdout
+    at devnull, so that the flush at exit has nothing to fail on, and
+    exit quietly, as the Python docs' note on SIGPIPE advises."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

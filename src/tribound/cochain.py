@@ -36,8 +36,6 @@ __all__ = [
     "parse_poly",
     "canonical_str",
     "CochainFn",
-    "check_sharp",
-    "sharp_counterexample",
     "delta_f",
     "image_delta",
     "DeltaReach",
@@ -350,10 +348,6 @@ def canonical_str(f: str | Monomials) -> str:
     return _format(_terms(f))
 
 
-def _evaluate(terms: _Terms, x: int, y: int, z: int) -> int:
-    return sum(c * x**ex * y**ey * z**ez for (ex, ey, ez), c in terms)
-
-
 def _first_nonvanishing(table: _Table) -> tuple[int, int, int] | None:
     n = len(table)
     return next(
@@ -388,19 +382,6 @@ def _value_table(terms: _Terms, n: int) -> _Table:
 # ---------------------------------------------------------------------------
 
 
-def sharp_counterexample(
-    f: str | Monomials, n: int
-) -> tuple[int, int, int] | None:
-    """First (x, y, y) with f(x, y, y) != 0, scanning x then y; None if
-    the vanishing condition holds."""
-    return _first_nonvanishing(_value_table(_terms(f), n))
-
-
-def check_sharp(f: str | Monomials, n: int) -> bool:
-    """True iff f(x, y, y) = 0 for all x, y in Z(n)."""
-    return sharp_counterexample(f, n) is None
-
-
 class CochainFn(NamedTuple):
     """A weight function with a precomputed value table.
 
@@ -430,15 +411,6 @@ class CochainFn(NamedTuple):
 
     def canonical(self) -> str:
         return _format(self.terms)
-
-    def check_table(self) -> bool:
-        """Cache coherence: every table entry equals a fresh evaluation."""
-        return all(
-            self.table[x][y][z] == _evaluate(self.terms, x, y, z)
-            for x in range(self.n)
-            for y in range(self.n)
-            for z in range(self.n)
-        )
 
 
 def delta_f(f: CochainFn, x: int, y: int, z: int, w: int) -> int:

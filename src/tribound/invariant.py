@@ -57,13 +57,14 @@ class CrossingTriple(NamedTuple):
     b: int
     epsilon: int
 
-    def contribution(self, f: CochainFn) -> int:
-        return self.epsilon * f(self.s, self.a, self.b)
-
 
 class WeightValue(NamedTuple):
+    """W, each crossing's triple and each crossing's term epsilon * f(s,
+    a, b), in ``Diagram.tables.crossing_rows`` order."""
+
     value: int
     per_crossing: tuple[CrossingTriple, ...]
+    terms: tuple[int, ...]
 
 
 class PhiSet(NamedTuple):
@@ -134,10 +135,8 @@ def weight(d: Diagram, ec: ExtendedColoring, f: CochainFn) -> WeightValue:
         _triple(row, arcs, regions) for row in d.tables.crossing_rows
     )
     table = f.table
-    return WeightValue(
-        value=sum(t.epsilon * table[t.s][t.a][t.b] for t in triples),
-        per_crossing=triples,
-    )
+    terms = tuple(t.epsilon * table[t.s][t.a][t.b] for t in triples)
+    return WeightValue(value=sum(terms), per_crossing=triples, terms=terms)
 
 
 def _weight_value(d: Diagram, ec: ExtendedColoring, f: CochainFn) -> int:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -83,21 +86,52 @@ def test_report_writer_matches_json_dumps(obj):
     assert "".join(out) == json.dumps(obj) + "\n"
     # the newline rides alone after a bare value or an empty container
     assert len(out) <= max(walked(obj), 1) + 1
+    # the same bytes, a list at a time, from iterators and callables
+    out = pieces(lazy(obj))
+    assert "".join(out) == json.dumps(obj) + "\n"
+    assert len(out) <= max(walked(obj), 1) + 1
+
+
+def lazy(obj):
+    """obj with each list turned into an iterator over its items, and
+    each other value under a walked dict into a callable returning it."""
+    if isinstance(obj, list):
+        return iter(obj)
+    if not (isinstance(obj, dict) and all(isinstance(k, str) for k in obj)):
+        return obj
+    return {
+        k: lazy(v) if isinstance(v, (dict, list)) else (lambda v=v: v)
+        for k, v in obj.items()
+    }
+
+
+def test_report_writer_streams_iterators():
+    assert pieces(iter([])) == ["[]", "\n"]
+    assert "".join(pieces({"rows": iter(()), "n": lambda: 0})) == '{"rows": [], "n": 0}\n'
+    rows = ({"id": i} for i in range(3))
+    assert pieces({"rows": rows, "then": lambda: [1]}) == [
+        '{"rows": [{"id": 0}', ', {"id": 1}', ', {"id": 2}', '], "then": [1', ']}\n',
+    ]
+    # a callable is called when the writer reaches it, after the items before it
+    seen = []
+    report = {"rows": (seen.append(i) or i for i in range(2)), "count": lambda: len(seen)}
+    assert "".join(pieces(report)) == '{"rows": [0, 1], "count": 2}\n'
 
 
 def report_of(monkeypatch, capsys, *argv):
-    """Exit code, the report dict main hands to the writer, and stdout."""
-    seen = []
+    """Exit code, the report main hands to the writer, the number of
+    pieces it wrote, and stdout."""
+    seen, written = [], []
     real = cli._write_json
 
     def keep(obj, write):
         seen.append(obj)
-        real(obj, write)
+        real(obj, lambda piece: written.append(piece) or write(piece))
 
     monkeypatch.setattr(cli, "_write_json", keep)
     code = main([*argv, "--json"])
     (report,) = seen
-    return code, report, capsys.readouterr().out
+    return code, report, len(written), capsys.readouterr().out
 
 
 def x48_weight_argv(directory: Path) -> tuple[str, ...]:
@@ -111,44 +145,107 @@ def x48_weight_argv(directory: Path) -> tuple[str, ...]:
             "--coloring", "all")
 
 
+def weight_report(path: str, f_text: str, n: int, s: int, got: dict) -> dict:
+    """The report of ``weight PATH -n N -f F -s S --coloring all --json``,
+    built eagerly from the public ``weight()`` of each coloring and from
+    ``phi_set``; its inputs and timing_s are taken from got."""
+    d = diagram.parse_diagram(Path(path).read_text())
+    f = CochainFn.build(f_text, n)
+    rows = []
+    for cid, col in enumerate(coloring.enumerate_colorings(d, n)):
+        wv = invariant.weight(d, coloring.extend_coloring(d, col, s), f)
+        rows.append({
+            "id": cid,
+            "trivial": coloring.is_trivial(col),
+            "w": wv.value,
+            "per_crossing": [
+                {"crossing": t.crossing, "epsilon": t.epsilon, "s": t.s,
+                 "a": t.a, "b": t.b, "term": t.epsilon * f(t.s, t.a, t.b)}
+                for t in wv.per_crossing
+            ],
+        })
+    phi = phi_set(d, s, f)
+    return {
+        "schema": 1,
+        "command": "weight",
+        "inputs": got["inputs"],
+        "results": {
+            "weights": rows,
+            "phi": {
+                "values": list(phi.values),
+                "witnesses": {str(v): list(ids) for v, ids in phi.witnesses.items()},
+            },
+        },
+        "timing_s": got["timing_s"],
+        "cache": {"hits": 0, "misses": 0},
+    }
+
+
 def test_reports_are_written_as_json_dumps(capsys, monkeypatch, tmp_path):
+    argv = x48_weight_argv(tmp_path)
+    code, _, calls, out = report_of(monkeypatch, capsys, *argv)
+    got = json.loads(out)
+    assert code == 0
+    assert got["inputs"] == {"command": "weight", "path": argv[1], "n": 3,
+                             "f": "(x-y)*(y-z)*z", "s": 0, "coloring": "all"}
+    reference = weight_report(argv[1], "(x-y)*(y-z)*z", 3, 0, got)
+    assert len(reference["results"]["weights"]) == 81
+    assert out == json.dumps(reference) + "\n"
+    assert calls <= walked(reference)
     cases = (
-        (0, x48_weight_argv(tmp_path)),
         (0, ("certify", "d3", "d4", "-n", "5", "-f", "(x+y)^3*(y+z)*(y-z)^3*z^5",
              "-s", "2", "--max-m", "3", "--cache", str(tmp_path / "cache"))),
         (0, ("validate", "d3", "--emit-derived")),
         (2, ("validate", str(tmp_path / "missing.json"))),
     )
     for want, argv in cases:
-        code, report, out = report_of(monkeypatch, capsys, *argv)
+        code, report, calls, out = report_of(monkeypatch, capsys, *argv)
         assert code == want, argv
+        report["timing_s"] = json.loads(out)["timing_s"]
         assert out == json.dumps(report) + "\n", argv
-        assert len(pieces(report)) <= walked(report), argv
+        assert calls <= walked(report), argv
 
 
-def test_report_writer_holds_one_item_at_a_time(capsys, monkeypatch, tmp_path):
-    _, report, out = report_of(monkeypatch, capsys, *x48_weight_argv(tmp_path))
-    written = 0
+class CountingStdout:
+    """A stdout that keeps only the number of characters written."""
 
-    def sink(piece):
-        nonlocal written
-        written += len(piece)
+    def __init__(self):
+        self.written = 0
 
-    def traced_peak(call) -> int:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - base
+    def write(self, piece: str) -> int:
+        self.written += len(piece)
+        return len(piece)
 
-    tracemalloc.start()
-    try:
-        writer_peak = traced_peak(lambda: cli._write_json(report, sink))
-        dumps_peak = traced_peak(lambda: json.dumps(report))
-    finally:
-        tracemalloc.stop()
-    assert written == len(out) > 250_000
-    assert writer_peak < len(out) / 4
-    assert dumps_peak > len(out)  # one string of the whole report, at least
+    def flush(self) -> None:
+        pass
+
+
+def test_report_writer_holds_one_item_at_a_time(monkeypatch, tmp_path):
+    # all 81 rows cost the whole command less than a quarter of their
+    # report over what one row costs it: rows are built and written one
+    # at a time.  The diagram, its colorings and f, which both calls hold,
+    # peak at about 200 KB themselves.
+    argv = x48_weight_argv(tmp_path)
+
+    def traced_peak(*coloring: str) -> tuple[int, int]:
+        """(traced peak of the whole main call, characters written)."""
+        stdout = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert main([*argv, *coloring, "--json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak, stdout.written
+
+    traced_peak("--coloring", "1")  # first call: argparse's compiled patterns
+    one_peak, one_written = traced_peak("--coloring", "1")
+    all_peak, written = traced_peak()
+    assert written > 250_000 > 50 * one_written
+    assert all_peak - one_peak < written / 4
 
 
 PINNED_TEXT = (
@@ -391,6 +488,51 @@ def test_weight_bad_coloring_id_is_reported(capsys):
     assert err == f"error: {message}\n"
     code, _, err = run(capsys, *argv)
     assert code == 1 and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("weight", "d1", "-n", "3", "-f", "(x-y)*(y-z)*z", "-s", "7"),
+    ("colorings", "d1", "-n", "3", "--outer-color", "7"),
+], ids=lambda argv: argv[0])
+def test_outer_color_is_rejected_before_the_report(capsys, argv):
+    # the rows stream out as they are built, so each check that can fail
+    # runs before the first byte: the report is the error alone
+    message = "outer color 7 not in Z(3)"
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2 and err == ""
+    report = json.loads(out)
+    assert report["results"] == {"error": message}
+    assert out == json.dumps(report) + "\n"
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def spawn_cli(*argv: str, **popen) -> subprocess.Popen:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.Popen(
+        [sys.executable, "-m", "tribound.cli", *argv], env=env,
+        stderr=subprocess.PIPE, **popen,
+    )
+
+
+def test_reader_that_closes_early_gets_a_quiet_exit(tmp_path):
+    # like `tribound weight ... --json | head -c 100`: the report is far
+    # longer than a pipe holds, so the writer meets the closed pipe
+    child = spawn_cli(*x48_weight_argv(tmp_path), "--json", stdout=subprocess.PIPE)
+    assert child.stdout.read(100).startswith(b'{"schema": 1, "command": "weight"')
+    child.stdout.close()
+    assert child.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert child.stderr.read() == b""
+    # text output, to a reader gone before the command starts
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = spawn_cli("weight", "d1", "-n", "3", "-f", "(x-y)*(y-z)*z", "-s", "0",
+                          stdout=write)
+    finally:
+        os.close(write)
+    assert child.wait(timeout=60) == 141
+    assert child.stderr.read() == b""
 
 
 def test_weight_refuses_bad_function(capsys):

@@ -23,12 +23,10 @@ from tribound.cochain import (
     ExprSyntaxError,
     UnknownVariableError,
     canonical_str,
-    check_sharp,
     delta_f,
     delta_reach,
     image_delta,
     parse_poly,
-    sharp_counterexample,
     sumset,
     sumset_size,
 )
@@ -196,25 +194,44 @@ def test_table_matches_tree(node, n):
     # the factor y - z makes any f satisfy the vanishing condition
     text, fn, _, _ = node
     f = CochainFn.build(f"({text})*(y-z)", n)
-    assert f.check_table()
+    assert table_matches_terms(f)
     for x, y, z in itertools.product(range(n), repeat=3):
         assert f(x, y, z) == fn(x, y, z) * (y - z)
+
+
+def table_matches_terms(f: CochainFn) -> bool:
+    """Every table entry equals a fresh evaluation of f's monomials."""
+    mono = dict(f.terms)
+    return all(
+        f(x, y, z) == value(mono, x, y, z)
+        for x, y, z in itertools.product(range(f.n), repeat=3)
+    )
 
 
 # -- the vanishing condition -------------------------------------------------
 
 
+def counterexample(f, n):
+    """First (x, y, y) with f(x, y, y) != 0, scanning x then y, by
+    evaluating f's monomials; None if the vanishing condition holds."""
+    mono = parse_poly(f) if isinstance(f, str) else dict(f)
+    return next(
+        ((x, y, y) for x in range(n) for y in range(n) if value(mono, x, y, y)),
+        None,
+    )
+
+
 def test_reference_functions_satisfy_condition(f3, f5, f4):
     for f in (f3, f5, f4):
-        assert check_sharp(dict(f.terms), f.n)
-        assert check_sharp(f.canonical(), f.n)
-        assert f.check_table()
+        assert counterexample(f.terms, f.n) is None
+        assert counterexample(f.canonical(), f.n) is None
+        assert table_matches_terms(f)
 
 
 def test_condition_counterexample():
-    assert not check_sharp("x", 3)
-    assert sharp_counterexample("x", 3) == (1, 0, 0)
-    assert check_sharp("0", 3)
+    assert counterexample("x", 3) == (1, 0, 0)
+    assert counterexample("0", 3) is None
+    CochainFn.build("0", 3)
     with pytest.raises(SharpConditionError) as err:
         CochainFn.build("x", 3)
     assert err.value.triple == (1, 0, 0)

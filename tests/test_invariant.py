@@ -78,7 +78,7 @@ def test_trivial_coloring_triples_have_a_equal_b(diagrams, f3):
     for c in d.crossings:
         t = crossing_triple(d, ec, c.id)
         assert t.a == t.b
-        assert t.contribution(f3) == 0
+        assert f3(t.s, t.a, t.b) == 0
 
 
 # -- weights -----------------------------------------------------------------
@@ -95,7 +95,9 @@ def test_reference_weights(diagrams, f3, f5, f4):
 def test_weight_breakdown_trefoil(diagrams, f3):
     d, ec = reference_extension(diagrams, "d1", 3, 0)
     wv = weight(d, ec, f3)
-    assert sorted(t.contribution(f3) for t in wv.per_crossing) == [-8, 0, 0]
+    terms = [t.epsilon * f3(t.s, t.a, t.b) for t in wv.per_crossing]
+    assert list(wv.terms) == terms
+    assert sorted(terms) == [-8, 0, 0]
     assert wv.value == -8
 
 
