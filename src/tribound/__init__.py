@@ -17,14 +17,14 @@ _SOURCES = {
     for module, names in (
         ("diagram", ("Diagram", "DiagramError", "parse_diagram",
                      "diagram_from_dict", "trace_faces", "merge_arcs",
-                     "crossing_sign", "set_outer_face", "validate")),
+                     "set_outer_face")),
         ("coloring", ("Coloring", "ExtendedColoring", "quandle_star",
                       "enumerate_colorings", "is_trivial", "extend_coloring")),
         ("cochain", ("CochainFn", "DeltaReach", "parse_poly", "canonical_str",
                      "delta_f", "image_delta", "delta_reach")),
-        ("invariant", ("PhiSet", "BoundCertificate", "crossing_triple",
-                       "weight", "phi_set", "w4_formula",
-                       "certify_lower_bound", "verify_certificate")),
+        ("invariant", ("CrossingTerm", "PhiSet", "BoundCertificate", "weight",
+                       "crossing_terms", "phi_set", "certify_lower_bound",
+                       "verify_certificate")),
         ("fixtures", ("load_fixture",)),
     )
     for name in names

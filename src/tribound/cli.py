@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from collections.abc import Iterator
@@ -255,7 +256,7 @@ def cmd_weight(args: argparse.Namespace, report: RunReport) -> int:
         is_trivial,
     )
     from .diagram import parse_diagram
-    from .invariant import PhiSet, weight
+    from .invariant import PhiSet, crossing_terms, weight
 
     d = parse_diagram(_diagram_text(args.path))
     f = CochainFn.build(args.f, args.n)
@@ -263,45 +264,38 @@ def cmd_weight(args: argparse.Namespace, report: RunReport) -> int:
     wanted: range | list[int]
     if args.coloring == "all":
         wanted = range(len(cols))
-    else:
-        try:
-            idx = int(args.coloring)
-        except ValueError:
-            error = f"--coloring must be an id or 'all', got {args.coloring!r}"
-            report.results["error"] = error
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_USAGE
+    elif re.fullmatch("-?[0-9]+", args.coloring):
+        idx = int(args.coloring)
         if not 0 <= idx < len(cols):
             raise DiagramError(
                 f"coloring id {idx} out of range (0..{len(cols) - 1})"
             )
         wanted = [idx]
+    else:
+        error = f"--coloring must be an id or 'all', got {args.coloring!r}"
+        report.results["error"] = error
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_USAGE
     _check_outer_color(args.s, args.n)
     nontrivial: list[tuple[int, int]] = []  # (id, W), filled by rows()
 
     def rows() -> Iterator[dict[str, Any]]:
-        """One row per wanted coloring, built as the report reaches it."""
+        """One row per wanted coloring, built as the report reaches it;
+        the per-crossing terms only for the ``--json`` report."""
         for cid in wanted:
             trivial = is_trivial(cols[cid])
-            wv = weight(d, extend_coloring(d, cols[cid], args.s), f)
+            ec = extend_coloring(d, cols[cid], args.s)
+            w = weight(d, ec, f)
             if not trivial:
-                nontrivial.append((cid, wv.value))
-            yield {
-                "id": cid,
-                "trivial": trivial,
-                "w": wv.value,
-                "per_crossing": [
-                    {
-                        "crossing": t.crossing,
-                        "epsilon": t.epsilon,
-                        "s": t.s,
-                        "a": t.a,
-                        "b": t.b,
-                        "term": term,
-                    }
-                    for t, term in zip(wv.per_crossing, wv.terms)
-                ],
-            }
+                nontrivial.append((cid, w))
+            row: dict[str, Any] = {"id": cid, "trivial": trivial, "w": w}
+            if args.json:  # a literal, twice as fast as t._asdict()
+                row["per_crossing"] = [
+                    {"crossing": t.crossing, "epsilon": t.epsilon, "s": t.s,
+                     "a": t.a, "b": t.b, "term": t.term}
+                    for t in crossing_terms(d, ec, f)
+                ]
+            yield row
 
     def phi() -> dict[str, Any]:
         """Phi of the rows' weights: call it after the last row."""

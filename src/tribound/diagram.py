@@ -43,9 +43,7 @@ __all__ = [
     "derived_dict",
     "trace_faces",
     "merge_arcs",
-    "crossing_sign",
     "set_outer_face",
-    "validate",
     "diagram_hash",
     "sha256_hex",
 ]
@@ -510,15 +508,11 @@ def _components(crossings: list[Crossing], edges: list[Edge]) -> tuple[tuple[int
 
 
 def _crossing_sign(slots: tuple[HalfEdgeSlot, ...]) -> int:
+    """Sign of a crossing: +1 iff the outgoing over slot immediately
+    follows the outgoing under slot in ccw order."""
     p = next(k for k, s in enumerate(slots) if s.level == "over" and s.direction == "out")
     q = next(k for k, s in enumerate(slots) if s.level == "under" and s.direction == "out")
     return 1 if p == (q + 1) % 4 else -1
-
-
-def crossing_sign(d: Diagram, cid: int) -> int:
-    """Sign of a crossing: +1 iff the outgoing over slot immediately
-    follows the outgoing under slot in ccw order."""
-    return d.crossing(cid).sign
 
 
 def _resolve_outer_face(designator: Any, faces: tuple[Face, ...]) -> int:
@@ -665,16 +659,3 @@ def diagram_hash(d: Diagram) -> str:
     blob = json.dumps(diagram_to_dict(d), sort_keys=True).encode()
     return sha256_hex(blob)
 
-
-def validate(d: Diagram) -> tuple[ValidationIssue, ...]:
-    """Re-derive d from its source form; empty report iff the code is
-    valid and every stored derived field matches the re-derivation."""
-    try:
-        fresh = diagram_from_dict(diagram_to_dict(d))
-    except DiagramError as exc:
-        return exc.issues
-    return tuple(
-        ValidationIssue("derived", f"stored {name} disagree with re-derivation")
-        for name in ("crossings", "edges", "arcs", "faces", "components")
-        if getattr(fresh, name) != getattr(d, name)
-    )

@@ -32,39 +32,31 @@ from .coloring import (
     enumerate_colorings,
     extend_coloring,
     is_trivial,
-    quandle_star,
 )
 from .diagram import Diagram, diagram_hash
 
 __all__ = [
-    "CrossingTriple",
-    "WeightValue",
+    "CrossingTerm",
     "PhiSet",
     "BoundCertificate",
-    "crossing_triple",
     "weight",
+    "crossing_terms",
     "phi_set",
-    "w4_formula",
     "certify_lower_bound",
     "verify_certificate",
 ]
 
 
-class CrossingTriple(NamedTuple):
+class CrossingTerm(NamedTuple):
+    """One crossing's share of W: its sign epsilon, its triple (s, a, b)
+    and its term epsilon * f(s, a, b)."""
+
     crossing: int
+    epsilon: int
     s: int
     a: int
     b: int
-    epsilon: int
-
-
-class WeightValue(NamedTuple):
-    """W, each crossing's triple and each crossing's term epsilon * f(s,
-    a, b), in ``Diagram.tables.crossing_rows`` order."""
-
-    value: int
-    per_crossing: tuple[CrossingTriple, ...]
-    terms: tuple[int, ...]
+    term: int
 
 
 class PhiSet(NamedTuple):
@@ -97,51 +89,17 @@ class PhiSet(NamedTuple):
         )
 
 
-def crossing_triple(
-    d: Diagram, ec: ExtendedColoring, cid: int
-) -> CrossingTriple:
-    """Read (s, a, b, epsilon) off one crossing of an extended coloring:
-    b is the over arc's color, a the color of the under arc on the right
-    of the oriented over-strand, and s the color of the region right of
-    both strands.  ``Diagram.tables`` holds the slot arithmetic; the
-    bundled reference diagrams pin it (see tests).
-    """
-    for row in d.tables.crossing_rows:
-        if row[0] == cid:
-            return _triple(row, ec.base.arc_colors, ec.region_colors)
-    raise KeyError(f"no crossing with id {cid}")
-
-
-def _triple(
-    row: tuple[int, int, int, int, int],
-    arcs: tuple[int, ...],
-    regions: tuple[int, ...],
-) -> CrossingTriple:
-    cid, sign, under, over, corner = row
-    return CrossingTriple(
-        crossing=cid, s=regions[corner], a=arcs[under], b=arcs[over],
-        epsilon=sign,
-    )
-
-
-def weight(d: Diagram, ec: ExtendedColoring, f: CochainFn) -> WeightValue:
-    """W = sum over crossings of epsilon * f(s, a, b), exact."""
+def _check_modulus(ec: ExtendedColoring, f: CochainFn) -> None:
     if f.n != ec.n:
         raise ValueError(
             f"modulus mismatch: f over Z({f.n}), coloring over Z({ec.n})"
         )
-    arcs, regions = ec.base.arc_colors, ec.region_colors
-    triples = tuple(
-        _triple(row, arcs, regions) for row in d.tables.crossing_rows
-    )
-    table = f.table
-    terms = tuple(t.epsilon * table[t.s][t.a][t.b] for t in triples)
-    return WeightValue(value=sum(terms), per_crossing=triples, terms=terms)
 
 
-def _weight_value(d: Diagram, ec: ExtendedColoring, f: CochainFn) -> int:
-    """``weight(d, ec, f).value``, summed straight off the crossing rows
-    without a per-crossing record; for loops over many colorings."""
+def weight(d: Diagram, ec: ExtendedColoring, f: CochainFn) -> int:
+    """W = sum over crossings of epsilon * f(s, a, b), exact, summed
+    straight off ``Diagram.tables.crossing_rows`` through f's table."""
+    _check_modulus(ec, f)
     arcs, regions, table = ec.base.arc_colors, ec.region_colors, f.table
     return sum(
         sign * table[regions[corner]][arcs[under]][arcs[over]]
@@ -149,35 +107,33 @@ def _weight_value(d: Diagram, ec: ExtendedColoring, f: CochainFn) -> int:
     )
 
 
+def crossing_terms(
+    d: Diagram, ec: ExtendedColoring, f: CochainFn
+) -> tuple[CrossingTerm, ...]:
+    """Each crossing's term of W, in ``Diagram.tables.crossing_rows``
+    order: b is the over arc's color, a the color of the under arc on
+    the right of the oriented over-strand, and s the color of the region
+    right of both strands.  ``Diagram.tables`` holds the slot
+    arithmetic; the bundled reference diagrams pin it (see tests).
+    """
+    _check_modulus(ec, f)
+    arcs, regions, table = ec.base.arc_colors, ec.region_colors, f.table
+    terms = []
+    for cid, sign, under, over, corner in d.tables.crossing_rows:
+        s, a, b = regions[corner], arcs[under], arcs[over]
+        terms.append(CrossingTerm(cid, sign, s, a, b, sign * table[s][a][b]))
+    return tuple(terms)
+
+
 def phi_set(d: Diagram, s: int, f: CochainFn) -> PhiSet:
     """Weight values of every non-trivial coloring with outer color s."""
     return PhiSet.from_weights(
         d.name, s, f.n,
         (
-            (cid, _weight_value(d, extend_coloring(d, col, s), f))
+            (cid, weight(d, extend_coloring(d, col, s), f))
             for cid, col in enumerate(enumerate_colorings(d, f.n))
             if not is_trivial(col)
         ),
-    )
-
-
-def w4_formula(a: int, b: int, f: CochainFn) -> int:
-    """Closed-form weight of the one-parameter family of non-trivial
-    colorings on the re-based figure-eight diagram with outer color 2:
-
-        +f(2*b, a, b) + f(2*b, b, a) - f((2*b)*a, b, b*a) - f(2, a, a*b)
-
-    Serves as a diagram-independent oracle for the 20-value table.
-    """
-    n = f.n
-    if a == b:
-        raise ValueError("the family is parameterized by distinct colors a != b")
-    tb = quandle_star(2, b, n)
-    return (
-        f(tb, a, b)
-        + f(tb, b, a)
-        - f(quandle_star(tb, a, n), b, quandle_star(b, a, n))
-        - f(2, a, quandle_star(a, b, n))
     )
 
 
@@ -315,7 +271,7 @@ def certify_lower_bound(
     for cid, col in enumerate(enumerate_colorings(d, f.n)):
         if is_trivial(col):
             continue
-        w = _weight_value(d, extend_coloring(d, col, s), f)
+        w = weight(d, extend_coloring(d, col, s), f)
         diffs = {w - v for v in phi_vals}
         m, verdicts, first_hit = _levels_clear(diffs, max_m, hits)
         if not found_nontrivial or m > best[0]:
@@ -351,7 +307,8 @@ def verify_certificate(
 ) -> bool:
     """Independent re-check of an emitted certificate.
 
-    Recomputes the weight from the stored arc vector, the Phi set of d2,
+    Recomputes the weight from the stored arc vector, as the sum of its
+    ``crossing_terms`` rather than through ``weight``, the Phi set of d2,
     the level sizes and the level verdicts from f rebuilt out of the
     stored string, through half levels it builds itself rather than the
     certifier's levels.  Every level, the half levels too, is split as
@@ -388,7 +345,8 @@ def verify_certificate(
     col = colorings[cert.coloring_id]
     if col.arc_colors != cert.coloring or is_trivial(col):
         return False
-    w = weight(d, extend_coloring(d, col, cert.s), f).value
+    ec = extend_coloring(d, col, cert.s)
+    w = sum(t.term for t in crossing_terms(d, ec, f))
     if w != cert.w:
         return False
     sets = [set(lv) for lv in halves]

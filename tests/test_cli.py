@@ -147,21 +147,22 @@ def x48_weight_argv(directory: Path) -> tuple[str, ...]:
 
 def weight_report(path: str, f_text: str, n: int, s: int, got: dict) -> dict:
     """The report of ``weight PATH -n N -f F -s S --coloring all --json``,
-    built eagerly from the public ``weight()`` of each coloring and from
-    ``phi_set``; its inputs and timing_s are taken from got."""
+    built eagerly from the public ``weight()`` and ``crossing_terms()`` of
+    each coloring and from ``phi_set``; its inputs and timing_s are taken
+    from got."""
     d = diagram.parse_diagram(Path(path).read_text())
     f = CochainFn.build(f_text, n)
     rows = []
     for cid, col in enumerate(coloring.enumerate_colorings(d, n)):
-        wv = invariant.weight(d, coloring.extend_coloring(d, col, s), f)
+        ec = coloring.extend_coloring(d, col, s)
         rows.append({
             "id": cid,
             "trivial": coloring.is_trivial(col),
-            "w": wv.value,
+            "w": invariant.weight(d, ec, f),
             "per_crossing": [
                 {"crossing": t.crossing, "epsilon": t.epsilon, "s": t.s,
                  "a": t.a, "b": t.b, "term": t.epsilon * f(t.s, t.a, t.b)}
-                for t in wv.per_crossing
+                for t in invariant.crossing_terms(d, ec, f)
             ],
         })
     phi = phi_set(d, s, f)
@@ -300,6 +301,16 @@ def test_text_output_pinned(capsys, monkeypatch, tmp_path, line, want):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     for _ in range(2):
         assert run(capsys, *shlex.split(line)) == (0, want, "")
+
+
+def test_text_weight_reads_no_crossing_terms(capsys, monkeypatch):
+    # text mode prints W alone, so it builds no per-crossing record
+    def refuse(*args):
+        raise AssertionError("crossing_terms called in text mode")
+
+    monkeypatch.setattr(invariant, "crossing_terms", refuse)
+    line, want = PINNED_TEXT[1]
+    assert run(capsys, *shlex.split(line), "--coloring", "all") == (0, want, "")
 
 
 def test_validate_ok(capsys, tmp_path):
@@ -471,23 +482,28 @@ def test_weight_single_coloring(capsys):
 
 
 def test_weight_coloring_out_of_range(capsys):
-    code, _, err = run(
-        capsys,
-        "weight", "d1", "-n", "3", "-f", "(x-y)*(y-z)*z", "-s", "0",
-        "--coloring", "99",
-    )
-    assert code == 2
-    assert "out of range" in err
+    for idx in ("99", "-1"):
+        code, _, err = run(
+            capsys,
+            "weight", "d1", "-n", "3", "-f", "(x-y)*(y-z)*z", "-s", "0",
+            "--coloring", idx,
+        )
+        assert code == 2
+        assert "out of range" in err
 
 
 def test_weight_bad_coloring_id_is_reported(capsys):
-    argv = ("weight", "d1", "-n", "3", "-f", "(x-y)*(y-z)*z", "-s", "0", "--coloring", "foo")
-    message = "--coloring must be an id or 'all', got 'foo'"
-    code, report, err = run_json(capsys, *argv)
-    assert code == 1 and report["results"] == {"error": message}
-    assert err == f"error: {message}\n"
-    code, _, err = run(capsys, *argv)
-    assert code == 1 and err == f"error: {message}\n"
+    # only 'all' or -?[0-9]+ is an id: int() would also take 3_0 as 30,
+    # and a padded, signed or non-ASCII digit
+    for bad in ("foo", "3_0", " 3", "3 ", "+3", "\u0663", "1.0", ""):
+        argv = ("weight", "d1", "-n", "3", "-f", "(x-y)*(y-z)*z", "-s", "0",
+                "--coloring", bad)
+        message = f"--coloring must be an id or 'all', got {bad!r}"
+        code, report, err = run_json(capsys, *argv)
+        assert code == 1 and report["results"] == {"error": message}, bad
+        assert err == f"error: {message}\n"
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

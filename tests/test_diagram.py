@@ -23,7 +23,6 @@ from tribound.diagram import (
     parse_diagram,
     set_outer_face,
     sha256_hex,
-    validate,
 )
 from tribound.fixtures import closed_braid_code
 
@@ -107,14 +106,11 @@ def test_arcs_partition_edges_and_break_at_unders(rng):
 
 
 def test_signs_of_reference_diagrams(diagrams):
-    from tribound.diagram import crossing_sign
-
     assert [c.sign for c in diagrams["d1"].crossings] == [1, 1, 1]
     assert [c.sign for c in diagrams["d3"].crossings] == [1, -1, 1, -1]
     assert [c.sign for c in diagrams["d5"].crossings] == [1, 1, 1, 1]
-    assert [crossing_sign(diagrams["d3"], c.id) for c in diagrams["d3"].crossings] == [
-        1, -1, 1, -1,
-    ]
+    d3 = diagrams["d3"]
+    assert [d3.crossing(c.id).sign for c in d3.crossings] == [1, -1, 1, -1]
 
 
 def test_mirror_negates_signs(diagrams):
@@ -187,21 +183,24 @@ def test_outer_face_of_wrong_type_is_syntax(diagrams):
         assert [i.kind for i in err.value.issues] == ["syntax"]
 
 
-def test_validate_clean(diagrams):
-    for d in diagrams.values():
-        assert validate(d) == ()
+def test_dict_round_trip(diagrams, rng):
+    # the source form re-derives every derived field as parsed
+    pool = [*diagrams.values()]
+    pool += [random_closed_braid(rng, name=f"r{i}") for i in range(20)]
+    for d in pool:
+        assert diagram_from_dict(diagram_to_dict(d)) == d
 
 
-def test_validate_reports_stale_derived_data(diagrams):
+def test_round_trip_rederives_stale_fields(diagrams):
     d = diagrams["d3"]
     first = d.crossings[0]
     flipped = (first._replace(sign=-first.sign),) + d.crossings[1:]
     stale_sign = d._replace(crossings=flipped)
     stale_faces = d._replace(faces=tuple(reversed(d.faces)))
     for stale, field in ((stale_sign, "crossings"), (stale_faces, "faces")):
-        issues = validate(stale)
-        assert [i.kind for i in issues] == ["derived"]
-        assert field in issues[0].message
+        fresh = diagram_from_dict(diagram_to_dict(stale))
+        assert fresh == d != stale
+        assert getattr(fresh, field) != getattr(stale, field)
 
 
 def test_edge_used_three_times():

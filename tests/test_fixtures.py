@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from tribound.diagram import diagram_to_dict, validate
+from tribound.diagram import diagram_from_dict, diagram_to_dict
 from tribound.fixtures import (
     FIXTURE_CASES,
     closed_braid_code,
@@ -20,7 +20,8 @@ def test_names():
 
 def test_all_fixtures_valid():
     for name in fixture_names():
-        assert validate(load_fixture(name)) == ()
+        d = load_fixture(name)
+        assert diagram_from_dict(diagram_to_dict(d)) == d
 
 
 def test_rebased_pairs_share_sphere_codes():

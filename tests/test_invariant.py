@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -22,13 +23,13 @@ from tribound.fixtures import (
     FIXTURE_CASES,
     REFERENCE_COLORINGS,
     W4_TABLE,
+    w4_formula,
 )
 from tribound.invariant import (
     certify_lower_bound,
-    crossing_triple,
+    crossing_terms,
     phi_set,
     verify_certificate,
-    w4_formula,
     weight,
 )
 
@@ -48,7 +49,7 @@ def reference_extension(diagrams, name, n, s):
 
 def test_trefoil_triples(diagrams, f3):
     d, ec = reference_extension(diagrams, "d1", 3, 0)
-    triples = [crossing_triple(d, ec, c.id) for c in d.crossings]
+    triples = crossing_terms(d, ec, f3)
     assert all(t.epsilon == 1 for t in triples)
     assert Counter((t.s, t.a, t.b) for t in triples) == Counter(
         [(2, 2, 1), (2, 0, 2), (2, 1, 0)]
@@ -57,7 +58,7 @@ def test_trefoil_triples(diagrams, f3):
 
 def test_figure_eight_triples(diagrams, f5):
     d, ec = reference_extension(diagrams, "d3", 5, 2)
-    triples = [crossing_triple(d, ec, c.id) for c in d.crossings]
+    triples = crossing_terms(d, ec, f5)
     assert Counter((t.epsilon, (t.s, t.a, t.b)) for t in triples) == Counter(
         [(1, (4, 1, 2)), (-1, (3, 2, 0)), (1, (4, 2, 1)), (-1, (0, 1, 3))]
     )
@@ -65,7 +66,7 @@ def test_figure_eight_triples(diagrams, f5):
 
 def test_torus_link_triples(diagrams, f4):
     d, ec = reference_extension(diagrams, "d5", 4, 0)
-    triples = [crossing_triple(d, ec, c.id) for c in d.crossings]
+    triples = crossing_terms(d, ec, f4)
     assert all(t.epsilon == 1 for t in triples)
     assert Counter((t.s, t.a, t.b) for t in triples) == Counter(
         [(2, 1, 0), (2, 0, 3), (2, 3, 2), (2, 2, 1)]
@@ -75,10 +76,9 @@ def test_torus_link_triples(diagrams, f4):
 def test_trivial_coloring_triples_have_a_equal_b(diagrams, f3):
     d = diagrams["d1"]
     ec = extend_coloring(d, Coloring(n=3, arc_colors=(1, 1, 1)), 0)
-    for c in d.crossings:
-        t = crossing_triple(d, ec, c.id)
+    for t in crossing_terms(d, ec, f3):
         assert t.a == t.b
-        assert f3(t.s, t.a, t.b) == 0
+        assert t.term == f3(t.s, t.a, t.b) == 0
 
 
 # -- weights -----------------------------------------------------------------
@@ -89,16 +89,16 @@ def test_reference_weights(diagrams, f3, f5, f4):
     outer = {"d1": 0, "d3": 2, "d5": 0}
     for name, f in fns.items():
         d, ec = reference_extension(diagrams, name, f.n, outer[name])
-        assert weight(d, ec, f).value == EXPECTED["weights"][name]
+        assert weight(d, ec, f) == EXPECTED["weights"][name]
 
 
 def test_weight_breakdown_trefoil(diagrams, f3):
     d, ec = reference_extension(diagrams, "d1", 3, 0)
-    wv = weight(d, ec, f3)
-    terms = [t.epsilon * f3(t.s, t.a, t.b) for t in wv.per_crossing]
-    assert list(wv.terms) == terms
+    got = crossing_terms(d, ec, f3)
+    terms = [t.epsilon * f3(t.s, t.a, t.b) for t in got]
+    assert [t.term for t in got] == terms
     assert sorted(terms) == [-8, 0, 0]
-    assert wv.value == -8
+    assert weight(d, ec, f3) == -8
 
 
 def test_weight_zero_on_trivial_colorings(diagrams, f3, f5, f4, rng):
@@ -110,14 +110,34 @@ def test_weight_zero_on_trivial_colorings(diagrams, f3, f5, f4, rng):
             col = Coloring(n=f.n, arc_colors=(c0,) * len(d.arcs))
             for s in range(f.n):
                 ec = extend_coloring(d, col, s)
-                assert weight(d, ec, f).value == 0
+                assert weight(d, ec, f) == 0
 
 
 def test_weight_modulus_mismatch(diagrams, f3, f5):
     d = diagrams["d1"]
     ec = extend_coloring(d, enumerate_colorings(d, 3)[0], 0)
-    with pytest.raises(ValueError):
-        weight(d, ec, f5)
+    for read in (weight, crossing_terms):
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            read(d, ec, f5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), which=st.integers(0, 2))
+def test_weight_is_the_sum_of_the_crossing_terms(f3, f5, f4, seed, which):
+    # the one W, against the per-crossing record read by the `weight`
+    # report and the verifier, on every coloring and every outer color
+    d = random_closed_braid(random.Random(seed))
+    f = (f3, f5, f4)[which]
+    rows = d.tables.crossing_rows
+    for col in enumerate_colorings(d, f.n):
+        for s in range(f.n):
+            ec = extend_coloring(d, col, s)
+            terms = crossing_terms(d, ec, f)
+            assert [t.crossing for t in terms] == [row[0] for row in rows]
+            assert [t.epsilon for t in terms] == [row[1] for row in rows]
+            for t in terms:
+                assert t.term == t.epsilon * f(t.s, t.a, t.b)
+            assert weight(d, ec, f) == sum(t.term for t in terms)
 
 
 # -- Phi sets ----------------------------------------------------------------
@@ -146,12 +166,7 @@ def test_d2_colorings_fall_into_two_term_patterns(diagrams, f3):
         if is_trivial(col):
             continue
         ec = extend_coloring(d, col, 0)
-        tri = tuple(
-            sorted(
-                (t.s, t.a, t.b)
-                for t in (crossing_triple(d, ec, c.id) for c in d.crossings)
-            )
-        )
+        tri = tuple(sorted((t.s, t.a, t.b) for t in crossing_terms(d, ec, f3)))
         seen[tri] += 1
     assert seen == Counter(
         {
@@ -168,13 +183,8 @@ def test_d6_colorings_fall_into_four_term_patterns(diagrams, f4):
         if is_trivial(col):
             continue
         ec = extend_coloring(d, col, 0)
-        tri = tuple(
-            sorted(
-                (t.s, t.a, t.b)
-                for t in (crossing_triple(d, ec, c.id) for c in d.crossings)
-            )
-        )
-        seen[(tri, weight(d, ec, f4).value)] += 1
+        tri = tuple(sorted((t.s, t.a, t.b) for t in crossing_terms(d, ec, f4)))
+        seen[(tri, weight(d, ec, f4))] += 1
     assert seen == Counter(
         {
             ((((0, 1, 3), (0, 1, 3), (0, 3, 1), (0, 3, 1))), -3744): 2,
@@ -187,12 +197,12 @@ def test_d6_colorings_fall_into_four_term_patterns(diagrams, f4):
 
 def test_published_difference_sets(diagrams, f3, f4):
     d1, ec1 = reference_extension(diagrams, "d1", 3, 0)
-    w1 = weight(d1, ec1, f3).value
+    w1 = weight(d1, ec1, f3)
     phi2 = phi_set(diagrams["d2"], 0, f3).values
     assert {w1 - v for v in phi2} == {-10, -6}
 
     d5, ec5 = reference_extension(diagrams, "d5", 4, 0)
-    w5 = weight(d5, ec5, f4).value
+    w5 = weight(d5, ec5, f4)
     phi6 = phi_set(diagrams["d6"], 0, f4).values
     assert {w5 - v for v in phi6} == {-25720, -25428, -24424, -21684}
 
@@ -286,7 +296,7 @@ def assert_projection(weight_vectors, f_str):
     fns = {}
     for n, d, ec, vec in weight_vectors:
         f = fns.setdefault(n, CochainFn.build(f_str, n))
-        assert sum(k * f(*sab) for sab, k in vec.items()) == weight(d, ec, f).value
+        assert sum(k * f(*sab) for sab, k in vec.items()) == weight(d, ec, f)
 
 
 def test_weight_is_projection_of_weight_vector(weight_vectors):
@@ -362,7 +372,7 @@ def test_subsearch_never_beats_full_search(diagrams, f3):
     for col in enumerate_colorings(d, 3):
         if is_trivial(col):
             continue
-        w = weight(d, extend_coloring(d, col, 0), f3).value
+        w = weight(d, extend_coloring(d, col, 0), f3)
         diffs = {w - v for v in phi}
         m = 0
         for i in range(2):
@@ -479,7 +489,7 @@ def test_verifier_rejects_tampered_colorings(diagrams, f3):
     cols = enumerate_colorings(d, 3)
 
     def scored(cid, col):
-        w = weight(d, extend_coloring(d, col, 0), f3).value
+        w = weight(d, extend_coloring(d, col, 0), f3)
         m, verdicts, first_hit = invariant._levels_clear(
             {w - v for v in cert.phi}, cert.max_m,
             lambda diffs, k: diffs & set(levels[k]),

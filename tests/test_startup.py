@@ -108,3 +108,26 @@ def test_package_resolves_public_names_lazily():
     assert set(tribound.__all__) <= set(namespace)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         tribound.no_such_name  # noqa: B018
+
+
+PUBLIC = [
+    "BoundCertificate", "CochainFn", "Coloring", "CrossingTerm", "DeltaReach",
+    "Diagram", "DiagramError", "ExtendedColoring", "PhiSet", "__version__",
+    "canonical_str", "certify_lower_bound", "crossing_terms", "delta_f",
+    "delta_reach", "diagram_from_dict", "enumerate_colorings",
+    "extend_coloring", "image_delta", "is_trivial", "load_fixture",
+    "merge_arcs", "parse_diagram", "parse_poly", "phi_set", "quandle_star",
+    "set_outer_face", "trace_faces", "verify_certificate", "weight",
+]
+
+
+def test_public_tables_name_what_exists():
+    # a function deleted but left in a table fails here
+    assert sorted(tribound.__all__) == PUBLIC
+    for module in sorted(tribound._SUBMODULES):
+        mod = getattr(tribound, module)
+        for name in mod.__all__:
+            assert hasattr(mod, name), f"tribound.{module}.{name}"
+        assert len(set(mod.__all__)) == len(mod.__all__), module
+    for name, module in tribound._SOURCES.items():
+        assert name in getattr(tribound, module).__all__, name
