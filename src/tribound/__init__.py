@@ -9,7 +9,8 @@ loads only the modules its command runs.
 __version__ = "0.1.0"
 
 _SUBMODULES = frozenset(
-    ("cli", "diagram", "coloring", "cochain", "invariant", "cache", "fixtures")
+    ("cli", "diagram", "coloring", "poly", "cochain", "invariant", "cache",
+     "fixtures")
 )
 # each public name, with the submodule that defines it
 _SOURCES = {
@@ -20,8 +21,8 @@ _SOURCES = {
                      "set_outer_face")),
         ("coloring", ("Coloring", "ExtendedColoring", "quandle_star",
                       "enumerate_colorings", "is_trivial", "extend_coloring")),
-        ("cochain", ("CochainFn", "DeltaReach", "parse_poly", "canonical_str",
-                     "delta_f", "image_delta", "delta_reach")),
+        ("poly", ("CochainFn", "parse_poly", "canonical_str")),
+        ("cochain", ("DeltaReach", "delta_f", "image_delta", "delta_reach")),
         ("invariant", ("CrossingTerm", "PhiSet", "BoundCertificate", "weight",
                        "crossing_terms", "phi_set", "certify_lower_bound",
                        "verify_certificate")),

@@ -16,8 +16,9 @@ import json
 import os
 from pathlib import Path
 
-from .cochain import DEFAULT_LEVEL_CAP, CochainFn, DeltaReach, delta_reach
-from .diagram import sha256_hex
+from .cochain import DeltaReach, delta_reach
+from .diagram import DEFAULT_LEVEL_CAP, sha256_hex
+from .poly import CochainFn
 
 __all__ = ["default_cache_dir", "cache_path", "load_reach", "store_reach", "cached_reach"]
 

@@ -33,7 +33,8 @@ from .diagram import DEFAULT_LEVEL_CAP, DiagramError, ResourceCapExceeded
 if TYPE_CHECKING:
     from pathlib import Path
 
-    from .cochain import CochainFn, DeltaReach
+    from .cochain import DeltaReach
+    from .poly import CochainFn
 
 __all__ = ["main"]
 
@@ -110,7 +111,7 @@ def _write_pieces(obj: Any, write: Callable[[str], object], head: str) -> str:
 def _diagram_text(path: str) -> str:
     """Text of a diagram file; bare bundled names (d1..d6) work anywhere."""
     if os.path.exists(path):
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     # the bundled diagrams load only when named
     from .fixtures import fixture_dict, fixture_names
@@ -248,7 +249,6 @@ def cmd_colorings(args: argparse.Namespace, report: RunReport) -> int:
 
 
 def cmd_weight(args: argparse.Namespace, report: RunReport) -> int:
-    from .cochain import CochainFn
     from .coloring import (
         _check_outer_color,
         enumerate_colorings,
@@ -257,6 +257,7 @@ def cmd_weight(args: argparse.Namespace, report: RunReport) -> int:
     )
     from .diagram import parse_diagram
     from .invariant import PhiSet, crossing_terms, weight
+    from .poly import CochainFn
 
     d = parse_diagram(_diagram_text(args.path))
     f = CochainFn.build(args.f, args.n)
@@ -320,7 +321,7 @@ def cmd_weight(args: argparse.Namespace, report: RunReport) -> int:
 
 def cmd_delta(args: argparse.Namespace, report: RunReport) -> int:
     from .cache import cache_path, cached_reach
-    from .cochain import CochainFn
+    from .poly import CochainFn
 
     f = CochainFn.build(args.f, args.n)
     reach, hit = cached_reach(f, args.max_m, args.cache, cap=args.cap)
@@ -344,9 +345,10 @@ def cmd_delta(args: argparse.Namespace, report: RunReport) -> int:
 
 def cmd_certify(args: argparse.Namespace, report: RunReport) -> int:
     from .cache import cached_reach
-    from .cochain import CochainFn, delta_reach
+    from .cochain import delta_reach
     from .diagram import parse_diagram
     from .invariant import certify_lower_bound, verify_certificate
+    from .poly import CochainFn
 
     d = parse_diagram(_diagram_text(args.path_d))
     d2 = parse_diagram(_diagram_text(args.path_d2))

@@ -18,8 +18,9 @@ from it on first use.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from functools import cached_property
-from typing import Any, Iterable, Mapping, NamedTuple, TypeVar
+from typing import Any, NamedTuple, TypeVar
 
 __all__ = [
     "DiagramError",

@@ -21,7 +21,7 @@ from .diagram import Diagram, diagram_from_dict
 if TYPE_CHECKING:
     from pathlib import Path
 
-    from .cochain import CochainFn
+    from .poly import CochainFn
 
 __all__ = [
     "closed_braid_code",
@@ -227,7 +227,7 @@ def reproduce_checks(fixtures_dir: Path | None = None) -> list[tuple[str, bool, 
     """Every bundled reference computation as (label, ok, detail), on the
     bundled diagrams or on dN.json files in ``fixtures_dir``."""
     # the layers load here, so that naming a bundled diagram loads none
-    from .cochain import CochainFn, delta_f, delta_reach
+    from .cochain import delta_f, delta_reach
     from .coloring import enumerate_colorings, extend_coloring
     from .diagram import parse_diagram
     from .invariant import (
@@ -236,12 +236,13 @@ def reproduce_checks(fixtures_dir: Path | None = None) -> list[tuple[str, bool, 
         verify_certificate,
         weight,
     )
+    from .poly import CochainFn
 
     checks: list[tuple[str, bool, str]] = []
 
     def diagram(name: str) -> Diagram:
         if fixtures_dir is not None:
-            return parse_diagram((fixtures_dir / f"{name}.json").read_text())
+            return parse_diagram((fixtures_dir / f"{name}.json").read_text(encoding="utf-8"))
         return load_fixture(name)
 
     f3 = CochainFn.build("(x-y)*(y-z)*z", 3)

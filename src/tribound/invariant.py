@@ -13,19 +13,17 @@ because type-I/II moves leave W fixed and each type-III move shifts it by
 an element of +/- Im(df).  ``certify_lower_bound`` searches all colorings
 of D for the strongest such obstruction and emits a re-checkable
 certificate.
+
+W and Phi read only f's value table, from ``poly``.  The Delta levels
+come from ``cochain``, which ``certify_lower_bound`` and
+``verify_certificate`` import when they run, so the ``weight`` command
+never loads it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
-from .cochain import (
-    DEFAULT_LEVEL_CAP,
-    CochainFn,
-    DeltaReach,
-    delta_reach,
-    sumset_size,
-)
 from .coloring import (
     _check_outer_color,
     ExtendedColoring,
@@ -33,7 +31,11 @@ from .coloring import (
     extend_coloring,
     is_trivial,
 )
-from .diagram import Diagram, diagram_hash
+from .diagram import DEFAULT_LEVEL_CAP, Diagram, diagram_hash
+from .poly import CochainFn
+
+if TYPE_CHECKING:
+    from .cochain import DeltaReach
 
 __all__ = [
     "CrossingTerm",
@@ -244,8 +246,11 @@ def certify_lower_bound(
     if max_m < 1:
         raise ValueError(f"max_m must be >= 1, got {max_m}")
     _check_outer_color(s, f.n)  # before any level is asked for
+    # the level layer loads here, so that the weight command never loads
+    # it, and a replaced delta_reach is the one used
+    from .cochain import delta_reach, sumset_size
+
     h = max_m // 2  # = ceil((max_m - 1) / 2)
-    # the default is looked up here, so that a replaced delta_reach is used
     held = (levels or delta_reach)(f, h).levels[: h + 1]
     if len(held) <= h:
         raise ValueError(
@@ -321,6 +326,8 @@ def verify_certificate(
         return False
     if cert.max_m < 1 or not 0 <= cert.m <= cert.max_m:
         return False
+    from .cochain import delta_reach, sumset_size
+
     f = CochainFn.build(cert.f_str, cert.n)
     if tuple(phi_set(d2, cert.s, f).values) != cert.phi:
         return False

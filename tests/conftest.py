@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tribound.cochain import CochainFn
+from tribound.poly import CochainFn
 from tribound.diagram import Diagram, diagram_from_dict
 from tribound.fixtures import closed_braid_code, load_fixture
 

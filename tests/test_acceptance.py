@@ -12,7 +12,6 @@ import time
 from contextlib import contextmanager
 
 from tribound.cochain import (
-    CochainFn,
     delta_f,
     delta_reach,
     image_delta,
@@ -39,6 +38,7 @@ from tribound.invariant import (
     verify_certificate,
     weight,
 )
+from tribound.poly import CochainFn
 
 from conftest import random_closed_braid
 

@@ -1,9 +1,11 @@
 """The traced benchmark wraps ``CochainFn.build`` and ``canonical`` by
-name, and reads the level and cache metrics off the spans of
-``delta_reach``, ``store_reach`` and ``load_reach`` (see bench/shim.py
-and bench/run.py); a rename there would only show up in a traced
-benchmark run, so this runs the shim on one certify call, cold and then
-warm."""
+name, through ``tribound.cochain.CochainFn``, and reads the per-layer
+metrics off the spans of ``delta_reach``, ``image_delta``, ``weight``,
+``certify_lower_bound``, ``verify_certificate``, ``store_reach`` and
+``load_reach`` (see bench/shim.py and bench/run.py); a rename or a move
+there would only show up in a traced benchmark run, so this runs the
+shim on one certify call, cold and then warm.  At ``--max-m 2`` the
+half level is Delta_1 = +/- Im df, so no ``sumset`` span need appear."""
 
 from __future__ import annotations
 
@@ -39,7 +41,9 @@ def test_shim_traces_cochain_methods(tmp_path):
     cold = spans("cold")
     assert {
         "cochain.CochainFn.build", "cochain.CochainFn.canonical",
-        "cochain.delta_reach", "cache.store_reach",
+        "cochain.delta_reach", "cochain.image_delta", "cache.store_reach",
+        "invariant.weight", "invariant.certify_lower_bound",
+        "invariant.verify_certificate",
     } <= cold
     warm = spans("warm")
     assert "cache.load_reach" in warm and "cache.store_reach" not in warm

@@ -17,10 +17,11 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tribound.cochain import CochainFn, DeltaReach, delta_f
+from tribound.cochain import DeltaReach, delta_f
 from tribound.diagram import diagram_from_dict
 from tribound.fixtures import closed_braid_code
 from tribound.invariant import certify_lower_bound, phi_set
+from tribound.poly import CochainFn
 
 
 def closure(strands, word):

@@ -20,9 +20,9 @@ import tribound.coloring as coloring
 import tribound.diagram as diagram
 import tribound.invariant as invariant
 from tribound.cli import main
-from tribound.cochain import CochainFn
 from tribound.fixtures import closed_braid_code, fixture_dict, fixture_names, load_fixture
 from tribound.invariant import phi_set
+from tribound.poly import CochainFn
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -330,6 +330,32 @@ def test_path_wins_over_bundled_name(capsys, tmp_path, monkeypatch):
     assert code == 0 and report["results"]["summary"]["name"] == "local"
     code, report, _ = run_json(capsys, "validate", "d1")
     assert code == 0 and report["results"]["summary"]["name"] == "d1"
+
+
+def test_diagram_files_are_read_as_utf8(tmp_path):
+    # JSON is UTF-8 whatever the locale: under LC_ALL=C with UTF-8 mode off
+    # the locale's encoding is ASCII, which cannot decode this name
+    name = "nœud-trèfle"
+    fdir = write_fixtures(tmp_path / "fixtures")
+    code = fixture_dict("d1")
+    code["name"] = name
+    for path in (tmp_path / "d1u.json", fdir / "d1.json"):
+        path.write_bytes(json.dumps(code, ensure_ascii=False).encode("utf-8"))
+    env = dict(os.environ, LC_ALL="C")
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+
+    def child(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "tribound.cli", *argv, "--json"],
+            cwd=tmp_path, env=env, capture_output=True, timeout=120,
+        )
+
+    proc = child("validate", "d1u.json")
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout)["results"]["summary"]["name"] == name
+    proc = child("reproduce", "--fixtures-dir", str(fdir))
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout)["results"]["pass"] is True
 
 
 def test_validate_derives_once(monkeypatch):

@@ -14,24 +14,26 @@ from hypothesis import strategies as st
 from tribound import cochain
 from tribound.cochain import (
     DENSE_FACTOR,
-    MAX_COEFF_BITS,
-    MAX_DEGREE,
-    CochainFn,
-    NegativeExponentError,
     ResourceCapExceeded,
-    SharpConditionError,
-    ExprSyntaxError,
-    UnknownVariableError,
-    canonical_str,
     delta_f,
     delta_reach,
     image_delta,
-    parse_poly,
     sumset,
     sumset_size,
 )
 from tribound.coloring import quandle_star
 from tribound.fixtures import DELTA_TABLE_N3, EXPECTED
+from tribound.poly import (
+    MAX_COEFF_BITS,
+    MAX_DEGREE,
+    CochainFn,
+    ExprSyntaxError,
+    NegativeExponentError,
+    SharpConditionError,
+    UnknownVariableError,
+    canonical_str,
+    parse_poly,
+)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -564,18 +566,25 @@ def test_level_cap(f3):
         delta_reach(f3, 2, cap=5)
     with pytest.raises(ValueError, match="cap must be >= 1"):
         delta_reach(f3, 0, cap=0)
+    # Delta_1 is +/- Im df itself, 15 values, held to the cap as a sum is
+    assert len(delta_reach(f3, 1, cap=15).levels[1]) == 15
+    with pytest.raises(
+        ResourceCapExceeded, match=r"^sumset grew past the cardinality cap 14$"
+    ):
+        delta_reach(f3, 1, cap=14)
 
 
 def test_set_loop_memory_cap(f5, monkeypatch):
-    # Delta_1 of the d3/d4 function is 701 values from the set loop; the
-    # loop raises once values * SET_BYTES_PER_VALUE pass SET_BYTES_CAP,
-    # well below the cardinality cap
+    # {0} + (+/- Im df) of the d3/d4 function is 701 values from the set
+    # loop; the loop raises once values * SET_BYTES_PER_VALUE pass
+    # SET_BYTES_CAP, well below the cardinality cap
+    pm_im = sorted({v for k in image_delta(f5) for v in (k, -k)})
     per = cochain.SET_BYTES_PER_VALUE
     monkeypatch.setattr(cochain, "SET_BYTES_CAP", 701 * per)
-    assert len(delta_reach(f5, 1).levels[1]) == 701
+    assert len(cochain.sumset((0,), pm_im)) == 701
     monkeypatch.setattr(cochain, "SET_BYTES_CAP", 700 * per)
     with pytest.raises(ResourceCapExceeded, match="past 700 values.*memory cap"):
-        delta_reach(f5, 1)
+        cochain.sumset((0,), pm_im)
 
 
 def test_reach_memo_extends(f5):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribound import coloring
-from tribound.cochain import CochainFn
+from tribound.poly import CochainFn
 from tribound.coloring import (
     Coloring,
     RegionConflictError,

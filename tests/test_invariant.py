@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tribound.cochain import CochainFn, DeltaReach, ResourceCapExceeded, delta_reach
+from tribound.cochain import DeltaReach, ResourceCapExceeded, delta_reach
 from tribound.coloring import (
     Coloring,
     enumerate_colorings,
@@ -32,6 +32,7 @@ from tribound.invariant import (
     verify_certificate,
     weight,
 )
+from tribound.poly import CochainFn
 
 from conftest import random_closed_braid
 
@@ -521,7 +522,7 @@ def test_verifier_rejects_tampered_colorings(diagrams, f3):
 
 
 def test_verifier_builds_only_half_levels(diagrams, f5, monkeypatch):
-    import tribound.invariant as invariant
+    import tribound.cochain as cochain
 
     d, d2 = diagrams["d3"], diagrams["d4"]
     asked: list[int] = []
@@ -530,7 +531,7 @@ def test_verifier_builds_only_half_levels(diagrams, f5, monkeypatch):
         asked.append(max_m)
         return delta_reach(f, max_m, **kwargs)
 
-    monkeypatch.setattr(invariant, "delta_reach", spy)
+    monkeypatch.setattr(cochain, "delta_reach", spy)
     for max_m in (1, 2, 3):
         reach = delta_reach(f5, max_m - 1)
         cert = certify_lower_bound(
@@ -559,7 +560,7 @@ def test_certify_rejects_outer_color_before_levels(diagrams, f5):
 def test_certify_asks_for_its_half_levels_once(diagrams, f3, monkeypatch):
     # h = ceil((max_m - 1) / 2), from the given source or, looked up at
     # call time, from delta_reach
-    import tribound.invariant as invariant
+    import tribound.cochain as cochain
 
     d, d2 = diagrams["d1"], diagrams["d2"]
     asked: list[int] = []
@@ -568,7 +569,7 @@ def test_certify_asks_for_its_half_levels_once(diagrams, f3, monkeypatch):
         asked.append(h)
         return delta_reach(f, h)
 
-    monkeypatch.setattr(invariant, "delta_reach", source)
+    monkeypatch.setattr(cochain, "delta_reach", source)
     for max_m in range(1, 6):
         for levels in (source, None):
             asked.clear()

@@ -36,7 +36,8 @@ sys.stderr.write(json.dumps({{"code": code, "loaded": loaded}}))
 
 F = "(x-y)*(y-z)*z"
 CORE = {"tribound", "tribound.cli", "tribound.diagram"}
-LAYERS = CORE | {"tribound.coloring", "tribound.cochain", "tribound.invariant"}
+WEIGHT = CORE | {"tribound.coloring", "tribound.poly", "tribound.invariant"}
+LAYERS = WEIGHT | {"tribound.cochain"}
 
 
 def child(tmp_path: Path, *argv: str) -> subprocess.CompletedProcess:
@@ -60,15 +61,17 @@ def loaded_by(tmp_path: Path, *argv: str) -> tuple[int, set[str]]:
 COMMANDS = (
     (("validate", "d1.json"), CORE),
     (("colorings", "d1.json", "-n", "3"), CORE | {"tribound.coloring"}),
-    (("weight", "d1.json", "-n", "3", "-f", F, "-s", "0", "--coloring", "all"), LAYERS),
+    # W reads f's table alone: the level layer is never compiled
+    (("weight", "d1.json", "-n", "3", "-f", F, "-s", "0", "--coloring", "all"), WEIGHT),
     (
         ("delta", "-n", "3", "-f", F, "--max-m", "2"),
-        CORE | {"tribound.cochain", "tribound.cache", "pathlib"},
+        CORE | {"tribound.poly", "tribound.cochain", "tribound.cache", "pathlib"},
     ),
     (
         ("certify", "d1.json", "d2.json", "-n", "3", "-f", F, "-s", "0", "--max-m", "2"),
         LAYERS | {"tribound.cache", "pathlib"},
     ),
+    (("reproduce",), LAYERS | {"tribound.fixtures", "pathlib"}),
     # a bundled name still resolves, through the fixtures loaded on demand
     (("validate", "d1"), CORE | {"tribound.fixtures"}),
 )
@@ -89,17 +92,27 @@ def test_package_loads_no_submodule(tmp_path):
     assert proc.stdout.strip() == "['tribound']"
 
 
+def test_weight_function_loads_without_levels(tmp_path):
+    proc = child(
+        tmp_path, "-c",
+        "import sys, tribound; tribound.CochainFn;"
+        " print(sorted(m for m in sys.modules if 'tribound' in m))",
+    )
+    assert proc.stdout.strip() == "['tribound', 'tribound.diagram', 'tribound.poly']"
+
+
 def test_package_resolves_public_names_lazily():
     for name in tribound.__all__:
         assert getattr(tribound, name) is not None
         assert name in dir(tribound)
     assert tribound.weight is tribound.invariant.weight
     assert tribound.load_fixture is tribound.fixtures.load_fixture
-    for module in ("cli", "diagram", "coloring", "cochain", "invariant", "cache"):
+    for module in ("cli", "diagram", "coloring", "poly", "cochain", "invariant", "cache"):
         assert getattr(tribound, module) is sys.modules[f"tribound.{module}"]
     # one class, caught by the command line without loading the layers
     assert (
         tribound.coloring.ResourceCapExceeded
+        is tribound.poly.ResourceCapExceeded
         is tribound.cochain.ResourceCapExceeded
         is tribound.diagram.ResourceCapExceeded
     )
