@@ -10,6 +10,10 @@ Exit codes: 0 success/valid, 1 usage error, 2 validation/parse error,
 no obstruction (m = 0), 141 stdout closed by its reader before the
 output was written in full (as a shell reports a death by SIGPIPE).
 
+``main`` returns the exit code, so it can run in-process; ``entry``,
+which the ``tribound`` script and ``python -m tribound.cli`` run, calls
+it and exits the process.
+
 Every call is a fresh interpreter, so each command imports the modules
 it runs when it runs: ``validate`` loads only ``diagram``, which also
 holds what dispatch needs (``DiagramError``, ``ResourceCapExceeded`` and
@@ -20,13 +24,15 @@ time, so a function replaced in its defining module is the one called.
 from __future__ import annotations
 
 import argparse
+import codecs
+import gc
 import json
 import os
 import re
 import sys
 import time
 from collections.abc import Iterator
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
 from .diagram import DEFAULT_LEVEL_CAP, DiagramError, ResourceCapExceeded
 
@@ -36,7 +42,7 @@ if TYPE_CHECKING:
     from .cochain import DeltaReach
     from .poly import CochainFn
 
-__all__ = ["main"]
+__all__ = ["entry", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -561,5 +567,37 @@ def _stdout_closed() -> int:
     return EXIT_BROKEN_PIPE
 
 
+def _escape(exc: UnicodeError) -> tuple[str | bytes, int]:
+    """Error handler of text output.  A byte that ``surrogateescape``
+    decoded from argv or the environment (a path that is not UTF-8)
+    goes out as that byte; any other character the locale cannot
+    encode is escaped by ``backslashreplace``, the handler of
+    ``sys.stderr``."""
+    try:
+        return codecs.lookup_error("surrogateescape")(exc)
+    except UnicodeError:
+        return codecs.backslashreplace_errors(exc)
+
+
+def entry() -> NoReturn:
+    """Run ``main`` as the process and exit with its code.
+
+    Text goes out through ``_escape``, so a diagram name the locale
+    cannot encode is escaped rather than fatal; a ``--json`` report is
+    ASCII either way.  Once the report is out, every live object dies
+    with the process, so the heap is frozen: the collections that
+    finalization runs find nothing to scan, while the ``atexit``
+    handlers and the flush of the standard streams still run.
+    """
+    # stdout is None when fd 1 was closed at start-up, and a handler set
+    # in PYTHONIOENCODING stays; strict and surrogateescape are the defaults
+    if sys.stdout is not None and sys.stdout.errors in ("strict", "surrogateescape"):
+        codecs.register_error("tribound.escape", _escape)
+        sys.stdout.reconfigure(errors="tribound.escape")
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

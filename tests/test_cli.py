@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -24,7 +25,8 @@ from tribound.fixtures import closed_braid_code, fixture_dict, fixture_names, lo
 from tribound.invariant import phi_set
 from tribound.poly import CochainFn
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run(capsys, *argv):
@@ -342,7 +344,7 @@ def test_diagram_files_are_read_as_utf8(tmp_path):
     for path in (tmp_path / "d1u.json", fdir / "d1.json"):
         path.write_bytes(json.dumps(code, ensure_ascii=False).encode("utf-8"))
     env = dict(os.environ, LC_ALL="C")
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = str(ROOT / "src")
 
     def child(*argv: str) -> subprocess.CompletedProcess:
         return subprocess.run(
@@ -356,6 +358,62 @@ def test_diagram_files_are_read_as_utf8(tmp_path):
     proc = child("reproduce", "--fixtures-dir", str(fdir))
     assert proc.returncode == 0, proc.stdout
     assert json.loads(proc.stdout)["results"]["pass"] is True
+
+
+def test_text_output_escapes_what_the_locale_cannot_encode(tmp_path):
+    # text goes out with the backslashreplace errors of stderr: under an
+    # ASCII locale every line comes out, the name escaped, and otherwise
+    # the bytes are those of a UTF-8 stdout
+    name, escaped = "nœud-trèfle", r"n\u0153ud-tr\xe8fle"
+    code = fixture_dict("d1")
+    code["name"] = name
+    (tmp_path / "d1u.json").write_bytes(json.dumps(code, ensure_ascii=False).encode("utf-8"))
+    env = dict(os.environ, LC_ALL="C", PYTHONPATH=str(ROOT / "src"),
+               XDG_CACHE_HOME=str(tmp_path / "cache"))
+    env.pop("PYTHONIOENCODING", None)  # it would set stdout's encoding
+    f = "(x-y)*(y-z)*z"
+    for argv, lines in (
+        (["validate", "d1u.json"], 1),
+        (["colorings", "d1u.json", "-n", "3"], 10),
+        (["weight", "d1u.json", "-n", "3", "-f", f, "-s", "0", "--coloring", "all"], 10),
+        (["certify", "d1u.json", "d2", "-n", "3", "-f", f, "-s", "0", "--max-m", "2"], 5),
+    ):
+        out = {}
+        for utf8 in (0, 1):
+            proc = subprocess.run(
+                [sys.executable, "-X", f"utf8={utf8}", "-m", "tribound.cli", *argv],
+                cwd=tmp_path, env=env, capture_output=True, timeout=120,
+            )
+            assert (proc.returncode, proc.stderr) == (0, b""), (argv, utf8)
+            out[utf8] = proc.stdout
+        assert len(out[0].splitlines()) == lines, argv
+        assert escaped.encode() in out[0], argv
+        assert out[0] == out[1].decode("utf-8").replace(name, escaped).encode("ascii")
+    # a handler set in PYTHONIOENCODING is the user's choice, and stays
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "tribound.cli", "validate", "d1u.json"],
+        cwd=tmp_path, env=dict(env, PYTHONIOENCODING="ascii:replace"),
+        capture_output=True, timeout=120,
+    )
+    assert proc.stdout.startswith(b"valid: n?ud-tr?fle with 3 crossings"), proc.stdout
+
+
+def test_text_output_keeps_undecodable_path_bytes(tmp_path):
+    # argv decodes a byte that is not UTF-8 to a lone surrogate, which
+    # goes back out as the same byte: the path printed is the path given,
+    # under UTF-8 and ASCII locales alike
+    cache = bytes(tmp_path) + b"/cache\xff"
+    argv = [b"delta", b"-n", b"5", b"-f", b"(x+y)^3*(y+z)*(y-z)^3*z^5", b"--max-m", b"1",
+            b"--cache", cache]
+    env = dict(os.environ, LC_ALL="C", PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONIOENCODING", None)
+    for utf8 in (0, 1):
+        proc = subprocess.run(
+            [sys.executable, "-X", f"utf8={utf8}", "-m", "tribound.cli", *argv],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b""), utf8
+        assert b"(full set in " + cache + b"/" in proc.stdout, utf8
 
 
 def test_validate_derives_once(monkeypatch):
@@ -550,7 +608,7 @@ def test_outer_color_is_rejected_before_the_report(capsys, argv):
 
 def spawn_cli(*argv: str, **popen) -> subprocess.Popen:
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = str(ROOT / "src")
     return subprocess.Popen(
         [sys.executable, "-m", "tribound.cli", *argv], env=env,
         stderr=subprocess.PIPE, **popen,
@@ -575,6 +633,70 @@ def test_reader_that_closes_early_gets_a_quiet_exit(tmp_path):
         os.close(write)
     assert child.wait(timeout=60) == 141
     assert child.stderr.read() == b""
+
+
+def run_child(tmp_path: Path, *args: str) -> subprocess.CompletedProcess:
+    """``python ARGS`` with the checkout's src on the path, in tmp_path."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               XDG_CACHE_HOME=str(tmp_path / "child-cache"))
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+# registered before tribound runs, so it runs after every other handler
+FROZEN_AT_EXIT = """
+import atexit, gc, sys
+atexit.register(lambda: sys.stderr.write(f"frozen: {gc.get_freeze_count() > 0}\\n"))
+sys.argv[0] = "tribound"
+"""
+
+
+def test_entry_point_freezes_the_heap_and_keeps_atexit(capsys, tmp_path):
+    # `python -m tribound.cli` and the [project.scripts] function both exit
+    # through cli.entry; main() called in-process freezes nothing
+    script = re.search(r'^tribound = "([\w.]+):(\w+)"$',
+                       (ROOT / "pyproject.toml").read_text(), re.M)
+    valid = "valid: d1 with 3 crossings, 6 edges, 3 arcs, 5 faces (1 component(s); outer face 0)\n"
+    for code in (
+        "import runpy\nrunpy.run_module('tribound.cli', run_name='__main__', alter_sys=True)",
+        f"from {script[1]} import {script[2]}\n{script[2]}()",
+    ):
+        proc = run_child(tmp_path, "-c", FROZEN_AT_EXIT + code, "validate", "d1")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, valid, "frozen: True\n")
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "validate", "d1") == (0, valid, "")
+    assert gc.get_freeze_count() == frozen
+
+
+def test_profiler_still_reports_at_exit(tmp_path):
+    # finalization still runs: a profiler's report is written after exit
+    proc = run_child(tmp_path, "-m", "cProfile", "-m", "tribound.cli", "validate", "d1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("valid: d1 with 3 crossings")
+    assert re.search(r"\d+ function calls .*in [\d.]+ seconds", proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["validate", "d1"], 0),
+        (["validate", "d1", "--bogus"], 1),
+        (["validate", "no-such-file.json"], 2),
+        (["delta", "-n", "3", "-f", "(x-y)*(y-z)*z", "--max-m", "1", "--cap", "1"], 4),
+        (["certify", "d1", "d2", "-n", "13", "-f", "(x-y)*(y-z)*z", "-s", "0",
+          "--max-m", "3"], 5),
+    ],
+    ids=["ok", "usage", "invalid", "resource", "no-bound"],
+)
+def test_exit_codes_through_the_entry_point(capsys, monkeypatch, tmp_path, argv, code):
+    # the child exits with main()'s code and prints what main() prints
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setenv("COLUMNS", "200")
+    want = run(capsys, *argv)
+    assert want[0] == code
+    proc = run_child(tmp_path, "-m", "tribound.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
 
 
 def test_weight_refuses_bad_function(capsys):
