@@ -8,7 +8,8 @@ machine-readable report with stable field names.
 Exit codes: 0 success/valid, 1 usage error, 2 validation/parse error,
 3 reproduction mismatch, 4 resource cap exceeded, 5 certification found
 no obstruction (m = 0), 141 stdout closed by its reader before the
-output was written in full (as a shell reports a death by SIGPIPE).
+output was written in full, or closed before the command ran (as a
+shell reports a death by SIGPIPE).
 
 ``main`` returns the exit code, so it can run in-process; ``entry``,
 which the ``tribound`` script and ``python -m tribound.cli`` run, calls
@@ -19,11 +20,13 @@ it runs when it runs: ``validate`` loads only ``diagram``, which also
 holds what dispatch needs (``DiagramError``, ``ResourceCapExceeded`` and
 the ``--cap`` default).  The imports read module attributes at call
 time, so a function replaced in its defining module is the one called.
+A plain command line is parsed by ``_recognize``, from the table that
+``build_parser`` turns into an argparse parser; argparse is imported
+only for the rest: help, usage errors and the forms only it accepts.
 """
 
 from __future__ import annotations
 
-import argparse
 import codecs
 import gc
 import json
@@ -32,11 +35,13 @@ import re
 import sys
 import time
 from collections.abc import Iterator
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
 from .diagram import DEFAULT_LEVEL_CAP, DiagramError, ResourceCapExceeded
 
 if TYPE_CHECKING:
+    from argparse import ArgumentParser, Namespace
     from pathlib import Path
 
     from .cochain import DeltaReach
@@ -159,7 +164,7 @@ def _print_set(label: str, values: tuple[int, ...], dump: Path | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(args: argparse.Namespace, report: RunReport) -> int:
+def cmd_validate(args: Namespace, report: RunReport) -> int:
     from .diagram import derived_dict, parse_diagram
 
     text = _diagram_text(args.path)  # a missing file is an error, not a report
@@ -200,7 +205,7 @@ def cmd_validate(args: argparse.Namespace, report: RunReport) -> int:
     return EXIT_OK
 
 
-def cmd_colorings(args: argparse.Namespace, report: RunReport) -> int:
+def cmd_colorings(args: Namespace, report: RunReport) -> int:
     from .coloring import (
         _check_outer_color,
         enumerate_colorings,
@@ -254,7 +259,7 @@ def cmd_colorings(args: argparse.Namespace, report: RunReport) -> int:
     return EXIT_OK
 
 
-def cmd_weight(args: argparse.Namespace, report: RunReport) -> int:
+def cmd_weight(args: Namespace, report: RunReport) -> int:
     from .coloring import (
         _check_outer_color,
         enumerate_colorings,
@@ -325,7 +330,7 @@ def cmd_weight(args: argparse.Namespace, report: RunReport) -> int:
     return EXIT_OK
 
 
-def cmd_delta(args: argparse.Namespace, report: RunReport) -> int:
+def cmd_delta(args: Namespace, report: RunReport) -> int:
     from .cache import cache_path, cached_reach
     from .poly import CochainFn
 
@@ -349,7 +354,7 @@ def cmd_delta(args: argparse.Namespace, report: RunReport) -> int:
     return EXIT_OK
 
 
-def cmd_certify(args: argparse.Namespace, report: RunReport) -> int:
+def cmd_certify(args: Namespace, report: RunReport) -> int:
     from .cache import cached_reach
     from .cochain import delta_reach
     from .diagram import parse_diagram
@@ -383,7 +388,7 @@ def cmd_certify(args: argparse.Namespace, report: RunReport) -> int:
     return EXIT_OK if cert.m >= 1 else EXIT_NO_BOUND
 
 
-def cmd_reproduce(args: argparse.Namespace, report: RunReport) -> int:
+def cmd_reproduce(args: Namespace, report: RunReport) -> int:
     from pathlib import Path
 
     from .fixtures import reproduce_checks
@@ -409,24 +414,70 @@ def cmd_reproduce(args: argparse.Namespace, report: RunReport) -> int:
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+# The one description of every command's arguments: its help line, its
+# positionals, then its options, each in the order its parser declares
+# them, and the function that runs it.  An option is (flag, dest, type,
+# default, help, metavar): type bool is a store-true flag, and default
+# REQUIRED marks an option that must be given.  Every command also takes
+# JSON, after its own options.  build_parser makes the argparse parser of
+# this table and _recognize parses the plain command lines by it; the
+# table's order is the order in which the full parser lists the commands.
+REQUIRED = object()
+JSON = ("--json", "json", bool, False, "machine-readable report", None)
+ARGUMENTS: dict[str, tuple[str, tuple[str, ...], tuple[tuple, ...], Callable]] = {
+    "validate": ("check a diagram file", ("path",), (
+        ("--emit-derived", "emit_derived", bool, False,
+         "include derived arcs/faces/signs in the output", None),
+    ), cmd_validate),
+    "colorings": ("enumerate Fox n-colorings", ("path",), (
+        ("-n", "n", int, REQUIRED, "modulus", None),
+        ("--outer-color", "outer_color", int, None,
+         "also list region colors for outer color S", "S"),
+        ("--nontrivial-only", "nontrivial_only", bool, False, None, None),
+    ), cmd_colorings),
+    "weight": ("crossing-weight sums and Phi sets", ("path",), (
+        ("-n", "n", int, REQUIRED, None, None),
+        ("-f", "f", str, REQUIRED, "weight function, e.g. '(x-y)*(y-z)*z'", None),
+        ("-s", "s", int, REQUIRED, "outer region color", None),
+        ("--coloring", "coloring", str, "all",
+         "coloring id, or 'all' (default) for every coloring plus Phi", "ID|all"),
+    ), cmd_weight),
+    "delta": ("coboundary image and level sets", (), (
+        ("-n", "n", int, REQUIRED, None, None),
+        ("-f", "f", str, REQUIRED, None, None),
+        ("--max-m", "max_m", int, 1, "highest level to compute", None),
+        ("--cache", "cache", str, None, "cache directory", None),
+        ("--cap", "cap", int, DEFAULT_LEVEL_CAP,
+         "abort if a level exceeds this many values (default 10^7)", None),
+    ), cmd_delta),
+    "certify": ("certify a lower bound on type-III moves for a pair", ("path_d", "path_d2"), (
+        ("-n", "n", int, REQUIRED, None, None),
+        ("-f", "f", str, REQUIRED, None, None),
+        ("-s", "s", int, REQUIRED, None, None),
+        ("--max-m", "max_m", int, 3, None, None),
+        ("--cache", "cache", str, None, None, None),
+    ), cmd_certify),
+    "reproduce": ("re-run all bundled reference computations and compare", (), (
+        ("--fixtures-dir", "fixtures_dir", str, None,
+         "load d1..d6 from this directory instead of the bundled diagrams", None),
+    ), cmd_reproduce),
+}
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
+def build_parser(command: str | None = None) -> ArgumentParser:
+    """The ``tribound`` parser of ``ARGUMENTS``.  Given a command, it
+    holds only that subcommand's parser, which parses an argument list
+    starting with that command as the full parser does: its usage line
+    names every command, as the full parser's does."""
+    import argparse
 
-# the subcommands, in the order the full parser lists them
-COMMANDS = ("validate", "colorings", "weight", "delta", "certify", "reproduce")
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> NoReturn:
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
 
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``tribound`` parser.  Given one of ``COMMANDS``, it holds only
-    that subcommand's parser, which parses an argument list starting
-    with that command as the full parser does: its usage line names
-    every command, as the full parser's does."""
-    parser = _ArgumentParser(
+    parser = Parser(
         prog="tribound",
         description=(
             "Fox colorings, region colorings, crossing-weight invariants "
@@ -434,100 +485,80 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "diagrams."
         ),
     )
-    listed = "{" + ",".join(COMMANDS) + "}" if command else None
+    listed = "{" + ",".join(ARGUMENTS) + "}" if command else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="machine-readable report")
-
-    def wanted(name: str) -> bool:
-        return command is None or command == name
-
-    if wanted("validate"):
-        p = sub.add_parser("validate", help="check a diagram file")
-        p.add_argument("path")
-        p.add_argument(
-            "--emit-derived",
-            action="store_true",
-            help="include derived arcs/faces/signs in the output",
-        )
-        common(p)
-        p.set_defaults(func=cmd_validate)
-
-    if wanted("colorings"):
-        p = sub.add_parser("colorings", help="enumerate Fox n-colorings")
-        p.add_argument("path")
-        p.add_argument("-n", type=int, required=True, help="modulus")
-        p.add_argument(
-            "--outer-color", type=int, default=None, metavar="S",
-            help="also list region colors for outer color S",
-        )
-        p.add_argument("--nontrivial-only", action="store_true")
-        common(p)
-        p.set_defaults(func=cmd_colorings)
-
-    if wanted("weight"):
-        p = sub.add_parser("weight", help="crossing-weight sums and Phi sets")
-        p.add_argument("path")
-        p.add_argument("-n", type=int, required=True)
-        p.add_argument("-f", required=True, help="weight function, e.g. '(x-y)*(y-z)*z'")
-        p.add_argument("-s", type=int, required=True, help="outer region color")
-        p.add_argument(
-            "--coloring", default="all", metavar="ID|all",
-            help="coloring id, or 'all' (default) for every coloring plus Phi",
-        )
-        common(p)
-        p.set_defaults(func=cmd_weight)
-
-    if wanted("delta"):
-        p = sub.add_parser("delta", help="coboundary image and level sets")
-        p.add_argument("-n", type=int, required=True)
-        p.add_argument("-f", required=True)
-        p.add_argument("--max-m", type=int, default=1, help="highest level to compute")
-        p.add_argument("--cache", default=None, help="cache directory")
-        p.add_argument(
-            "--cap", type=int, default=DEFAULT_LEVEL_CAP,
-            help="abort if a level exceeds this many values (default 10^7)",
-        )
-        common(p)
-        p.set_defaults(func=cmd_delta)
-
-    if wanted("certify"):
-        p = sub.add_parser(
-            "certify", help="certify a lower bound on type-III moves for a pair"
-        )
-        p.add_argument("path_d")
-        p.add_argument("path_d2")
-        p.add_argument("-n", type=int, required=True)
-        p.add_argument("-f", required=True)
-        p.add_argument("-s", type=int, required=True)
-        p.add_argument("--max-m", type=int, default=3)
-        p.add_argument("--cache", default=None)
-        common(p)
-        p.set_defaults(func=cmd_certify)
-
-    if wanted("reproduce"):
-        p = sub.add_parser(
-            "reproduce",
-            help="re-run all bundled reference computations and compare",
-        )
-        p.add_argument(
-            "--fixtures-dir", default=None,
-            help="load d1..d6 from this directory instead of the bundled diagrams",
-        )
-        common(p)
-        p.set_defaults(func=cmd_reproduce)
+    for name, (help_line, positionals, options, func) in ARGUMENTS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_line)
+        for dest in positionals:
+            p.add_argument(dest)
+        for flag, dest, kind, default, help_text, metavar in (*options, JSON):
+            if kind is bool:
+                p.add_argument(flag, dest=dest, action="store_true", help=help_text)
+            else:
+                required = default is REQUIRED
+                p.add_argument(flag, dest=dest, type=kind, required=required,
+                               default=None if required else default,
+                               help=help_text, metavar=metavar)
+        p.set_defaults(func=func)
     return parser
+
+
+def _recognize(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that ``build_parser().parse_args(argv)`` returns,
+    with its keys in the same order, for a plain command line: a command,
+    then only its own flags and options, spelt out in full, each option
+    with a value that does not start with ``-``, and positionals that do
+    not either.  None for anything else, which argparse then parses (and
+    explains, if it is wrong); nothing is printed here."""
+    if not argv or argv[0] not in ARGUMENTS:
+        return None
+    _, positionals, options, func = ARGUMENTS[argv[0]]
+    flags = {option[0]: option for option in (*options, JSON)}
+    values: dict[str, Any] = {"command": argv[0], **dict.fromkeys(positionals)}
+    for _, dest, _, default, _, _ in (*options, JSON):
+        values[dest] = None if default is REQUIRED else default
+    values["func"] = func
+    missing = {dest for _, dest, _, default, _, _ in options if default is REQUIRED}
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        if token not in flags:
+            return None
+        _, dest, kind, _, _, _ = flags[token]
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # "-": no value follows
+        if value.startswith("-"):
+            return None
+        try:
+            values[dest] = kind(value)  # a repeated option keeps its last value
+        except ValueError:
+            return None
+        missing.discard(dest)
+    if missing or len(given) != len(positionals):
+        return None
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # usage error (1) or --help (0)
-        return int(exc.code or 0)
-    func: Callable[[argparse.Namespace, RunReport], int] = args.func
+    args: Namespace | SimpleNamespace | None = _recognize(argv)
+    if args is None:  # argparse parses it, or writes its usage, help or error
+        parser = build_parser(argv[0] if argv and argv[0] in ARGUMENTS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # usage error (1) or --help (0)
+            return int(exc.code or 0)
+    if sys.stdout is None:  # fd 1 was closed before the process started
+        return _stdout_closed()
+    func: Callable[[Namespace, RunReport], int] = args.func
     inputs = {
         k: v
         for k, v in vars(args).items()
@@ -558,12 +589,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _stdout_closed() -> int:
-    """stdout's reader is gone (``tribound ... | head``).  Point stdout
-    at devnull, so that the flush at exit has nothing to fail on, and
-    exit quietly, as the Python docs' note on SIGPIPE advises."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    os.close(devnull)
+    """stdout's reader is gone (``tribound ... | head``), or fd 1 was
+    closed before the process started (``tribound ... >&-``), when
+    ``sys.stdout`` is None.  Point a stdout at devnull, so that the flush
+    at exit has nothing to fail on, and exit quietly, as the Python docs'
+    note on SIGPIPE advises."""
+    if sys.stdout is not None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_BROKEN_PIPE
 
 

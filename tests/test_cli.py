@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import json
 import os
 import re
@@ -244,7 +246,7 @@ def test_report_writer_holds_one_item_at_a_time(monkeypatch, tmp_path):
             tracemalloc.stop()
         return peak, stdout.written
 
-    traced_peak("--coloring", "1")  # first call: argparse's compiled patterns
+    traced_peak("--coloring", "1")  # first call: one-time allocations (ABC caches)
     one_peak, one_written = traced_peak("--coloring", "1")
     all_peak, written = traced_peak()
     assert written > 250_000 > 50 * one_written
@@ -633,6 +635,24 @@ def test_reader_that_closes_early_gets_a_quiet_exit(tmp_path):
         os.close(write)
     assert child.wait(timeout=60) == 141
     assert child.stderr.read() == b""
+
+
+def test_stdout_closed_at_start_up_gets_a_quiet_exit(tmp_path):
+    # `tribound ... >&-`: with fd 1 closed, Python sets sys.stdout to None
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               XDG_CACHE_HOME=str(tmp_path / "cache"))
+
+    def closed(*argv: str) -> tuple[int, str]:
+        line = shlex.join([sys.executable, "-m", "tribound.cli", *argv])
+        proc = subprocess.run(["sh", "-c", f"{line} >&-"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        return proc.returncode, proc.stderr
+
+    assert closed("validate", "d1") == (141, "")
+    assert closed("validate", "d1", "--json") == (141, "")
+    # a usage error and --help keep their codes
+    assert closed("validate", "d1", "--bogus")[0] == 1
+    assert closed("--help")[0] == 0
 
 
 def run_child(tmp_path: Path, *args: str) -> subprocess.CompletedProcess:
@@ -1102,15 +1122,86 @@ def test_command_parser_holds_one_command(capsys, monkeypatch):
     with pytest.raises(SystemExit):
         cli.build_parser("certify").parse_args(["validate", "d1"])
     assert cli.build_parser().parse_args(["validate", "d1"]).func is cli.cmd_validate
-    # main builds one command's parser only when argv[0] names a command
+    # main builds no parser for a plain command line, and one command's
+    # parser only when argv[0] names a command
     built = []
     full = cli.build_parser
     monkeypatch.setattr(
         cli, "build_parser", lambda command=None: built.append(command) or full(command)
     )
-    for argv in (["validate", "d1"], ["--help"], ["bogus"], []):
+    for argv in (["validate", "d1"], ["validate", "d1", "--bogus"], ["--help"], ["bogus"], []):
         run(capsys, *argv)
     assert built == ["validate", None, None, None]
+
+
+# tokens that the recognizer leaves to argparse, and an unknown command
+HOSTILE = ("", "-1", "5_0", " 7", "+3", "--json=1", "--max", "--max-m=3", "-n5",
+           "--", "-h", "frobnicate")
+VALUES = {int: ("0", "2", "3", "13"), str: ("d1", "x", "(x-y)*(y-z)*z", "all")}
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """An argv from the grammar of ``cli.ARGUMENTS``: a command, then its
+    positionals and options in any order, an option repeated or left
+    out, a positional missing or one too many, hostile tokens mixed in."""
+    command = draw(st.sampled_from((*cli.ARGUMENTS, "frobnicate")))
+    _, positionals, options, _ = cli.ARGUMENTS.get(command, ("", (), (), None))
+
+    def value(kind: type) -> str:
+        return draw(st.sampled_from(VALUES[kind] if draw(st.integers(0, 7)) else HOSTILE))
+
+    def option(flag: str, kind: type) -> list[str]:
+        return [flag] if kind is bool else [flag, value(kind)]
+
+    k = len(positionals)
+    groups = [[value(str)] for _ in range(draw(st.sampled_from((k, k, k, k + 1, max(0, k - 1)))))]
+    groups += [option(flag, kind) for flag, _, kind, default, _, _ in options
+               if default is cli.REQUIRED and draw(st.integers(0, 9))]
+    extra = draw(st.lists(st.sampled_from((*options, cli.JSON)), max_size=4))
+    groups += [option(flag, kind) for flag, _, kind, _, _, _ in extra]
+    groups += [[token] for token in draw(st.lists(st.sampled_from(HOSTILE), max_size=1))]
+    return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+def parse_items(argv: list[str], command: str | None) -> list[tuple[str, object]]:
+    return list(vars(cli.build_parser(command).parse_args(argv)).items())
+
+
+def echo(args, report) -> int:
+    """A command that prints what it was given."""
+    print(json.dumps(report.inputs), args.json)
+    return 0
+
+
+@given(command_lines())
+@example([])
+@example(["--help"])
+@example(["certify", "--help"])
+@example(["weight", "d1", "-n", "3", "-f", "x", "-s", "-1"])
+@settings(max_examples=300, deadline=None)
+def test_recognizer_agrees_with_argparse(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        ns = cli._recognize(argv)
+    assert out.getvalue() == err.getvalue() == ""
+    if ns is not None:
+        assert list(vars(ns).items()) == parse_items(argv, None) == parse_items(argv, argv[0])
+        return
+    # declined: main answers as argparse alone does; each command echoes
+    # its inputs, so that any argv is cheap to run
+    def outcome(recognize) -> tuple[int, str, str]:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cli, "_recognize", recognize)
+            for name, entry in cli.ARGUMENTS.items():
+                m.setitem(cli.ARGUMENTS, name, (*entry[:3], echo))
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(list(argv))
+        masked = re.sub(r'"timing_s": [-+.\de]+', '"timing_s": 0', out.getvalue())
+        return code, masked, err.getvalue()
+
+    assert outcome(cli._recognize) == outcome(lambda argv: None)
 
 
 def readme_commands() -> list[list[str]]:
@@ -1127,5 +1218,9 @@ def test_readme_command_line_examples_run(capsys, tmp_path, monkeypatch):
     commands = readme_commands()
     assert len(commands) >= 6
     for argv in commands:
+        # parsed without argparse, into the namespace that argparse gives
+        ns = cli._recognize(argv)
+        assert ns is not None, argv
+        assert list(vars(ns).items()) == parse_items(argv, None)
         assert main(argv) == 0, argv
         capsys.readouterr()

@@ -7,6 +7,8 @@ only where a cache or fixtures directory is named, ``tribound.fixtures``
 only where a bundled diagram is named, and nowhere ``hashlib`` or its
 OpenSSL module ``_hashlib`` (hashes come from the interpreter's built-in
 SHA-256), nor ``dataclasses`` (with ``inspect``, ``ast`` and ``dis``).
+A well-formed command line loads no ``argparse`` (with ``gettext`` and
+``locale``): only a line that argparse must parse or explain does.
 Each call runs in a child interpreter without ``site``, so that nothing
 but tribound and the probe below loads modules.
 """
@@ -25,7 +27,7 @@ import tribound
 from tribound.fixtures import fixture_dict
 
 ROOT = Path(__file__).resolve().parents[1]
-WATCHED = ("dataclasses", "hashlib", "_hashlib", "pathlib")
+WATCHED = ("dataclasses", "hashlib", "_hashlib", "pathlib", "argparse", "gettext", "locale")
 PROBE = """
 import json, sys
 import tribound.cli
@@ -38,6 +40,7 @@ F = "(x-y)*(y-z)*z"
 CORE = {"tribound", "tribound.cli", "tribound.diagram"}
 WEIGHT = CORE | {"tribound.coloring", "tribound.poly", "tribound.invariant"}
 LAYERS = WEIGHT | {"tribound.cochain"}
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 def child(tmp_path: Path, *argv: str) -> subprocess.CompletedProcess:
@@ -52,36 +55,38 @@ def child(tmp_path: Path, *argv: str) -> subprocess.CompletedProcess:
 
 def loaded_by(tmp_path: Path, *argv: str) -> tuple[int, set[str]]:
     proc = child(tmp_path, "-c", PROBE, *argv, "--json")
-    result = json.loads(proc.stderr)
+    result = json.loads(proc.stderr.splitlines()[-1])  # after any usage error
     return result["code"], set(result["loaded"])
 
 
-# each command with the tribound modules (and watched standard modules)
-# it loads
+# each command with its exit code and the tribound modules (and watched
+# standard modules) it loads
 COMMANDS = (
-    (("validate", "d1.json"), CORE),
-    (("colorings", "d1.json", "-n", "3"), CORE | {"tribound.coloring"}),
+    (("validate", "d1.json"), 0, CORE),
+    (("colorings", "d1.json", "-n", "3"), 0, CORE | {"tribound.coloring"}),
     # W reads f's table alone: the level layer is never compiled
-    (("weight", "d1.json", "-n", "3", "-f", F, "-s", "0", "--coloring", "all"), WEIGHT),
+    (("weight", "d1.json", "-n", "3", "-f", F, "-s", "0", "--coloring", "all"), 0, WEIGHT),
     (
-        ("delta", "-n", "3", "-f", F, "--max-m", "2"),
+        ("delta", "-n", "3", "-f", F, "--max-m", "2"), 0,
         CORE | {"tribound.poly", "tribound.cochain", "tribound.cache", "pathlib"},
     ),
     (
-        ("certify", "d1.json", "d2.json", "-n", "3", "-f", F, "-s", "0", "--max-m", "2"),
+        ("certify", "d1.json", "d2.json", "-n", "3", "-f", F, "-s", "0", "--max-m", "2"), 0,
         LAYERS | {"tribound.cache", "pathlib"},
     ),
-    (("reproduce",), LAYERS | {"tribound.fixtures", "pathlib"}),
+    (("reproduce",), 0, LAYERS | {"tribound.fixtures", "pathlib"}),
     # a bundled name still resolves, through the fixtures loaded on demand
-    (("validate", "d1"), CORE | {"tribound.fixtures"}),
+    (("validate", "d1"), 0, CORE | {"tribound.fixtures"}),
+    # a malformed line falls back to argparse, which writes the usage error
+    (("validate", "d1.json", "--bogus"), 1, CORE | ARGPARSE),
 )
 
 
 def test_commands_import_only_what_they_run(tmp_path):
     for name in ("d1", "d2"):
         (tmp_path / f"{name}.json").write_text(json.dumps(fixture_dict(name)))
-    for argv, modules in COMMANDS:
-        assert loaded_by(tmp_path, *argv) == (0, modules), argv
+    for argv, code, modules in COMMANDS:
+        assert loaded_by(tmp_path, *argv) == (code, modules), argv
 
 
 def test_package_loads_no_submodule(tmp_path):
