@@ -16,8 +16,9 @@ import json
 import os
 from pathlib import Path
 
+from . import cochain
 from .cochain import DeltaReach, delta_reach
-from .diagram import DEFAULT_LEVEL_CAP, sha256_hex
+from .diagram import sha256_hex
 from .poly import CochainFn
 
 __all__ = ["default_cache_dir", "cache_path", "load_reach", "store_reach", "cached_reach"]
@@ -77,22 +78,24 @@ def store_reach(reach: DeltaReach, directory: str | Path | None = None) -> Path:
 
 
 def cached_reach(
-    f: CochainFn,
-    max_level: int,
-    directory: str | Path | None = None,
-    cap: int = DEFAULT_LEVEL_CAP,
+    f: CochainFn, max_level: int, directory: str | Path | None = None
 ) -> tuple[DeltaReach, bool]:
     """Delta_0..Delta_max_level of f, or more, and whether the cache
     served them; a miss builds and stores them.  An entry is not served
-    for a level below 0 or past the cap, so that ``delta_reach`` rejects
-    max_level < 0 and cap < 1, and enforces the cap, warm or cold."""
+    for a level below 0, or if a level it would serve holds more than
+    ``cochain.DEFAULT_LEVEL_CAP`` values (read at each call), so that
+    ``delta_reach`` rejects max_level < 0 and enforces the cap, warm or
+    cold."""
     cached = load_reach(f, directory)
     if (
         cached is not None
         and 0 <= max_level < len(cached.levels)
-        and all(len(lv) <= cap for lv in cached.levels[: max_level + 1])
+        and all(
+            len(lv) <= cochain.DEFAULT_LEVEL_CAP
+            for lv in cached.levels[: max_level + 1]
+        )
     ):
         return cached, True
-    reach = delta_reach(f, max_level, cap=cap)
+    reach = delta_reach(f, max_level)
     store_reach(reach, directory)
     return reach, False

@@ -17,12 +17,12 @@ it and exits the process.
 
 Every call is a fresh interpreter, so each command imports the modules
 it runs when it runs: ``validate`` loads only ``diagram``, which also
-holds what dispatch needs (``DiagramError``, ``ResourceCapExceeded`` and
-the ``--cap`` default).  The imports read module attributes at call
-time, so a function replaced in its defining module is the one called.
-A plain command line is parsed by ``_recognize``, from the table that
-``build_parser`` turns into an argparse parser; argparse is imported
-only for the rest: help, usage errors and the forms only it accepts.
+holds what dispatch needs (``DiagramError`` and ``ResourceCapExceeded``).
+The imports read module attributes at call time, so a function replaced
+in its defining module is the one called.  A plain command line is
+parsed by ``_recognize``, from the table that ``build_parser`` turns
+into the argparse parser of every command; argparse is imported only
+for the rest: help, usage errors and the forms only it accepts.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from collections.abc import Iterator
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
-from .diagram import DEFAULT_LEVEL_CAP, DiagramError, ResourceCapExceeded
+from .diagram import DiagramError, ResourceCapExceeded
 
 if TYPE_CHECKING:
     from argparse import ArgumentParser, Namespace
@@ -311,7 +311,7 @@ def cmd_weight(args: Namespace, report: RunReport) -> int:
 
     def phi() -> dict[str, Any]:
         """Phi of the rows' weights: call it after the last row."""
-        p = PhiSet.from_weights(d.name, args.s, args.n, nontrivial)
+        p = PhiSet.from_weights(nontrivial)
         return {
             "values": list(p.values),
             "witnesses": {str(v): list(ids) for v, ids in p.witnesses.items()},
@@ -335,7 +335,7 @@ def cmd_delta(args: Namespace, report: RunReport) -> int:
     from .poly import CochainFn
 
     f = CochainFn.build(args.f, args.n)
-    reach, hit = cached_reach(f, args.max_m, args.cache, cap=args.cap)
+    reach, hit = cached_reach(f, args.max_m, args.cache)
     report.cache["hits" if hit else "misses"] += 1
     dump = cache_path(f, args.cache)
     report.results["f_canonical"] = f.canonical()
@@ -447,8 +447,6 @@ ARGUMENTS: dict[str, tuple[str, tuple[str, ...], tuple[tuple, ...], Callable]] =
         ("-f", "f", str, REQUIRED, None, None),
         ("--max-m", "max_m", int, 1, "highest level to compute", None),
         ("--cache", "cache", str, None, "cache directory", None),
-        ("--cap", "cap", int, DEFAULT_LEVEL_CAP,
-         "abort if a level exceeds this many values (default 10^7)", None),
     ), cmd_delta),
     "certify": ("certify a lower bound on type-III moves for a pair", ("path_d", "path_d2"), (
         ("-n", "n", int, REQUIRED, None, None),
@@ -464,11 +462,9 @@ ARGUMENTS: dict[str, tuple[str, tuple[str, ...], tuple[tuple, ...], Callable]] =
 }
 
 
-def build_parser(command: str | None = None) -> ArgumentParser:
-    """The ``tribound`` parser of ``ARGUMENTS``.  Given a command, it
-    holds only that subcommand's parser, which parses an argument list
-    starting with that command as the full parser does: its usage line
-    names every command, as the full parser's does."""
+def build_parser() -> ArgumentParser:
+    """The ``tribound`` parser of ``ARGUMENTS``, with one subcommand per
+    command."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
@@ -485,11 +481,8 @@ def build_parser(command: str | None = None) -> ArgumentParser:
             "diagrams."
         ),
     )
-    listed = "{" + ",".join(ARGUMENTS) + "}" if command else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, positionals, options, func) in ARGUMENTS.items():
-        if command not in (None, name):
-            continue
         p = sub.add_parser(name, help=help_line)
         for dest in positionals:
             p.add_argument(dest)
@@ -551,9 +544,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args: Namespace | SimpleNamespace | None = _recognize(argv)
     if args is None:  # argparse parses it, or writes its usage, help or error
-        parser = build_parser(argv[0] if argv and argv[0] in ARGUMENTS else None)
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:  # usage error (1) or --help (0)
             return int(exc.code or 0)
     if sys.stdout is None:  # fd 1 was closed before the process started

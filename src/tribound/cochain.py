@@ -18,7 +18,7 @@ import bisect
 import itertools
 from typing import Iterable, NamedTuple
 
-from .diagram import DEFAULT_LEVEL_CAP, ResourceCapExceeded
+from .diagram import ResourceCapExceeded
 from .poly import CochainFn
 
 __all__ = [
@@ -78,6 +78,10 @@ def image_delta(f: CochainFn) -> tuple[int, ...]:
     return tuple(sorted(values))
 
 
+# No Delta level, built or only counted, may hold more values than this:
+# sumset, sumset_size and delta_reach read it when they run, and raise
+# ResourceCapExceeded past it.
+DEFAULT_LEVEL_CAP = 10**7
 # sumset takes the bitmask kernel when the span of the sum is at most this
 # many times |a|; a sparser sum stays on the set loop.
 DENSE_FACTOR = 1024
@@ -103,8 +107,10 @@ SET_BYTES_CAP = 150 * 10**6
 SET_BYTES_PER_VALUE = 128
 
 
-def _past_cap(cap: int) -> ResourceCapExceeded:
-    return ResourceCapExceeded(f"sumset grew past the cardinality cap {cap}")
+def _past_cap() -> ResourceCapExceeded:
+    return ResourceCapExceeded(
+        f"sumset grew past the cardinality cap {DEFAULT_LEVEL_CAP}"
+    )
 
 
 def _is_dense(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -117,7 +123,7 @@ def _is_symmetric(values: list[int]) -> bool:
     return all(p == -q for p, q in zip(values, reversed(values)))
 
 
-def _dense_mask(a: tuple[int, ...], b: tuple[int, ...], cap: int | None) -> int:
+def _dense_mask(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """The bitmask kernel: bit k of the result stands for min(a) + min(b)
     + k, and each q in b ORs in the mask of a shifted by q - min(b).  Each
     width/8-byte buffer is dropped once it is spent, so at most four are
@@ -133,20 +139,18 @@ def _dense_mask(a: tuple[int, ...], b: tuple[int, ...], cap: int | None) -> int:
     for i, q in enumerate(set(b), 1):
         out |= mask << (q - lo_b)
         # the count only grows: test the cap after ORs 1, 2, 4, 8, ...
-        if cap is not None and i & (i - 1) == 0 and out.bit_count() > cap:
-            raise _past_cap(cap)
+        if i & (i - 1) == 0 and out.bit_count() > DEFAULT_LEVEL_CAP:
+            raise _past_cap()
     del mask
-    if cap is not None and out.bit_count() > cap:
-        raise _past_cap(cap)
+    if out.bit_count() > DEFAULT_LEVEL_CAP:
+        raise _past_cap()
     return out
 
 
-def _sumset_dense(
-    a: tuple[int, ...], b: tuple[int, ...], cap: int | None
-) -> tuple[int, ...]:
+def _sumset_dense(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The values of the bitmask kernel's mask, read back in chunks."""
     lo = min(a) + min(b)
-    out = _dense_mask(a, b, cap)
+    out = _dense_mask(a, b)
     raw = out.to_bytes((out.bit_length() + 7) // 8, "little")
     del out
     values: list[int] = []
@@ -162,8 +166,9 @@ def _sumset_dense(
     return tuple(values)
 
 
-def sumset(a: Iterable[int], b: Iterable[int], cap: int | None = None) -> tuple[int, ...]:
-    """Sorted {p + q : p in a, q in b}, aborting past ``cap`` elements.
+def sumset(a: Iterable[int], b: Iterable[int]) -> tuple[int, ...]:
+    """Sorted {p + q : p in a, q in b}, aborting past ``DEFAULT_LEVEL_CAP``
+    elements.
 
     A dense sum, whose span max(a) - min(a) + max(b) - min(b) + 1 is at
     most ``DENSE_FACTOR * |a|``, is built as a bitmask on a Python int
@@ -174,13 +179,13 @@ def sumset(a: Iterable[int], b: Iterable[int], cap: int | None = None) -> tuple[
     """
     a, b = tuple(a), tuple(b)
     if a and b and _is_dense(a, b):
-        return _sumset_dense(a, b, cap)
+        return _sumset_dense(a, b)
     out: set[int] = set()
     limit = SET_BYTES_CAP // SET_BYTES_PER_VALUE
     for p in a:
         out.update(p + q for q in b)
-        if cap is not None and len(out) > cap:
-            raise _past_cap(cap)
+        if len(out) > DEFAULT_LEVEL_CAP:
+            raise _past_cap()
         if len(out) > limit:
             raise ResourceCapExceeded(
                 f"sumset set grew past {limit} values, about "
@@ -189,9 +194,9 @@ def sumset(a: Iterable[int], b: Iterable[int], cap: int | None = None) -> tuple[
     return tuple(sorted(out))
 
 
-def sumset_size(a: Iterable[int], b: Iterable[int], cap: int | None = None) -> int:
+def sumset_size(a: Iterable[int], b: Iterable[int]) -> int:
     """``len(sumset(a, b))``, raising the same ResourceCapExceeded past
-    ``cap``, without holding the sum.
+    ``DEFAULT_LEVEL_CAP``, without holding the sum.
 
     A dense sum is the bitmask kernel's mask, whose bits
     ``int.bit_count`` counts.  A sparse sum is tallied one value range
@@ -211,7 +216,7 @@ def sumset_size(a: Iterable[int], b: Iterable[int], cap: int | None = None) -> i
     if not a or not b:
         return 0
     if _is_dense(a, b):
-        return _dense_mask(a, b, cap).bit_count()
+        return _dense_mask(a, b).bit_count()
     a, b = sorted(set(a)), sorted(set(b))
     lo, top = a[0] + b[0], a[-1] + b[-1]
     scale, count = 1, 0
@@ -237,8 +242,8 @@ def sumset_size(a: Iterable[int], b: Iterable[int], cap: int | None = None) -> i
         count += scale * len(
             {p + q for p, j, e in zip(ps, js, ends) for q in b[j:e]}
         )
-        if cap is not None and count > cap:
-            raise _past_cap(cap)
+        if count > DEFAULT_LEVEL_CAP:
+            raise _past_cap()
         starts[first:last] = ends
         lo = hi
         # aim the next range at 3/4 of the budget, growing it at most 4-fold
@@ -255,27 +260,25 @@ class DeltaReach(NamedTuple):
     levels: tuple[tuple[int, ...], ...]
 
 
-def delta_reach(f: CochainFn, max_m: int, cap: int = DEFAULT_LEVEL_CAP) -> DeltaReach:
+def delta_reach(f: CochainFn, max_m: int) -> DeltaReach:
     """Delta_0 = {0}; Delta_m = Delta_{m-1} + (+/- Im df), each sorted.
 
     Since 0 is always in Im(df), the levels are nested increasing.  A
-    level exceeding ``cap`` elements raises ResourceCapExceeded: the
-    levels feed the move-count certificates, so truncation is never
-    acceptable.
+    level exceeding ``DEFAULT_LEVEL_CAP`` elements raises
+    ResourceCapExceeded: the levels feed the move-count certificates, so
+    truncation is never acceptable.
     """
     if max_m < 0:
         raise ValueError(f"max_m must be >= 0, got {max_m}")
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
     im = image_delta(f)
     pm_im = tuple(sorted({v for k in im for v in (k, -k)}))
     levels = [(0,)]
     if max_m >= 1:
         # Delta_1 = {0} + (+/- Im df) is +/- Im df itself
-        if len(pm_im) > cap:
-            raise _past_cap(cap)
+        if len(pm_im) > DEFAULT_LEVEL_CAP:
+            raise _past_cap()
         levels.append(pm_im)
     while len(levels) <= max_m:
-        levels.append(sumset(levels[-1], pm_im, cap=cap))
+        levels.append(sumset(levels[-1], pm_im))
     return DeltaReach(f=f, im_delta=im, levels=tuple(levels))
 

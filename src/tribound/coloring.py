@@ -39,7 +39,7 @@ def quandle_star(x: int, y: int, n: int) -> int:
 
 
 # enumerate_colorings refuses to build more colorings than this; the Delta
-# level cap, DEFAULT_LEVEL_CAP, lives in diagram.py
+# level cap lives in cochain.py
 COLORING_CAP = 10**5
 
 
@@ -60,12 +60,10 @@ class Coloring(NamedTuple):
 
 
 class ExtendedColoring(NamedTuple):
-    """A coloring plus region colors indexed by face id; the outer face
-    carries ``outer_color``."""
+    """A coloring plus region colors indexed by face id."""
 
     base: Coloring
     region_colors: tuple[int, ...]
-    outer_color: int
 
     @property
     def n(self) -> int:
@@ -281,6 +279,4 @@ def extend_coloring(d: Diagram, c: Coloring, s: int) -> ExtendedColoring:
             raise RegionConflictError(
                 f"edge {e.id} violates the region relation after propagation"
             )
-    return ExtendedColoring(
-        base=c, region_colors=tuple(region), outer_color=s
-    )
+    return ExtendedColoring(base=c, region_colors=tuple(region))

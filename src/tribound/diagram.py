@@ -29,7 +29,6 @@ __all__ = [
     "DiagramConnectivityError",
     "DiagramPlanarityError",
     "ResourceCapExceeded",
-    "DEFAULT_LEVEL_CAP",
     "HalfEdgeSlot",
     "Crossing",
     "Edge",
@@ -91,15 +90,13 @@ class DiagramPlanarityError(DiagramError):
     kind = "planarity"
 
 
-# The failure and the Delta level cap that every layer shares live here,
-# in the module every command loads, so that the command line can catch
-# the one and show the other without loading the layers that use them.
-DEFAULT_LEVEL_CAP = 10**7
-
-
+# The failure that every layer shares lives here, in the module every
+# command loads, so that the command line can catch it without loading
+# the layers that raise it.
 class ResourceCapExceeded(RuntimeError):
     """A coloring list or a level set grew past its cardinality cap, or
-    the weight function f past its degree or coefficient-size cap."""
+    the weight function f past its degree, coefficient-size or modulus
+    cap."""
 
 
 LEFT = "left"

@@ -31,7 +31,7 @@ from .coloring import (
     extend_coloring,
     is_trivial,
 )
-from .diagram import DEFAULT_LEVEL_CAP, Diagram, diagram_hash
+from .diagram import Diagram, diagram_hash
 from .poly import CochainFn
 
 if TYPE_CHECKING:
@@ -68,24 +68,16 @@ class PhiSet(NamedTuple):
     canonical enumeration) that realize it.
     """
 
-    diagram: str
-    s: int
-    n: int
     values: tuple[int, ...]
     witnesses: dict[int, tuple[int, ...]]
 
     @classmethod
-    def from_weights(
-        cls, diagram: str, s: int, n: int, weights: Iterable[tuple[int, int]]
-    ) -> "PhiSet":
+    def from_weights(cls, weights: Iterable[tuple[int, int]]) -> "PhiSet":
         """Collect (coloring id, W) pairs, given in coloring-id order."""
         witnesses: dict[int, list[int]] = {}
         for cid, w in weights:
             witnesses.setdefault(w, []).append(cid)
         return cls(
-            diagram=diagram,
-            s=s,
-            n=n,
             values=tuple(sorted(witnesses)),
             witnesses={v: tuple(ids) for v, ids in witnesses.items()},
         )
@@ -130,12 +122,9 @@ def crossing_terms(
 def phi_set(d: Diagram, s: int, f: CochainFn) -> PhiSet:
     """Weight values of every non-trivial coloring with outer color s."""
     return PhiSet.from_weights(
-        d.name, s, f.n,
-        (
-            (cid, weight(d, extend_coloring(d, col, s), f))
-            for cid, col in enumerate(enumerate_colorings(d, f.n))
-            if not is_trivial(col)
-        ),
+        (cid, weight(d, extend_coloring(d, col, s), f))
+        for cid, col in enumerate(enumerate_colorings(d, f.n))
+        if not is_trivial(col)
     )
 
 
@@ -240,8 +229,8 @@ def certify_lower_bound(
     level k <= h is looked up directly; a higher one is met in the
     middle, Delta_k = Delta_h + Delta_k-h.  The size |Delta_k| of each
     level h < k < max_m is ``sumset_size`` of the same split, taken
-    before any coloring is scored; a size past ``DEFAULT_LEVEL_CAP``
-    raises ResourceCapExceeded.
+    before any coloring is scored; a size past the level cap of
+    ``cochain`` raises ResourceCapExceeded.
     """
     if max_m < 1:
         raise ValueError(f"max_m must be >= 1, got {max_m}")
@@ -257,7 +246,7 @@ def certify_lower_bound(
             f"supplied levels reach Delta_{len(held) - 1}, need Delta_{h}"
         )
     sizes = tuple(map(len, held)) + tuple(
-        sumset_size(held[h], held[k - h], DEFAULT_LEVEL_CAP)
+        sumset_size(held[h], held[k - h])
         for k in range(h + 1, max_m)
     )
     phi = phi_set(d2, s, f)
@@ -334,7 +323,7 @@ def verify_certificate(
     # Delta_0..Delta_{max_m-1} are needed; max_m // 2 = ceil((max_m-1)/2)
     halves = delta_reach(f, cert.max_m // 2).levels
     sizes = tuple(map(len, halves)) + tuple(
-        sumset_size(halves[(k + 1) // 2], halves[k // 2], DEFAULT_LEVEL_CAP)
+        sumset_size(halves[(k + 1) // 2], halves[k // 2])
         for k in range(len(halves), cert.max_m)
     )
     if sizes != cert.delta_level_sizes:

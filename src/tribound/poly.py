@@ -7,11 +7,11 @@ representatives 0..n-1 and the value is the exact integer: nothing is
 reduced mod n on the output side, so results routinely exceed
 machine-word range and we rely on Python's big integers.
 
-``CochainFn.build`` parses f, checks the caps on its size, tabulates
-f(x, y, z) over Z(n)^3 and rejects any f with f(x, y, y) != 0.  The
-weight W and the Phi sets read only that table; the coboundary of f and
-its levels live in ``cochain``, which the ``weight`` command never
-loads.
+``CochainFn.build`` checks the modulus against its cap, parses f,
+checks the caps on its size, tabulates f(x, y, z) over Z(n)^3 and
+rejects any f with f(x, y, y) != 0.  The weight W and the Phi sets read
+only that table; the coboundary of f and its levels live in
+``cochain``, which the ``weight`` command never loads.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
     "canonical_str",
     "CochainFn",
     "MAX_DEGREE",
+    "MAX_MODULUS",
     "MAX_COEFF_BITS",
     "MAX_TERM_PRODUCTS",
 ]
@@ -44,6 +45,9 @@ __all__ = [
 MAX_DEGREE = 64
 MAX_COEFF_BITS = 4096
 MAX_TERM_PRODUCTS = 10**6
+# The value table holds all n^3 values of f: n = 100 is 10^6 of them, and
+# builds in about a second.  build checks n before it parses f.
+MAX_MODULUS = 100
 
 Monomials = dict[tuple[int, int, int], int]
 _Terms = tuple[tuple[tuple[int, int, int], int], ...]
@@ -386,6 +390,11 @@ class CochainFn(NamedTuple):
     def build(cls, f: str | Monomials, n: int) -> "CochainFn":
         if n < 1:
             raise ValueError(f"modulus must be >= 1, got {n}")
+        if n > MAX_MODULUS:
+            raise ResourceCapExceeded(
+                f"modulus {n} past the cap {MAX_MODULUS} on the n^3 values "
+                f"of f's table"
+            )
         terms = _terms(f)
         table = _value_table(terms, n)
         bad = _first_nonvanishing(table)

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from tribound import cochain
 from tribound.cache import (
     cache_path,
     cached_reach,
@@ -84,7 +85,10 @@ def test_entry_names_are_pinned(tmp_path, f3, f4, f5):
 
 def test_load_rejects_stale_content(tmp_path, f3, f4):
     path = store_reach(delta_reach(f3, 1), tmp_path)
-    assert load_reach(f4, tmp_path) is None  # different function
+    assert load_reach(f4, tmp_path) is None  # different function, no entry
+    # an entry at f4's own path that names f3 is a miss too
+    cache_path(f4, tmp_path).write_text(path.read_text())
+    assert load_reach(f4, tmp_path) is None
     path.write_text("{broken")
     assert load_reach(f3, tmp_path) is None
 
@@ -168,20 +172,20 @@ def test_cached_reach_serves_entries_holding_the_levels(tmp_path, f3):
     assert len(load_reach(f3, directory).levels) == 3
 
 
-def test_cached_reach_checks_level_and_cap_warm_as_cold(tmp_path, f3):
+def test_cached_reach_checks_level_and_cap_warm_as_cold(tmp_path, f3, monkeypatch):
     # |Delta_2| = 39; the warm directory holds Delta_0..Delta_2, and the
     # cold one stays empty, as nothing is stored when the build fails
     warm, cold = tmp_path / "warm", tmp_path / "cold"
     cached_reach(f3, 2, warm)
+    monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 38)
     for directory in (warm, cold):
         with pytest.raises(ValueError, match=r"^max_m must be >= 0, got -1$"):
             cached_reach(f3, -1, directory)
-        with pytest.raises(ValueError, match=r"^cap must be >= 1, got 0$"):
-            cached_reach(f3, 0, directory, cap=0)
         with pytest.raises(ResourceCapExceeded):
-            cached_reach(f3, 2, directory, cap=38)
+            cached_reach(f3, 2, directory)
     assert not cold.exists()
-    assert cached_reach(f3, 2, warm, cap=39)[1]
+    monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 39)
+    assert cached_reach(f3, 2, warm)[1]
 
 
 def test_cached_reach_raises_when_the_store_fails(tmp_path, f3):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import tribound.cache as cache
 import tribound.cli as cli
+import tribound.cochain as cochain
 import tribound.coloring as coloring
 import tribound.diagram as diagram
 import tribound.invariant as invariant
@@ -702,7 +703,7 @@ def test_profiler_still_reports_at_exit(tmp_path):
         (["validate", "d1"], 0),
         (["validate", "d1", "--bogus"], 1),
         (["validate", "no-such-file.json"], 2),
-        (["delta", "-n", "3", "-f", "(x-y)*(y-z)*z", "--max-m", "1", "--cap", "1"], 4),
+        (["colorings", "d1", "-n", "100000000"], 4),
         (["certify", "d1", "d2", "-n", "13", "-f", "(x-y)*(y-z)*z", "-s", "0",
           "--max-m", "3"], 5),
     ],
@@ -796,31 +797,34 @@ def test_delta_large_set_summarized(capsys, tmp_path):
     assert Path(report["results"]["cache_file"]).exists()
 
 
-def test_delta_cap_exit_code(capsys, tmp_path):
+def test_delta_cap_exit_code(capsys, tmp_path, monkeypatch):
     # cold, then warm from a cache filled without the cap
     args = (
         "delta", "-n", "3", "-f", "(x-y)*(y-z)*z", "--max-m", "2",
         "--cache", str(tmp_path / "c"),
     )
     for _ in range(2):
-        code, _, err = run(capsys, *args, "--cap", "5")
+        with monkeypatch.context() as m:
+            m.setattr(cochain, "DEFAULT_LEVEL_CAP", 5)
+            code, _, err = run(capsys, *args)
         assert code == 4
         assert "cap" in err
         assert run(capsys, *args)[0] == 0
 
 
 def test_delta_cap_below_one_is_usage_error(capsys, tmp_path):
-    # Delta_0 = {0} is built without a sumset, so no level passes a cap
-    # of 0; it is refused up front, as is a level below 0, on a cold and
-    # on a warm cache
+    # the level cap is no option: --cap is refused as any unknown option
+    # is; a level below 0 is refused up front, on a cold and on a warm
+    # cache
     args = (
         "delta", "-n", "3", "-f", "(x-y)*(y-z)*z",
         "--cache", str(tmp_path / "c"),
     )
     for _ in range(2):
-        code, _, err = run(capsys, *args, "--max-m", "0", "--cap", "0")
-        assert code == 2
-        assert "cap must be >= 1, got 0" in err
+        for cap in ("0", "5"):
+            code, _, err = run(capsys, *args, "--max-m", "0", "--cap", cap)
+            assert code == 1
+            assert f"unrecognized arguments: --cap {cap}" in err
         code, _, err = run(capsys, *args, "--max-m", "-1")
         assert code == 2
         assert "max_m must be >= 0, got -1" in err
@@ -845,6 +849,21 @@ def test_function_size_cap_exit_code(capsys, tmp_path):
         assert time.perf_counter() - start < limit
         assert code == 4
         assert "past the cap" in err
+
+
+def test_modulus_cap_exit_code(capsys):
+    # f's table would hold 600^3 values: refused before any is computed
+    start = time.perf_counter()
+    code, report, _ = run_json(
+        capsys,
+        "weight", "d1", "-n", "600", "-f", "(x-y)*(y-z)*z", "-s", "0",
+        "--coloring", "0",
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 4
+    assert report["results"] == {
+        "error": "modulus 600 past the cap 100 on the n^3 values of f's table"
+    }
 
 
 def test_certify_reference_pairs(capsys, tmp_path):
@@ -1096,42 +1115,28 @@ CHOICES = "'validate', 'colorings', 'weight', 'delta', 'certify', 'reproduce'"
     ],
 )
 def test_parser_output_pinned(capsys, monkeypatch, argv, code, err):
-    # a command's own parser answers as the parser of every command does:
-    # same exit code, stdout and stderr
     monkeypatch.setenv("COLUMNS", "200")
     got = run(capsys, *argv)
-    assert got == run_full_parser(capsys, monkeypatch, argv)
     out = got[1]
     assert (got[0], got[2]) == (code, err)
     if code == 0:
         assert out.startswith("usage: tribound") and "-h, --help" in out
 
 
-def run_full_parser(capsys, monkeypatch, argv):
-    """run(), with the parser of every command built whatever argv[0] is."""
-    full = cli.build_parser
-    with monkeypatch.context() as m:
-        m.setattr(cli, "build_parser", lambda command=None: full())
-        return run(capsys, *argv)
-
-
 def test_command_parser_holds_one_command(capsys, monkeypatch):
-    assert cli.build_parser("certify").parse_args(
+    parser = cli.build_parser()
+    assert parser.parse_args(
         ["certify", "d3", "d4", "-n", "5", "-f", "x", "-s", "0"]
     ).func is cli.cmd_certify
-    with pytest.raises(SystemExit):
-        cli.build_parser("certify").parse_args(["validate", "d1"])
-    assert cli.build_parser().parse_args(["validate", "d1"]).func is cli.cmd_validate
-    # main builds no parser for a plain command line, and one command's
-    # parser only when argv[0] names a command
+    assert parser.parse_args(["validate", "d1"]).func is cli.cmd_validate
+    # main builds no parser for a plain command line, and the one parser
+    # of every command for each line that falls back to argparse
     built = []
     full = cli.build_parser
-    monkeypatch.setattr(
-        cli, "build_parser", lambda command=None: built.append(command) or full(command)
-    )
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(0) or full())
     for argv in (["validate", "d1"], ["validate", "d1", "--bogus"], ["--help"], ["bogus"], []):
         run(capsys, *argv)
-    assert built == ["validate", None, None, None]
+    assert built == [0, 0, 0, 0]
 
 
 # tokens that the recognizer leaves to argparse, and an unknown command
@@ -1164,8 +1169,8 @@ def command_lines(draw) -> list[str]:
     return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
 
 
-def parse_items(argv: list[str], command: str | None) -> list[tuple[str, object]]:
-    return list(vars(cli.build_parser(command).parse_args(argv)).items())
+def parse_items(argv: list[str]) -> list[tuple[str, object]]:
+    return list(vars(cli.build_parser().parse_args(argv)).items())
 
 
 def echo(args, report) -> int:
@@ -1186,7 +1191,7 @@ def test_recognizer_agrees_with_argparse(argv):
         ns = cli._recognize(argv)
     assert out.getvalue() == err.getvalue() == ""
     if ns is not None:
-        assert list(vars(ns).items()) == parse_items(argv, None) == parse_items(argv, argv[0])
+        assert list(vars(ns).items()) == parse_items(argv)
         return
     # declined: main answers as argparse alone does; each command echoes
     # its inputs, so that any argv is cheap to run
@@ -1221,6 +1226,6 @@ def test_readme_command_line_examples_run(capsys, tmp_path, monkeypatch):
         # parsed without argparse, into the namespace that argparse gives
         ns = cli._recognize(argv)
         assert ns is not None, argv
-        assert list(vars(ns).items()) == parse_items(argv, None)
+        assert list(vars(ns).items()) == parse_items(argv)
         assert main(argv) == 0, argv
         capsys.readouterr()

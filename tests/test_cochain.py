@@ -26,6 +26,7 @@ from tribound.fixtures import DELTA_TABLE_N3, EXPECTED
 from tribound.poly import (
     MAX_COEFF_BITS,
     MAX_DEGREE,
+    MAX_MODULUS,
     CochainFn,
     ExprSyntaxError,
     NegativeExponentError,
@@ -90,7 +91,10 @@ def test_unknown_variable():
 
 
 def test_syntax_errors_carry_position():
-    for text, pos in (("x +", 3), ("(x", 2), ("x^", 2), ("x y", 2), ("", 0)):
+    for text, pos in (
+        ("x +", 3), ("(x", 2), ("x^", 2), ("x y", 2), ("", 0),
+        ("x^(2", 4), ("x^-", 3), ("x+*", 2),
+    ):
         with pytest.raises(ExprSyntaxError) as err:
             parse_poly(text)
         assert err.value.pos == pos
@@ -112,6 +116,16 @@ def test_size_caps():
             parse_poly(text)
     # about 1.2e5 term products, within MAX_TERM_PRODUCTS
     assert max(map(sum, parse_poly("(x+y+z)^60*(y-z)"))) == 61
+
+
+def test_modulus_cap():
+    # the value table holds n^3 values: 10^6 at the cap, which still builds
+    assert len(CochainFn.build("y-z", MAX_MODULUS).table) == MAX_MODULUS
+    with pytest.raises(
+        ResourceCapExceeded,
+        match=rf"^modulus {MAX_MODULUS + 1} past the cap {MAX_MODULUS} ",
+    ):
+        CochainFn.build("y-z", MAX_MODULUS + 1)
 
 
 def test_canonical_form():
@@ -362,25 +376,28 @@ def test_levels_symmetric_and_nested(f3, f4):
 
 def test_sumset():
     assert sumset((0, 1), (0, 10)) == (0, 1, 10, 11)
-    with pytest.raises(ResourceCapExceeded):
-        sumset(range(100), range(100), cap=10)
+    with mock.patch.object(cochain, "DEFAULT_LEVEL_CAP", 10):
+        with pytest.raises(ResourceCapExceeded):
+            sumset(range(100), range(100))
 
 
 def _sumset_case(a, b, dense):
     """sumset(a, b) against the brute-force sum, with the kernel checked:
     a is passed as an iterator and b reversed, so neither is a sorted
-    tuple.  A nonempty sum one element past ``cap`` must raise the same
-    message on either kernel."""
+    tuple.  A nonempty sum one element past ``DEFAULT_LEVEL_CAP`` must
+    raise the same message on either kernel."""
     want = tuple(sorted({p + q for p in a for q in b}))
     spy = mock.patch.object(
         cochain, "_sumset_dense", wraps=cochain._sumset_dense
     )
     with spy as kernel:
         assert sumset(iter(a), b[::-1]) == want
-        assert sumset(a, b, cap=len(want)) == want
+        with mock.patch.object(cochain, "DEFAULT_LEVEL_CAP", len(want)):
+            assert sumset(a, b) == want
         if want:
-            with pytest.raises(ResourceCapExceeded) as err:
-                sumset(a, b, cap=len(want) - 1)
+            with mock.patch.object(cochain, "DEFAULT_LEVEL_CAP", len(want) - 1), \
+                    pytest.raises(ResourceCapExceeded) as err:
+                sumset(a, b)
             assert str(err.value) == (
                 f"sumset grew past the cardinality cap {len(want) - 1}"
             )
@@ -435,10 +452,12 @@ def _size_case(a, b, dense):
     spy = mock.patch.object(cochain, "_dense_mask", wraps=cochain._dense_mask)
     with spy as kernel:
         assert sumset_size(iter(a), b[::-1]) == size
-        assert sumset_size(a, b, cap=size) == size
+        with mock.patch.object(cochain, "DEFAULT_LEVEL_CAP", size):
+            assert sumset_size(a, b) == size
         if size:
-            with pytest.raises(ResourceCapExceeded) as err:
-                sumset_size(a, b, cap=size - 1)
+            with mock.patch.object(cochain, "DEFAULT_LEVEL_CAP", size - 1), \
+                    pytest.raises(ResourceCapExceeded) as err:
+                sumset_size(a, b)
             assert str(err.value) == (
                 f"sumset grew past the cardinality cap {size - 1}"
             )
@@ -561,17 +580,18 @@ def test_sumset_size_working_set(f5):
     assert peak < 1.5 * 2**20
 
 
-def test_level_cap(f3):
+def test_level_cap(f3, monkeypatch):
+    monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 5)
     with pytest.raises(ResourceCapExceeded):
-        delta_reach(f3, 2, cap=5)
-    with pytest.raises(ValueError, match="cap must be >= 1"):
-        delta_reach(f3, 0, cap=0)
+        delta_reach(f3, 2)
     # Delta_1 is +/- Im df itself, 15 values, held to the cap as a sum is
-    assert len(delta_reach(f3, 1, cap=15).levels[1]) == 15
+    monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 15)
+    assert len(delta_reach(f3, 1).levels[1]) == 15
+    monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 14)
     with pytest.raises(
         ResourceCapExceeded, match=r"^sumset grew past the cardinality cap 14$"
     ):
-        delta_reach(f3, 1, cap=14)
+        delta_reach(f3, 1)
 
 
 def test_set_loop_memory_cap(f5, monkeypatch):

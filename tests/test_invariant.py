@@ -608,6 +608,7 @@ def test_verifier_rejects_levels_missing_hits(diagrams, f3):
 def test_certify_counts_sizes_under_the_level_cap(diagrams, f3, monkeypatch):
     # |Delta_2| = 39 is counted against the cap, cold and with the half
     # levels supplied, before any coloring is scored
+    import tribound.cochain as cochain
     import tribound.invariant as invariant
 
     d, d2 = diagrams["d1"], diagrams["d2"]
@@ -617,7 +618,7 @@ def test_certify_counts_sizes_under_the_level_cap(diagrams, f3, monkeypatch):
         raise AssertionError("Phi built before the level sizes were counted")
 
     with monkeypatch.context() as m:
-        m.setattr(invariant, "DEFAULT_LEVEL_CAP", 38)
+        m.setattr(cochain, "DEFAULT_LEVEL_CAP", 38)
         m.setattr(invariant, "phi_set", no_scoring)
         for levels in (None, lambda f, h: warm):
             with pytest.raises(
@@ -625,7 +626,7 @@ def test_certify_counts_sizes_under_the_level_cap(diagrams, f3, monkeypatch):
                 match=r"^sumset grew past the cardinality cap 38$",
             ):
                 certify_lower_bound(d, d2, 0, f3, 3, levels=levels)
-    monkeypatch.setattr(invariant, "DEFAULT_LEVEL_CAP", 39)
+    monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 39)
     for levels in (None, lambda f, h: warm):
         cert = certify_lower_bound(d, d2, 0, f3, 3, levels=levels)
         assert cert.delta_level_sizes == (1, 15, 39) and cert.m == 2
