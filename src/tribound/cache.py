@@ -38,14 +38,15 @@ def cache_path(f: CochainFn, directory: str | Path | None = None) -> Path:
 
 def load_reach(f: CochainFn, directory: str | Path | None = None) -> DeltaReach | None:
     """Cached levels for f, or None on a miss: no entry, an entry for
-    another f, or one that does not hold integer levels."""
+    another f, or one that does not hold integer levels, or nests too
+    deeply for ``json`` to read."""
     try:
         obj = json.loads(cache_path(f, directory).read_text())
         if obj["n"] != f.n or obj["f"] != f.canonical():
             return None
         im_delta = tuple(obj["im_delta"])
         levels = tuple(tuple(lv) for lv in obj["delta_levels"])
-    except (OSError, ValueError, LookupError, TypeError):
+    except (OSError, ValueError, LookupError, TypeError, RecursionError):
         return None
     if not all(type(v) is int for lv in (im_delta, *levels) for v in lv):
         return None

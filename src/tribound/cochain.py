@@ -83,26 +83,29 @@ def image_delta(f: CochainFn) -> tuple[int, ...]:
 # ResourceCapExceeded past it.
 DEFAULT_LEVEL_CAP = 10**7
 # sumset takes the bitmask kernel when the span of the sum is at most this
-# many times |a|; a sparser sum stays on the set loop.
+# many times |a|; a sparser sum goes to the range walk.
 DENSE_FACTOR = 1024
 # bytes of the mask turned into a bit string at a time when reading it back,
 # and the translation of that string's "0" and "1" into bytes 0 and 1
 _READ_CHUNK = 1 << 16
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
-# sumset_size counts a sparse sum one value range at a time; a range holds
-# at most max(PAIR_BUDGET, PAIRS_PER_VALUE * |a|) pairs p + q unless it is
-# one value wide.  Each range costs a pass over a, so scaling the budget
-# with |a| keeps that pass small against the pairs.  The range's set of
+# The range walk, which builds a sparse sum for sumset and counts one for
+# sumset_size, takes one value range at a time; a range holds at most
+# max(PAIR_BUDGET, PAIRS_PER_VALUE * |a|) pairs p + q unless it is one
+# value wide.  Each range costs a pass over a, so scaling the budget with
+# |a| keeps that pass small against the pairs.  The range's set of
 # distinct sums is the count's working set: near the ends of a sum it
 # holds about one value per pair.
 PAIR_BUDGET = 1 << 12
 PAIRS_PER_VALUE = 8
-# sumset's set loop raises ResourceCapExceeded once its set's estimated
-# size, values times SET_BYTES_PER_VALUE, passes SET_BYTES_CAP.  A value
-# costs its int and its share of the hash table: about 66 bytes of peak
-# RSS at 10^7 values, but about 120 while the table doubles past 1.26
-# million values with old and new table alive (measured on a 64-bit
-# CPython 3.11).  128 keeps the whole process below 150 MB.
+# A sparse build raises ResourceCapExceeded once the values it will
+# return, times SET_BYTES_PER_VALUE, pass SET_BYTES_CAP: past 1 171 875
+# values.  The walk's built value costs about 54 bytes of peak RSS (its
+# int, its tuple slot, and a slot in the negative half or the mirror
+# list), but delta_reach keeps every level and the cache writes them as a
+# list copy and JSON text: the delta command that builds and stores a
+# 959 213-value level peaks at 81 MB, about 70 bytes a value (64-bit
+# CPython 3.11).  128 a value keeps the whole process below 150 MB.
 SET_BYTES_CAP = 150 * 10**6
 SET_BYTES_PER_VALUE = 128
 
@@ -166,68 +169,36 @@ def _sumset_dense(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(values)
 
 
-def sumset(a: Iterable[int], b: Iterable[int]) -> tuple[int, ...]:
-    """Sorted {p + q : p in a, q in b}, aborting past ``DEFAULT_LEVEL_CAP``
-    elements.
+def _walk(a: tuple[int, ...], b: tuple[int, ...], out: list[int] | None = None) -> int:
+    """|a + b|, walked one value range [lo, hi) at a time; with ``out``,
+    each range's sorted values are appended to it too.
 
-    A dense sum, whose span max(a) - min(a) + max(b) - min(b) + 1 is at
-    most ``DENSE_FACTOR * |a|``, is built as a bitmask on a Python int
-    with one shift and OR per value of b; any other sum is built with one
-    set insertion per pair.  Both give the same tuple and raise the same
-    ResourceCapExceeded.  The set loop also raises once its set's
-    estimated size passes ``SET_BYTES_CAP``.
+    For each p of a, the q of b with lo <= p + q < hi are a slice of
+    sorted b that starts where the last range's slice ended.  Each range
+    is sized from the last one's pair density and halved while it holds
+    more than the pair budget, so the set of distinct sums in hand never
+    passes the budget.
+
+    The walk reads two properties off its operands, as every Delta level
+    has them.  If a and b are both symmetric (a = -a), so is their sum:
+    only its negative values are walked, and counted twice, plus one for
+    0, which is a sum exactly when a and b share a value; ``out`` then
+    gets the negative half alone.  If a and b are equal, p + q = q + p:
+    row p of the walk starts at q = p.  The count raises past
+    ``DEFAULT_LEVEL_CAP``, and with ``out`` also past the memory cap.
     """
-    a, b = tuple(a), tuple(b)
-    if a and b and _is_dense(a, b):
-        return _sumset_dense(a, b)
-    out: set[int] = set()
-    limit = SET_BYTES_CAP // SET_BYTES_PER_VALUE
-    for p in a:
-        out.update(p + q for q in b)
-        if len(out) > DEFAULT_LEVEL_CAP:
-            raise _past_cap()
-        if len(out) > limit:
-            raise ResourceCapExceeded(
-                f"sumset set grew past {limit} values, about "
-                f"{SET_BYTES_CAP // 10**6} MB (memory cap)"
-            )
-    return tuple(sorted(out))
-
-
-def sumset_size(a: Iterable[int], b: Iterable[int]) -> int:
-    """``len(sumset(a, b))``, raising the same ResourceCapExceeded past
-    ``DEFAULT_LEVEL_CAP``, without holding the sum.
-
-    A dense sum is the bitmask kernel's mask, whose bits
-    ``int.bit_count`` counts.  A sparse sum is tallied one value range
-    [lo, hi) at a time: for each p of a, the q of b with lo <= p + q < hi
-    are a slice of sorted b that starts where the last range's slice
-    ended.  Each range is sized from the last one's pair density and
-    halved while it holds more than the pair budget, so the set of
-    distinct sums in hand never passes the budget.
-
-    The sparse count reads two properties off its operands, as every
-    Delta level has them.  If a and b are both symmetric (a = -a), so is
-    their sum: only its negative values are tallied, twice, plus one
-    for 0, which is a sum exactly when a and b share a value.  If a and
-    b are equal, p + q = q + p: row p of the count starts at q = p.
-    """
-    a, b = tuple(a), tuple(b)
     if not a or not b:
         return 0
-    if _is_dense(a, b):
-        return _dense_mask(a, b).bit_count()
     a, b = sorted(set(a)), sorted(set(b))
     lo, top = a[0] + b[0], a[-1] + b[-1]
-    scale, count = 1, 0
+    scale, count, width = 1, 0, 1
     if _is_symmetric(a) and _is_symmetric(b):
-        # the count runs up from the sparse edge of the sum, so a cap trips
+        # the walk runs up from the sparse edge of the sum, so a cap trips
         # before the dense middle is reached
         scale, count, top = 2, int(not set(a).isdisjoint(b)), -1
     budget = max(PAIR_BUDGET, PAIRS_PER_VALUE * len(a))
-    # row i of the count starts at the first q of b, or at q = p if a == b
+    # row i of the walk starts at the first q of b, or at q = p if a == b
     starts = list(range(len(a))) if a == b else [0] * len(a)
-    width = 1
     while lo <= top:
         hi = min(lo + width, top + 1)
         # only p with p + b[-1] >= lo and p + b[0] < hi have pairs in range
@@ -239,17 +210,61 @@ def sumset_size(a: Iterable[int], b: Iterable[int]) -> int:
         if pairs > budget and width > 1:
             width = max(1, width * budget // (2 * pairs))
             continue
-        count += scale * len(
-            {p + q for p, j, e in zip(ps, js, ends) for q in b[j:e]}
-        )
+        sums = {p + q for p, j, e in zip(ps, js, ends) for q in b[j:e]}
+        count += scale * len(sums)
         if count > DEFAULT_LEVEL_CAP:
             raise _past_cap()
+        if out is not None:
+            if count * SET_BYTES_PER_VALUE > SET_BYTES_CAP:
+                raise ResourceCapExceeded(
+                    f"sumset set grew past {SET_BYTES_CAP // SET_BYTES_PER_VALUE} "
+                    f"values, about {SET_BYTES_CAP // 10**6} MB (memory cap)"
+                )
+            out.extend(sorted(sums))
+        del sums  # the next range's set is built without this one alive
         starts[first:last] = ends
         lo = hi
         # aim the next range at 3/4 of the budget, growing it at most 4-fold
         aim = 3 * width * budget // (4 * pairs) if pairs else 2 * width
         width = max(1, min(4 * width, aim))
     return count
+
+
+def sumset(a: Iterable[int], b: Iterable[int]) -> tuple[int, ...]:
+    """Sorted {p + q : p in a, q in b}, aborting past ``DEFAULT_LEVEL_CAP``
+    elements.
+
+    A dense sum, whose span max(a) - min(a) + max(b) - min(b) + 1 is at
+    most ``DENSE_FACTOR * |a|``, is built as a bitmask on a Python int
+    with one shift and OR per value of b; any other sum by ``_walk``, the
+    range walk that ``sumset_size`` counts with.  Both kernels give the
+    same tuple and raise the same ResourceCapExceeded.  The walk also
+    raises once the values it will return pass
+    ``SET_BYTES_CAP // SET_BYTES_PER_VALUE``.
+    """
+    a, b = tuple(a), tuple(b)
+    if a and b and _is_dense(a, b):
+        return _sumset_dense(a, b)
+    half: list[int] = []
+    count = _walk(a, b, half)
+    # for two symmetric operands the walk lists the negative half alone but
+    # counts its mirror image too, and 0 if 0 is a sum
+    mirror = [-v for v in reversed(half)] if count > len(half) else []
+    return tuple(itertools.chain(half, [0] * (count - len(half) - len(mirror)), mirror))
+
+
+def sumset_size(a: Iterable[int], b: Iterable[int]) -> int:
+    """``len(sumset(a, b))``, raising the same ResourceCapExceeded past
+    ``DEFAULT_LEVEL_CAP``, without holding the sum.
+
+    A dense sum is the bitmask kernel's mask, whose bits
+    ``int.bit_count`` counts; a sparse sum is counted by ``sumset``'s
+    range walk, which holds at most one range's sums at a time.
+    """
+    a, b = tuple(a), tuple(b)
+    if a and b and _is_dense(a, b):
+        return _dense_mask(a, b).bit_count()
+    return _walk(a, b)
 
 
 class DeltaReach(NamedTuple):

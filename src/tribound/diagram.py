@@ -95,8 +95,8 @@ class DiagramPlanarityError(DiagramError):
 # the layers that raise it.
 class ResourceCapExceeded(RuntimeError):
     """A coloring list or a level set grew past its cardinality cap, or
-    the weight function f past its degree, coefficient-size or modulus
-    cap."""
+    the weight function f past its degree, coefficient-size, nesting or
+    modulus cap."""
 
 
 LEFT = "left"
@@ -587,6 +587,8 @@ def parse_diagram(text: str) -> Diagram:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DiagramSyntaxError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # json recurses once per nested array or object
+        raise DiagramSyntaxError("JSON nested too deeply to read") from exc
     return diagram_from_dict(obj)
 
 

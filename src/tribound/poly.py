@@ -34,6 +34,7 @@ __all__ = [
     "MAX_DEGREE",
     "MAX_MODULUS",
     "MAX_COEFF_BITS",
+    "MAX_NESTING",
     "MAX_TERM_PRODUCTS",
 ]
 
@@ -45,6 +46,10 @@ __all__ = [
 MAX_DEGREE = 64
 MAX_COEFF_BITS = 4096
 MAX_TERM_PRODUCTS = 10**6
+# The parser recurses about four frames per parenthesis and one per unary
+# minus; past this many of them, open at once, it stops well inside
+# Python's recursion limit.
+MAX_NESTING = 100
 # The value table holds all n^3 values of f: n = 100 is 10^6 of them, and
 # builds in about a second.  build checks n before it parses f.
 MAX_MODULUS = 100
@@ -152,6 +157,7 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.products = 0
+        self.depth = 0  # "(" and unary "-" open around the current base
 
     def mul(self, a: Monomials, b: Monomials, pos: int) -> Monomials:
         self.products += len(a) * len(b)
@@ -257,16 +263,8 @@ class _Parser:
 
     def base(self) -> Monomials:
         ch = self.peek()
-        if ch == "-":
-            self.take()
-            return {k: -v for k, v in self.base().items()}
-        if ch == "(":
-            self.take()
-            poly = self.expr()
-            if self.peek() != ")":
-                raise ExprSyntaxError("expected ')'", self.pos)
-            self.take()
-            return poly
+        if ch in ("-", "("):
+            return self.nested(ch)
         if ch.isdigit():
             value = self.integer()
             return {(0, 0, 0): value} if value else {}
@@ -282,6 +280,26 @@ class _Parser:
             raise ExprSyntaxError("unexpected end of input", self.pos)
         raise ExprSyntaxError(f"unexpected {ch!r}", self.pos)
 
+    def nested(self, ch: str) -> Monomials:
+        """A negated base or a parenthesized expr, one level deeper; one
+        level past ``MAX_NESTING`` raises before the parser recurses."""
+        if self.depth == MAX_NESTING:
+            raise ResourceCapExceeded(
+                f"f nests more than {MAX_NESTING} parentheses and unary "
+                f"minuses at position {self.pos}, past the cap"
+            )
+        self.depth += 1
+        self.take()
+        if ch == "-":
+            poly = {k: -v for k, v in self.base().items()}
+        else:
+            poly = self.expr()
+            if self.peek() != ")":
+                raise ExprSyntaxError("expected ')'", self.pos)
+            self.take()
+        self.depth -= 1
+        return poly
+
 
 def parse_poly(text: str) -> Monomials:
     """Parse an expression in x, y, z into its expanded monomials
@@ -289,7 +307,8 @@ def parse_poly(text: str) -> Monomials:
 
     A product or power whose degree could pass ``MAX_DEGREE``, or whose
     coefficients could pass ``MAX_COEFF_BITS`` bits, raises
-    ResourceCapExceeded before it is formed.
+    ResourceCapExceeded before it is formed, as does a parenthesis or
+    unary minus nested more than ``MAX_NESTING`` deep.
     """
     return _Parser(text).parse()
 

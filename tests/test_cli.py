@@ -866,6 +866,72 @@ def test_modulus_cap_exit_code(capsys):
     }
 
 
+F_NESTED = {
+    "parentheses": "(" * 250 + "x-y" + ")" * 250 + "*(y-z)*z",
+    # a leading space keeps the argument from reading as an option
+    "minuses": " " + "-" * 1000 + "(x-y)*(y-z)*z",
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("kind", sorted(F_NESTED))
+def test_deeply_nested_f_exits_on_the_cap(capsys, kind, as_json):
+    # the parser recurses per parenthesis and unary minus; the nesting cap
+    # stops it, with exit 4, well before Python's recursion limit
+    argv = ["weight", "d1", "-n", "3", "-f", F_NESTED[kind], "-s", "0", "--coloring", "0"]
+    pos = 100 if kind == "parentheses" else 101
+    message = (
+        f"f nests more than 100 parentheses and unary minuses at position "
+        f"{pos}, past the cap"
+    )
+    if as_json:
+        code, report, err = run_json(capsys, *argv)
+        assert (code, report["results"], err) == (4, {"error": message}, "")
+    else:
+        assert run(capsys, *argv) == (4, "", f"resource cap: {message}\n")
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_deeply_nested_diagram_file_is_a_syntax_issue(capsys, tmp_path, as_json):
+    # json.loads recurses once per "["; past the recursion limit the file
+    # is reported like any other that is not JSON
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    message = "JSON nested too deeply to read"
+    if as_json:
+        code, report, err = run_json(capsys, "validate", str(path))
+        assert (code, err) == (2, "")
+        assert report["results"] == {
+            "valid": False, "issues": [{"kind": "syntax", "message": message}]
+        }
+    else:
+        assert run(capsys, "validate", str(path)) == (
+            2, f"INVALID [syntax] {message}\n", ""
+        )
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_deeply_nested_cache_entry_is_a_miss(capsys, tmp_path, as_json):
+    # an entry json cannot read for its depth is a miss: the run rebuilds
+    # the levels, overwrites the entry and certifies as a cold run does
+    f = "(x-y)*(y-z)*z"
+    argv = ["certify", "d1", "d2", "-n", "3", "-f", f, "-s", "0", "--max-m", "2"]
+    cold = run(capsys, *argv, "--cache", str(tmp_path / "cold"), *(["--json"] * as_json))
+    warm_dir = tmp_path / "warm"
+    entry = cache.cache_path(CochainFn.build(f, 3), warm_dir)
+    entry.parent.mkdir()
+    entry.write_text("[" * 100_000)
+    warm = run(capsys, *argv, "--cache", str(warm_dir), *(["--json"] * as_json))
+    assert warm[0] == cold[0] == 0
+    if as_json:
+        cold_report, warm_report = json.loads(cold[1]), json.loads(warm[1])
+        assert warm_report["results"] == cold_report["results"]
+        assert warm_report["cache"] == {"hits": 0, "misses": 1}
+    else:
+        assert warm == cold
+    assert cache.load_reach(CochainFn.build(f, 3), warm_dir) is not None
+
+
 def test_certify_reference_pairs(capsys, tmp_path):
     cache = str(tmp_path / "c")
     code, report, _ = run_json(

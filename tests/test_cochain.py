@@ -27,6 +27,7 @@ from tribound.poly import (
     MAX_COEFF_BITS,
     MAX_DEGREE,
     MAX_MODULUS,
+    MAX_NESTING,
     CochainFn,
     ExprSyntaxError,
     NegativeExponentError,
@@ -116,6 +117,35 @@ def test_size_caps():
             parse_poly(text)
     # about 1.2e5 term products, within MAX_TERM_PRODUCTS
     assert max(map(sum, parse_poly("(x+y+z)^60*(y-z)"))) == 61
+
+
+def test_nesting_cap():
+    # a parenthesis or unary minus past MAX_NESTING open ones raises at its
+    # own position, before the parser recurses into it
+    k = MAX_NESTING
+    assert parse_poly("(" * k + "x" + ")" * k) == {(1, 0, 0): 1}
+    assert parse_poly("-" * k + "x") == {(1, 0, 0): 1}
+    assert parse_poly("(-" * (k // 2) + "x" + ")" * (k // 2)) == {(1, 0, 0): 1}
+    # sequential groups do not add up
+    assert parse_poly("*".join(["(" * k + "x" + ")" * k] * 3)) == {(3, 0, 0): 1}
+    for text, pos in (
+        ("(" * (k + 1) + "x" + ")" * (k + 1), k),
+        ("-" * (k + 1) + "x", k),
+        ("y*" + "(-" * (k // 2) + "(x" + ")" * (k // 2 + 1), k + 2),
+        (" ( " * 250 + "x", 3 * k + 1),
+        ("-" * 1000 + "x", k),
+    ):
+        with pytest.raises(
+            ResourceCapExceeded,
+            match=rf"^f nests more than {k} parentheses and unary minuses "
+            rf"at position {pos}, past the cap$",
+        ):
+            parse_poly(text)
+
+
+def test_modulus_below_one():
+    with pytest.raises(ValueError, match=r"^modulus must be >= 1, got 0$"):
+        CochainFn.build("y-z", 0)
 
 
 def test_modulus_cap():
@@ -562,6 +592,22 @@ def test_sumset_size_forms_each_unordered_sum_once(values):
     assert _Summand.sums == len(pairs) + 2
 
 
+@pytest.mark.parametrize(
+    "values", [(-10**9, -4, 0, 4, 10**9), (-10**9, -5, -4, 3, 5, 10**9, 10**10)]
+)
+def test_sumset_forms_each_unordered_sum_once(values):
+    # the walk that builds a sparse sum forms the same sums as the count:
+    # for equal operands those p + q with p <= q, for a symmetric sum only
+    # the negative ones, plus the two ends, never all |a| * |b| of them
+    pairs = [(p, q) for p in values for q in values if p <= q]
+    if values == tuple(-v for v in reversed(values)):
+        pairs = [(p, q) for p, q in pairs if p + q < 0]
+    _Summand.sums = 0
+    level = tuple(map(_Summand, values))
+    assert sumset(level, level) == tuple(sorted({p + q for p in values for q in values}))
+    assert _Summand.sums == len(pairs) + 2
+
+
 def test_sumset_size_working_set(f5):
     # |Delta_1 + Delta_1| = 238689 for the d3/d4 function at n = 5: the
     # sets of sums in hand stay within a pair budget of 8 * 701 pairs
@@ -580,6 +626,43 @@ def test_sumset_size_working_set(f5):
     assert peak < 1.5 * 2**20
 
 
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of traced memory above its start."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_sumset_size_holds_one_range_at_a_time(f5):
+    # with a budget of 2^16 pairs a range's set of distinct sums takes
+    # about 4 MiB; the count drops it before it builds the next one, where
+    # two alive at once would peak near 7 MiB
+    level1 = delta_reach(f5, 1).levels[1]
+    with mock.patch.multiple(cochain, PAIR_BUDGET=2**16, PAIRS_PER_VALUE=0):
+        size, peak = _traced_peak(sumset_size, level1, level1)
+    assert size == 238689
+    assert peak < 5 * 2**20
+
+
+def test_sumset_working_set(f5):
+    # Delta_2 = Delta_1 + Delta_1 of the d3/d4 function at n = 5 is built by
+    # the sparse walk.  Its 238 689 values take about 9.1 MiB as a tuple;
+    # the walk adds its negative half and mirror lists, about 2 MiB, and
+    # the bound leaves no room for a set of the whole sum besides.
+    level1 = delta_reach(f5, 1).levels[1]
+    level2, peak = _traced_peak(sumset, level1, level1)
+    assert len(level2) == 238689
+    assert peak < 14 * 2**20
+
+
 def test_level_cap(f3, monkeypatch):
     monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 5)
     with pytest.raises(ResourceCapExceeded):
@@ -594,9 +677,9 @@ def test_level_cap(f3, monkeypatch):
         delta_reach(f3, 1)
 
 
-def test_set_loop_memory_cap(f5, monkeypatch):
-    # {0} + (+/- Im df) of the d3/d4 function is 701 values from the set
-    # loop; the loop raises once values * SET_BYTES_PER_VALUE pass
+def test_sparse_walk_memory_cap(f5, monkeypatch):
+    # {0} + (+/- Im df) of the d3/d4 function is 701 values from the sparse
+    # walk; the walk raises once values * SET_BYTES_PER_VALUE pass
     # SET_BYTES_CAP, well below the cardinality cap
     pm_im = sorted({v for k in image_delta(f5) for v in (k, -k)})
     per = cochain.SET_BYTES_PER_VALUE
@@ -605,6 +688,16 @@ def test_set_loop_memory_cap(f5, monkeypatch):
     monkeypatch.setattr(cochain, "SET_BYTES_CAP", 700 * per)
     with pytest.raises(ResourceCapExceeded, match="past 700 values.*memory cap"):
         cochain.sumset((0,), pm_im)
+
+
+def test_memory_cap_spares_the_count(f5, monkeypatch):
+    # the walk holds no values when it only counts, so sumset_size counts
+    # past the byte cap that stops a build of the same sum
+    pm_im = sorted({v for k in image_delta(f5) for v in (k, -k)})
+    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 700 * cochain.SET_BYTES_PER_VALUE)
+    assert sumset_size((0,), pm_im) == 701
+    with pytest.raises(ResourceCapExceeded, match="memory cap"):
+        sumset((0,), pm_im)
 
 
 def test_reach_memo_extends(f5):
@@ -621,7 +714,7 @@ def _digest(values) -> str:
 def test_paper_d3_levels_pinned(f5):
     # Delta_1 and Delta_2 of the d3/d4 function, as built by the set loop
     # alone before the bitmask kernel existed.  Delta_2 spans 7.4e7 for
-    # 238 689 values, so both levels stay on the set loop.
+    # 238 689 values, so both levels stay on the sparse walk.
     with mock.patch.object(
         cochain, "_sumset_dense", wraps=cochain._sumset_dense
     ) as kernel:
@@ -636,7 +729,7 @@ def test_paper_d3_levels_pinned(f5):
     )
 
 
-def test_dense_levels_match_set_loop(monkeypatch):
+def test_dense_levels_match_sparse_walk(monkeypatch):
     f = CochainFn.build("(x-y)*(y-z)*z", 7)
     dense = delta_reach(f, 3).levels
     monkeypatch.setattr(cochain, "DENSE_FACTOR", 0)

@@ -270,6 +270,74 @@ def test_split_diagram_rejected():
         diagram_from_dict(merged)
 
 
+_DROP = object()
+
+
+def _kink_with(*path, value=_DROP):
+    """The kink's code with the entry at ``path`` set to ``value``, or
+    dropped."""
+    code = kink_code()
+    node = code
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return code
+
+
+def _two_kinks_one_id():
+    code = closed_braid_code(2, [(0, "L"), (0, "L")], name="twice")
+    code["crossings"][1]["id"] = code["crossings"][0]["id"]
+    return code
+
+
+# (malformed code, error class, issue kind, issue message)
+MALFORMED = [
+    ([kink_code()], DiagramSyntaxError, "syntax", "top level must be a JSON object"),
+    (_kink_with("outer_face"), DiagramSyntaxError, "syntax",
+     "missing required key 'outer_face'"),
+    (_kink_with("name", value=1), DiagramSyntaxError, "syntax", '"name" must be a string'),
+    (_kink_with("crossings", value={}), DiagramSyntaxError, "syntax",
+     '"crossings" must be a non-empty list'),
+    (_kink_with("crossings", 0, value=[0]), DiagramSyntaxError, "syntax",
+     "each crossing needs 'id' and 'slots'"),
+    (_kink_with("crossings", 0, "slots"), DiagramSyntaxError, "syntax",
+     "each crossing needs 'id' and 'slots'"),
+    (_kink_with("crossings", 0, "id", value="0"), DiagramSyntaxError, "syntax",
+     "crossing ids must be integers"),
+    (_kink_with("crossings", 0, "slots", 3), DiagramSyntaxError, "syntax",
+     "crossing 0 must list exactly 4 slots in ccw order"),
+    (_kink_with("crossings", 0, "slots", value="abcd"), DiagramSyntaxError, "syntax",
+     "crossing 0 must list exactly 4 slots in ccw order"),
+    (_kink_with("crossings", 0, "slots", 2, "sign", value=1), DiagramSyntaxError,
+     "syntax", "crossing 0: slots need exactly keys edge/dir/level"),
+    (_kink_with("crossings", 0, "slots", 1, value=[0, "in", "over"]), DiagramSyntaxError,
+     "syntax", "crossing 0: slots need exactly keys edge/dir/level"),
+    (_kink_with("crossings", 0, "slots", 0, "edge", value=1.0), DiagramSyntaxError,
+     "syntax", "slot 'edge' must be an integer"),
+    (_kink_with("crossings", 0, "slots", 3, "dir", value="up"), DiagramSyntaxError,
+     "syntax", "slot 'dir' must be 'in' or 'out'"),
+    (_kink_with("crossings", 0, "slots", 3, "level", value="middle"), DiagramSyntaxError,
+     "syntax", "slot 'level' must be 'over' or 'under'"),
+    (_two_kinks_one_id(), DiagramStructureError, "structure", "duplicate crossing id 0"),
+    (_kink_with("crossings", 0, "slots", 0, "level", value="over"), DiagramStructureError,
+     "structure", "crossing 0 must have two over and two under slots"),
+]
+
+
+@pytest.mark.parametrize("code, cls, kind, message", MALFORMED)
+def test_malformed_codes_are_rejected(code, cls, kind, message):
+    # each check of the schema and of the crossings' slot levels and ids,
+    # reached through diagram_from_dict as every command reaches it
+    with pytest.raises(cls) as err:
+        diagram_from_dict(code)
+    assert (kind, message) in [(i.kind, i.message) for i in err.value.issues]
+    if cls is DiagramSyntaxError:
+        assert str(err.value) == message
+
+
 def test_zero_crossings_rejected():
     with pytest.raises(DiagramSyntaxError):
         parse_diagram(json.dumps({"name": "empty", "crossings": [], "outer_face": 0}))
