@@ -83,20 +83,21 @@ def cached_reach(
 ) -> tuple[DeltaReach, bool]:
     """Delta_0..Delta_max_level of f, or more, and whether the cache
     served them; a miss builds and stores them.  An entry is not served
-    for a level below 0, or if a level it would serve holds more than
-    ``cochain.DEFAULT_LEVEL_CAP`` values (read at each call), so that
-    ``delta_reach`` rejects max_level < 0 and enforces the cap, warm or
-    cold."""
+    for a level below 0, for n^4 past ``cochain.MAX_IMAGE_TUPLES``, if a
+    level it would serve holds more than ``cochain.DEFAULT_LEVEL_CAP``
+    values, or if the levels it would serve sum past the memory cap,
+    ``cochain.SET_BYTES_CAP // cochain.SET_BYTES_PER_VALUE`` values (each
+    read at each call), so that ``delta_reach`` rejects max_level < 0 and
+    enforces every cap, warm or cold."""
     cached = load_reach(f, directory)
-    if (
-        cached is not None
-        and 0 <= max_level < len(cached.levels)
-        and all(
-            len(lv) <= cochain.DEFAULT_LEVEL_CAP
-            for lv in cached.levels[: max_level + 1]
-        )
-    ):
-        return cached, True
+    if cached is not None and 0 <= max_level < len(cached.levels):
+        sizes = [len(lv) for lv in cached.levels[: max_level + 1]]
+        if (
+            f.n**4 <= cochain.MAX_IMAGE_TUPLES
+            and max(sizes) <= cochain.DEFAULT_LEVEL_CAP
+            and sum(sizes) * cochain.SET_BYTES_PER_VALUE <= cochain.SET_BYTES_CAP
+        ):
+            return cached, True
     reach = delta_reach(f, max_level)
     store_reach(reach, directory)
     return reach, False

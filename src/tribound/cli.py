@@ -136,27 +136,22 @@ def _diagram_text(path: str) -> str:
     raise DiagramError(f"no such file or bundled diagram: {path}")
 
 
-def _set_summary(values: tuple[int, ...], dump: Path | None) -> dict[str, Any]:
+def _set_summary(values: tuple[int, ...], dump: Path) -> dict[str, Any]:
     out: dict[str, Any] = {"size": len(values)}
     if len(values) <= _INLINE_SET_LIMIT:
         out["values"] = list(values)
     else:
         out["min"] = values[0]
         out["max"] = values[-1]
-        if dump is not None:
-            out["file"] = str(dump)
+        out["file"] = str(dump)
     return out
 
 
-def _print_set(label: str, values: tuple[int, ...], dump: Path | None) -> None:
+def _print_set(label: str, values: tuple[int, ...], dump: Path) -> None:
     if len(values) <= _INLINE_SET_LIMIT:
         print(f"{label}: {{{', '.join(map(str, values))}}}")
     else:
-        where = f" (full set in {dump})" if dump else ""
-        print(
-            f"{label}: {len(values)} values in "
-            f"[{values[0]}, {values[-1]}]{where}"
-        )
+        print(f"{label}: {len(values)} values in [{values[0]}, {values[-1]}] (full set in {dump})")
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +213,10 @@ def cmd_colorings(args: Namespace, report: RunReport) -> int:
     cols = enumerate_colorings(d, args.n)
     if args.outer_color is not None:
         _check_outer_color(args.outer_color, args.n)
-    listed = [
-        cid for cid, c in enumerate(cols)
-        if not (args.nontrivial_only and is_trivial(c))
-    ]
 
     def rows() -> Iterator[dict[str, Any]]:
-        """One row per listed coloring, built as the report reaches it."""
-        for cid in listed:
-            c = cols[cid]
+        """One row per coloring, built as the report reaches it."""
+        for cid, c in enumerate(cols):
             row: dict[str, Any] = {
                 "id": cid,
                 "trivial": is_trivial(c),
@@ -240,13 +230,10 @@ def cmd_colorings(args: Namespace, report: RunReport) -> int:
             yield row
 
     report.results["count_total"] = len(cols)
-    report.results["count_listed"] = len(listed)
+    report.results["count_listed"] = len(cols)
     report.results["colorings"] = rows()
     if not args.json:
-        print(
-            f"{d.name}: {len(cols)} coloring(s) over Z({args.n})"
-            + (f", {len(listed)} listed" if args.nontrivial_only else "")
-        )
+        print(f"{d.name}: {len(cols)} coloring(s) over Z({args.n})")
         for row in report.results["colorings"]:
             vec = " ".join(str(v) for _, v in row["arc_colors"])
             extra = ""
@@ -389,12 +376,9 @@ def cmd_certify(args: Namespace, report: RunReport) -> int:
 
 
 def cmd_reproduce(args: Namespace, report: RunReport) -> int:
-    from pathlib import Path
-
     from .fixtures import reproduce_checks
 
-    fixtures_dir = Path(args.fixtures_dir) if args.fixtures_dir else None
-    checks = reproduce_checks(fixtures_dir)
+    checks = reproduce_checks()
     report.results["checks"] = [
         {"name": name, "pass": ok, **({"detail": detail} if not ok else {})}
         for name, ok, detail in checks
@@ -433,7 +417,6 @@ ARGUMENTS: dict[str, tuple[str, tuple[str, ...], tuple[tuple, ...], Callable]] =
         ("-n", "n", int, REQUIRED, "modulus", None),
         ("--outer-color", "outer_color", int, None,
          "also list region colors for outer color S", "S"),
-        ("--nontrivial-only", "nontrivial_only", bool, False, None, None),
     ), cmd_colorings),
     "weight": ("crossing-weight sums and Phi sets", ("path",), (
         ("-n", "n", int, REQUIRED, None, None),
@@ -455,10 +438,7 @@ ARGUMENTS: dict[str, tuple[str, tuple[str, ...], tuple[tuple, ...], Callable]] =
         ("--max-m", "max_m", int, 3, None, None),
         ("--cache", "cache", str, None, None, None),
     ), cmd_certify),
-    "reproduce": ("re-run all bundled reference computations and compare", (), (
-        ("--fixtures-dir", "fixtures_dir", str, None,
-         "load d1..d6 from this directory instead of the bundled diagrams", None),
-    ), cmd_reproduce),
+    "reproduce": ("re-run all bundled reference computations and compare", (), (), cmd_reproduce),
 }
 
 

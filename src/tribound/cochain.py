@@ -31,7 +31,14 @@ __all__ = [
     "sumset",
     "sumset_size",
     "DEFAULT_LEVEL_CAP",
+    "MAX_IMAGE_TUPLES",
 ]
+
+# image_delta walks all n^4 tuples (x, y, z, w); past this many it raises
+# ResourceCapExceeded before the walk.  The walk takes about 1.0 s at
+# n = 40, and over a minute at poly.MAX_MODULUS = 100 (CPython 3.11, one
+# core of a 2-vCPU VM).
+MAX_IMAGE_TUPLES = 40**4
 
 
 def delta_f(f: CochainFn, x: int, y: int, z: int, w: int) -> int:
@@ -55,9 +62,16 @@ def image_delta(f: CochainFn) -> tuple[int, ...]:
     Equal to the set of ``delta_f`` over every tuple, read from a
     precomputed star table: for each (x, y, z) the four w-indexed rows
     t[x][z], t[x][y], t[x*y][z] and t[x*z][y*z] are fixed, and only the
-    last term t[x*w][y*w][z*w] is looked up per w.
+    last term t[x*w][y*w][z*w] is looked up per w.  Raises
+    ResourceCapExceeded before the walk when n^4 passes
+    ``MAX_IMAGE_TUPLES``.
     """
     n = f.n
+    if n**4 > MAX_IMAGE_TUPLES:
+        raise ResourceCapExceeded(
+            f"modulus {n} past the cap {MAX_IMAGE_TUPLES} on the n^4 = {n**4} "
+            "tuples of the walk for Im(df)"
+        )
     t = f.table
     star = [[(2 * y - x) % n for y in range(n)] for x in range(n)]  # x * y
     values: set[int] = set()
@@ -98,14 +112,19 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")
 # holds about one value per pair.
 PAIR_BUDGET = 1 << 12
 PAIRS_PER_VALUE = 8
-# A sparse build raises ResourceCapExceeded once the values it will
-# return, times SET_BYTES_PER_VALUE, pass SET_BYTES_CAP: past 1 171 875
-# values.  The walk's built value costs about 54 bytes of peak RSS (its
-# int, its tuple slot, and a slot in the negative half or the mirror
-# list), but delta_reach keeps every level and the cache writes them as a
-# list copy and JSON text: the delta command that builds and stores a
+# The memory cap: ResourceCapExceeded once values held, times
+# SET_BYTES_PER_VALUE, pass SET_BYTES_CAP, that is past 1 171 875 values.
+# A sparse build raises once the values it will return pass it, a dense
+# build once its mask's count does, before the read-back, and delta_reach
+# once the levels it keeps, Delta_0 up to the one just built, sum past
+# it.  The walk's built value costs about 54 bytes of peak RSS (its int,
+# its tuple slot, and a slot in the negative half or the mirror list),
+# but delta_reach keeps every level and the cache writes them as a list
+# copy and JSON text: the delta command that builds and stores a
 # 959 213-value level peaks at 81 MB, about 70 bytes a value (64-bit
-# CPython 3.11).  128 a value keeps the whole process below 150 MB.
+# CPython 3.11).  128 a value keeps the levels held below 150 MB; the
+# last build can take them past the cap before the sum is checked, by at
+# most one level within it.
 SET_BYTES_CAP = 150 * 10**6
 SET_BYTES_PER_VALUE = 128
 
@@ -114,6 +133,16 @@ def _past_cap() -> ResourceCapExceeded:
     return ResourceCapExceeded(
         f"sumset grew past the cardinality cap {DEFAULT_LEVEL_CAP}"
     )
+
+
+def _check_memory(count: int) -> None:
+    """Raise the memory cap's ResourceCapExceeded once ``count`` values
+    pass it."""
+    if count * SET_BYTES_PER_VALUE > SET_BYTES_CAP:
+        raise ResourceCapExceeded(
+            f"Delta levels grew past {SET_BYTES_CAP // SET_BYTES_PER_VALUE} "
+            f"values, about {SET_BYTES_CAP // 10**6} MB (memory cap)"
+        )
 
 
 def _is_dense(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -126,11 +155,11 @@ def _is_symmetric(values: list[int]) -> bool:
     return all(p == -q for p, q in zip(values, reversed(values)))
 
 
-def _dense_mask(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """The bitmask kernel: bit k of the result stands for min(a) + min(b)
-    + k, and each q in b ORs in the mask of a shifted by q - min(b).  Each
-    width/8-byte buffer is dropped once it is spent, so at most four are
-    alive at a time."""
+def _dense_mask(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int]:
+    """The bitmask kernel's mask and its count of set bits: bit k of the
+    mask stands for min(a) + min(b) + k, and each q in b ORs in the mask
+    of a shifted by q - min(b).  Each width/8-byte buffer is dropped once
+    it is spent, so at most four are alive at a time."""
     lo_a, lo_b = min(a), min(b)
     buf = bytearray((max(a) - lo_a) // 8 + 1)
     for p in a:
@@ -145,15 +174,18 @@ def _dense_mask(a: tuple[int, ...], b: tuple[int, ...]) -> int:
         if i & (i - 1) == 0 and out.bit_count() > DEFAULT_LEVEL_CAP:
             raise _past_cap()
     del mask
-    if out.bit_count() > DEFAULT_LEVEL_CAP:
+    count = out.bit_count()
+    if count > DEFAULT_LEVEL_CAP:
         raise _past_cap()
-    return out
+    return out, count
 
 
 def _sumset_dense(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The values of the bitmask kernel's mask, read back in chunks."""
+    """The values of the bitmask kernel's mask, read back in chunks once
+    their count is within the memory cap."""
     lo = min(a) + min(b)
-    out = _dense_mask(a, b)
+    out, count = _dense_mask(a, b)
+    _check_memory(count)
     raw = out.to_bytes((out.bit_length() + 7) // 8, "little")
     del out
     values: list[int] = []
@@ -215,11 +247,7 @@ def _walk(a: tuple[int, ...], b: tuple[int, ...], out: list[int] | None = None) 
         if count > DEFAULT_LEVEL_CAP:
             raise _past_cap()
         if out is not None:
-            if count * SET_BYTES_PER_VALUE > SET_BYTES_CAP:
-                raise ResourceCapExceeded(
-                    f"sumset set grew past {SET_BYTES_CAP // SET_BYTES_PER_VALUE} "
-                    f"values, about {SET_BYTES_CAP // 10**6} MB (memory cap)"
-                )
+            _check_memory(count)
             out.extend(sorted(sums))
         del sums  # the next range's set is built without this one alive
         starts[first:last] = ends
@@ -238,9 +266,10 @@ def sumset(a: Iterable[int], b: Iterable[int]) -> tuple[int, ...]:
     most ``DENSE_FACTOR * |a|``, is built as a bitmask on a Python int
     with one shift and OR per value of b; any other sum by ``_walk``, the
     range walk that ``sumset_size`` counts with.  Both kernels give the
-    same tuple and raise the same ResourceCapExceeded.  The walk also
-    raises once the values it will return pass
-    ``SET_BYTES_CAP // SET_BYTES_PER_VALUE``.
+    same tuple and raise the same ResourceCapExceeded, and both raise the
+    memory cap's once the values they will return pass
+    ``SET_BYTES_CAP // SET_BYTES_PER_VALUE``: the walk as it goes, the
+    bitmask before it reads the mask back.
     """
     a, b = tuple(a), tuple(b)
     if a and b and _is_dense(a, b):
@@ -263,7 +292,7 @@ def sumset_size(a: Iterable[int], b: Iterable[int]) -> int:
     """
     a, b = tuple(a), tuple(b)
     if a and b and _is_dense(a, b):
-        return _dense_mask(a, b).bit_count()
+        return _dense_mask(a, b)[1]
     return _walk(a, b)
 
 
@@ -281,7 +310,9 @@ def delta_reach(f: CochainFn, max_m: int) -> DeltaReach:
     Since 0 is always in Im(df), the levels are nested increasing.  A
     level exceeding ``DEFAULT_LEVEL_CAP`` elements raises
     ResourceCapExceeded: the levels feed the move-count certificates, so
-    truncation is never acceptable.
+    truncation is never acceptable.  So do the levels held, Delta_0 up to
+    the one just built, once their sizes sum past the memory cap
+    (``SET_BYTES_CAP // SET_BYTES_PER_VALUE`` values).
     """
     if max_m < 0:
         raise ValueError(f"max_m must be >= 0, got {max_m}")
@@ -293,7 +324,9 @@ def delta_reach(f: CochainFn, max_m: int) -> DeltaReach:
         if len(pm_im) > DEFAULT_LEVEL_CAP:
             raise _past_cap()
         levels.append(pm_im)
+        _check_memory(1 + len(pm_im))
     while len(levels) <= max_m:
         levels.append(sumset(levels[-1], pm_im))
+        _check_memory(sum(map(len, levels)))
     return DeltaReach(f=f, im_delta=im, levels=tuple(levels))
 

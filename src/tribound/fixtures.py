@@ -19,8 +19,6 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 from .diagram import Diagram, diagram_from_dict
 
 if TYPE_CHECKING:
-    from pathlib import Path
-
     from .poly import CochainFn
 
 __all__ = [
@@ -223,13 +221,12 @@ def w4_formula(a: int, b: int, f: CochainFn) -> int:
     )
 
 
-def reproduce_checks(fixtures_dir: Path | None = None) -> list[tuple[str, bool, str]]:
+def reproduce_checks() -> list[tuple[str, bool, str]]:
     """Every bundled reference computation as (label, ok, detail), on the
-    bundled diagrams or on dN.json files in ``fixtures_dir``."""
+    bundled diagrams that ``load_fixture`` builds."""
     # the layers load here, so that naming a bundled diagram loads none
     from .cochain import delta_f, delta_reach
     from .coloring import enumerate_colorings, extend_coloring
-    from .diagram import parse_diagram
     from .invariant import (
         certify_lower_bound,
         phi_set,
@@ -239,11 +236,6 @@ def reproduce_checks(fixtures_dir: Path | None = None) -> list[tuple[str, bool, 
     from .poly import CochainFn
 
     checks: list[tuple[str, bool, str]] = []
-
-    def diagram(name: str) -> Diagram:
-        if fixtures_dir is not None:
-            return parse_diagram((fixtures_dir / f"{name}.json").read_text(encoding="utf-8"))
-        return load_fixture(name)
 
     f3 = CochainFn.build("(x-y)*(y-z)*z", 3)
     f5 = CochainFn.build("(x+y)^3*(y+z)*(y-z)^3*z^5", 5)
@@ -300,7 +292,7 @@ def reproduce_checks(fixtures_dir: Path | None = None) -> list[tuple[str, bool, 
 
     fns = {"d1": f3, "d3": f5, "d5": f4}
     for name, (cid, colors) in REFERENCE_COLORINGS.items():
-        d = diagram(name)
+        d = load_fixture(name)
         s = next(c.s for c in FIXTURE_CASES if c.pair[0] == name)
         cols = enumerate_colorings(d, fns[name].n)
         want = EXPECTED["weights"][name]
@@ -314,7 +306,7 @@ def reproduce_checks(fixtures_dir: Path | None = None) -> list[tuple[str, bool, 
         )
 
     for name, f, s in (("d2", f3, 0), ("d6", f4, 0)):
-        vals = phi_set(diagram(name), s, f).values
+        vals = phi_set(load_fixture(name), s, f).values
         want_vals = EXPECTED["phi"][name]
         checks.append(
             (
@@ -324,7 +316,7 @@ def reproduce_checks(fixtures_dir: Path | None = None) -> list[tuple[str, bool, 
             )
         )
     oracle = tuple(sorted(W4_TABLE.values()))
-    d4_vals = phi_set(diagram("d4"), 2, f5).values
+    d4_vals = phi_set(load_fixture("d4"), 2, f5).values
     checks.append(
         (
             "Phi(d4, 2) matches the closed-form value set",
@@ -334,8 +326,8 @@ def reproduce_checks(fixtures_dir: Path | None = None) -> list[tuple[str, bool, 
     )
 
     for case in FIXTURE_CASES:
-        d = diagram(case.pair[0])
-        d2 = diagram(case.pair[1])
+        d = load_fixture(case.pair[0])
+        d2 = load_fixture(case.pair[1])
         f = CochainFn.build(case.f_str, case.n)
         cert = certify_lower_bound(d, d2, case.s, f, case.max_m)
         ok = cert.m == case.expected_m and verify_certificate(cert, d, d2)

@@ -186,6 +186,23 @@ def test_cached_reach_checks_level_and_cap_warm_as_cold(tmp_path, f3, monkeypatc
     assert not cold.exists()
     monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 39)
     assert cached_reach(f3, 2, warm)[1]
+    # the levels served, 1 + 15 + 39 = 55 values, are held to the memory
+    # cap as a build holds them
+    per = cochain.SET_BYTES_PER_VALUE
+    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 54 * per)
+    for directory in (warm, cold):
+        with pytest.raises(ResourceCapExceeded, match="past 54 values.*memory cap"):
+            cached_reach(f3, 2, directory)
+    assert not cold.exists()
+    assert cached_reach(f3, 1, warm)[1]  # 16 values
+    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 55 * per)
+    assert cached_reach(f3, 2, warm)[1]
+    # and an entry for a modulus past the cap on Im(df)'s walk is not served
+    monkeypatch.setattr(cochain, "MAX_IMAGE_TUPLES", 80)
+    for directory in (warm, cold):
+        with pytest.raises(ResourceCapExceeded, match="past the cap 80"):
+            cached_reach(f3, 2, directory)
+    assert not cold.exists()
 
 
 def test_cached_reach_raises_when_the_store_fails(tmp_path, f3):

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -365,6 +366,20 @@ def test_image_delta(f3, f5, f4):
         assert 0 in image_delta(f)
 
 
+def test_image_delta_cap(f3, monkeypatch):
+    # n^4 = 81 tuples at n = 3: the walk runs at the cap, and past it
+    # raises before it reads f's table
+    monkeypatch.setattr(cochain, "MAX_IMAGE_TUPLES", 81)
+    assert image_delta(f3) == (-8, -7, -5, -4, -2, -1, 0, 1, 2, 4, 5, 7, 11)
+    monkeypatch.setattr(cochain, "MAX_IMAGE_TUPLES", 80)
+    with pytest.raises(ResourceCapExceeded, match="^modulus 3 past the cap 80 on the n"):
+        image_delta(f3)
+    monkeypatch.undo()
+    assert cochain.MAX_IMAGE_TUPLES == 40**4
+    with pytest.raises(ResourceCapExceeded, match="past the cap 2560000"):
+        image_delta(SimpleNamespace(n=41))  # no table to read
+
+
 def _seeded_f(seed: int) -> str:
     """A random quadratic times (y - z), so that f(x, y, y) = 0."""
     rng = random.Random(seed)
@@ -690,14 +705,50 @@ def test_sparse_walk_memory_cap(f5, monkeypatch):
         cochain.sumset((0,), pm_im)
 
 
-def test_memory_cap_spares_the_count(f5, monkeypatch):
+def test_memory_cap_spares_the_count(f3, f5, monkeypatch):
     # the walk holds no values when it only counts, so sumset_size counts
-    # past the byte cap that stops a build of the same sum
+    # past the byte cap that stops a build of the same sum; so does the
+    # bitmask kernel, which reads no value back to count
     pm_im = sorted({v for k in image_delta(f5) for v in (k, -k)})
     monkeypatch.setattr(cochain, "SET_BYTES_CAP", 700 * cochain.SET_BYTES_PER_VALUE)
     assert sumset_size((0,), pm_im) == 701
     with pytest.raises(ResourceCapExceeded, match="memory cap"):
         sumset((0,), pm_im)
+    level1 = delta_reach(f3, 1).levels[1]
+    assert cochain._is_dense(level1, level1)
+    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 38 * cochain.SET_BYTES_PER_VALUE)
+    assert sumset_size(level1, level1) == 39
+
+
+def test_dense_build_memory_cap(f3, monkeypatch):
+    # Delta_1 + Delta_1 of (x-y)(y-z)z at n = 3 is 39 values from the
+    # bitmask kernel, which raises past the byte cap before its read-back
+    level1 = delta_reach(f3, 1).levels[1]
+    per = cochain.SET_BYTES_PER_VALUE
+    with mock.patch.object(cochain, "_walk") as walk:
+        monkeypatch.setattr(cochain, "SET_BYTES_CAP", 39 * per)
+        assert len(sumset(level1, level1)) == 39
+        monkeypatch.setattr(cochain, "SET_BYTES_CAP", 38 * per)
+        with pytest.raises(ResourceCapExceeded, match="past 38 values.*memory cap"):
+            sumset(level1, level1)
+    walk.assert_not_called()
+
+
+def test_levels_held_memory_cap(f3, monkeypatch):
+    # Delta_0..Delta_2 of (x-y)(y-z)z at n = 3 hold 1 + 15 + 39 = 55
+    # values: each level is within a 54-value byte cap, their sum is not
+    per = cochain.SET_BYTES_PER_VALUE
+    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 55 * per)
+    assert [len(lv) for lv in delta_reach(f3, 2).levels] == [1, 15, 39]
+    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 54 * per)
+    with pytest.raises(ResourceCapExceeded, match="past 54 values.*memory cap"):
+        delta_reach(f3, 2)
+    # Delta_1, taken as +/- Im df without a sum, counts too
+    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 16 * per)
+    assert len(delta_reach(f3, 1).levels) == 2
+    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 15 * per)
+    with pytest.raises(ResourceCapExceeded, match="memory cap"):
+        delta_reach(f3, 1)
 
 
 def test_reach_memo_extends(f5):

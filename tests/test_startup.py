@@ -3,7 +3,7 @@
 Every CLI call is a fresh interpreter, so a module imported at start-up
 is paid on every call.  ``import tribound`` loads no submodule; each
 command loads the ``tribound`` modules it runs when it runs, ``pathlib``
-only where a cache or fixtures directory is named, ``tribound.fixtures``
+only where a cache directory is named, ``tribound.fixtures``
 only where a bundled diagram is named, and nowhere ``hashlib`` or its
 OpenSSL module ``_hashlib`` (hashes come from the interpreter's built-in
 SHA-256), nor ``dataclasses`` (with ``inspect``, ``ast`` and ``dis``).
@@ -74,7 +74,7 @@ COMMANDS = (
         ("certify", "d1.json", "d2.json", "-n", "3", "-f", F, "-s", "0", "--max-m", "2"), 0,
         LAYERS | {"tribound.cache", "pathlib"},
     ),
-    (("reproduce",), 0, LAYERS | {"tribound.fixtures", "pathlib"}),
+    (("reproduce",), 0, LAYERS | {"tribound.fixtures"}),
     # a bundled name still resolves, through the fixtures loaded on demand
     (("validate", "d1"), 0, CORE | {"tribound.fixtures"}),
     # a malformed line falls back to argparse, which writes the usage error
