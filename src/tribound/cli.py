@@ -136,22 +136,24 @@ def _diagram_text(path: str) -> str:
     raise DiagramError(f"no such file or bundled diagram: {path}")
 
 
-def _set_summary(values: tuple[int, ...], dump: Path) -> dict[str, Any]:
+def _set_summary(values: tuple[int, ...], dump: Path | None = None) -> dict[str, Any]:
     out: dict[str, Any] = {"size": len(values)}
     if len(values) <= _INLINE_SET_LIMIT:
         out["values"] = list(values)
     else:
         out["min"] = values[0]
         out["max"] = values[-1]
-        out["file"] = str(dump)
+        if dump:
+            out["file"] = str(dump)
     return out
 
 
-def _print_set(label: str, values: tuple[int, ...], dump: Path) -> None:
+def _print_set(label: str, values: tuple[int, ...], dump: Path | None = None) -> None:
     if len(values) <= _INLINE_SET_LIMIT:
         print(f"{label}: {{{', '.join(map(str, values))}}}")
     else:
-        print(f"{label}: {len(values)} values in [{values[0]}, {values[-1]}] (full set in {dump})")
+        where = f" (full set in {dump})" if dump else ""
+        print(f"{label}: {len(values)} values in [{values[0]}, {values[-1]}]{where}")
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +321,10 @@ def cmd_weight(args: Namespace, report: RunReport) -> int:
 
 def cmd_delta(args: Namespace, report: RunReport) -> int:
     from .cache import cache_path, cached_reach
+    from .cochain import check_image_cap
     from .poly import CochainFn
 
+    check_image_cap(args.n)  # before f's table of n^3 values
     f = CochainFn.build(args.f, args.n)
     reach, hit = cached_reach(f, args.max_m, args.cache)
     report.cache["hits" if hit else "misses"] += 1
@@ -328,28 +332,27 @@ def cmd_delta(args: Namespace, report: RunReport) -> int:
     report.results["f_canonical"] = f.canonical()
     report.results["im_size"] = len(reach.im_delta)
     report.results["im"] = _set_summary(reach.im_delta, dump)
-    report.results["levels"] = [
-        _set_summary(reach.levels[m], dump) for m in range(args.max_m + 1)
-    ]
+    report.results["levels"] = [_set_summary(lv) for lv in reach.levels]
     report.results["cache_file"] = str(dump)
     if not args.json:
         print(f"f = {f.canonical()}  over Z({args.n})")
         print(f"|Im(df)| = {len(reach.im_delta)}")
         _print_set("Im(df)", reach.im_delta, dump)
-        for m in range(args.max_m + 1):
-            _print_set(f"Delta_{m}", reach.levels[m], dump)
+        for m, lv in enumerate(reach.levels):
+            _print_set(f"Delta_{m}", lv)
     return EXIT_OK
 
 
 def cmd_certify(args: Namespace, report: RunReport) -> int:
     from .cache import cached_reach
-    from .cochain import delta_reach
+    from .cochain import check_image_cap, delta_reach
     from .diagram import parse_diagram
     from .invariant import certify_lower_bound, verify_certificate
     from .poly import CochainFn
 
     d = parse_diagram(_diagram_text(args.path_d))
     d2 = parse_diagram(_diagram_text(args.path_d2))
+    check_image_cap(args.n)  # before f's table of n^3 values
     f = CochainFn.build(args.f, args.n)
 
     def levels(f: CochainFn, h: int) -> DeltaReach:

@@ -25,6 +25,7 @@ __all__ = [
     "ResourceCapExceeded",
     "CochainFn",
     "delta_f",
+    "check_image_cap",
     "image_delta",
     "DeltaReach",
     "delta_reach",
@@ -39,6 +40,17 @@ __all__ = [
 # n = 40, and over a minute at poly.MAX_MODULUS = 100 (CPython 3.11, one
 # core of a 2-vCPU VM).
 MAX_IMAGE_TUPLES = 40**4
+
+
+def check_image_cap(n: int) -> None:
+    """Raise the image cap's ResourceCapExceeded when the walk for Im(df)
+    at modulus n would pass ``MAX_IMAGE_TUPLES`` tuples.  A modulus
+    below 1 is left to ``CochainFn.build``, which refuses it."""
+    if n > 0 and n**4 > MAX_IMAGE_TUPLES:
+        raise ResourceCapExceeded(
+            f"modulus {n} past the cap {MAX_IMAGE_TUPLES} on the n^4 = {n**4} "
+            "tuples of the walk for Im(df)"
+        )
 
 
 def delta_f(f: CochainFn, x: int, y: int, z: int, w: int) -> int:
@@ -67,11 +79,7 @@ def image_delta(f: CochainFn) -> tuple[int, ...]:
     ``MAX_IMAGE_TUPLES``.
     """
     n = f.n
-    if n**4 > MAX_IMAGE_TUPLES:
-        raise ResourceCapExceeded(
-            f"modulus {n} past the cap {MAX_IMAGE_TUPLES} on the n^4 = {n**4} "
-            "tuples of the walk for Im(df)"
-        )
+    check_image_cap(n)
     t = f.table
     star = [[(2 * y - x) % n for y in range(n)] for x in range(n)]  # x * y
     values: set[int] = set()
@@ -119,12 +127,12 @@ PAIRS_PER_VALUE = 8
 # once the levels it keeps, Delta_0 up to the one just built, sum past
 # it.  The walk's built value costs about 54 bytes of peak RSS (its int,
 # its tuple slot, and a slot in the negative half or the mirror list),
-# but delta_reach keeps every level and the cache writes them as a list
-# copy and JSON text: the delta command that builds and stores a
-# 959 213-value level peaks at 81 MB, about 70 bytes a value (64-bit
-# CPython 3.11).  128 a value keeps the levels held below 150 MB; the
-# last build can take them past the cap before the sum is checked, by at
-# most one level within it.
+# and delta_reach keeps every level: the delta command that builds a
+# 959 213-value level peaks at 61 MB, cold or warm, about 49 bytes a
+# value over the interpreter's 14 MB (64-bit CPython 3.11).  The last
+# build can take the levels held past the cap before the sum is checked,
+# by at most one level within it, so up to twice the cap; 128 a value
+# keeps even that below 150 MB.
 SET_BYTES_CAP = 150 * 10**6
 SET_BYTES_PER_VALUE = 128
 
@@ -304,11 +312,15 @@ class DeltaReach(NamedTuple):
     levels: tuple[tuple[int, ...], ...]
 
 
-def delta_reach(f: CochainFn, max_m: int) -> DeltaReach:
+def delta_reach(
+    f: CochainFn, max_m: int, im_delta: tuple[int, ...] | None = None
+) -> DeltaReach:
     """Delta_0 = {0}; Delta_m = Delta_{m-1} + (+/- Im df), each sorted.
 
-    Since 0 is always in Im(df), the levels are nested increasing.  A
-    level exceeding ``DEFAULT_LEVEL_CAP`` elements raises
+    Im(df) is ``im_delta`` when given, as the cache gives it, and walked
+    by ``image_delta`` otherwise; the levels are built from it either
+    way.  Since 0 is always in Im(df), the levels are nested increasing.
+    A level exceeding ``DEFAULT_LEVEL_CAP`` elements raises
     ResourceCapExceeded: the levels feed the move-count certificates, so
     truncation is never acceptable.  So do the levels held, Delta_0 up to
     the one just built, once their sizes sum past the memory cap
@@ -316,7 +328,7 @@ def delta_reach(f: CochainFn, max_m: int) -> DeltaReach:
     """
     if max_m < 0:
         raise ValueError(f"max_m must be >= 0, got {max_m}")
-    im = image_delta(f)
+    im = image_delta(f) if im_delta is None else im_delta
     pm_im = tuple(sorted({v for k in im for v in (k, -k)}))
     levels = [(0,)]
     if max_m >= 1:

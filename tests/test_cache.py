@@ -16,6 +16,7 @@ from tribound.cache import (
     store_reach,
 )
 from tribound.cochain import ResourceCapExceeded, delta_reach
+from tribound.poly import CochainFn
 
 
 def test_env_override(monkeypatch, tmp_path):
@@ -37,35 +38,13 @@ def test_store_load_round_trip(tmp_path, f3):
     reach = delta_reach(f3, 2)
     path = store_reach(reach, tmp_path)
     assert path == cache_path(f3, tmp_path)
-    again = load_reach(f3, tmp_path)
-    assert again is not None
-    assert again.levels == reach.levels
-    assert again.im_delta == reach.im_delta
+    assert load_reach(f3, tmp_path) == reach.im_delta
     payload = json.loads(path.read_text())
-    assert set(payload) == {"n", "f", "im_delta", "delta_levels"}
-    assert list(map(len, payload["delta_levels"])) == [1, 15, 39]
-
-
-def test_store_never_shrinks(tmp_path, f3):
-    store_reach(delta_reach(f3, 2), tmp_path)
-    store_reach(delta_reach(f3, 1), tmp_path)
-    cached = load_reach(f3, tmp_path)
-    assert cached is not None and len(cached.levels) == 3
-
-
-def test_store_merges_levels(tmp_path, f3):
-    # an entry with at least as many levels wins; one with fewer is replaced
-    store_reach(delta_reach(f3, 1), tmp_path)
-    store_reach(delta_reach(f3, 2), tmp_path)
-    cached = load_reach(f3, tmp_path)
-    assert cached.levels == delta_reach(f3, 2).levels
-    path = cache_path(f3, tmp_path)
-    before = path.stat().st_mtime_ns
-    store_reach(delta_reach(f3, 2), tmp_path)
-    assert path.stat().st_mtime_ns == before  # equal length: not rewritten
-    store_reach(delta_reach(f3, 3), tmp_path)
-    cached = load_reach(f3, tmp_path)
-    assert cached.levels == delta_reach(f3, 3).levels
+    assert payload == {"n": 3, "f": f3.canonical(), "im_delta": list(reach.im_delta)}
+    assert len(payload["im_delta"]) == 13
+    # the levels a reach holds are not stored: any depth writes one entry
+    store_reach(delta_reach(f3, 0), tmp_path)
+    assert json.loads(path.read_text()) == payload
 
 
 def test_entry_names_are_pinned(tmp_path, f3, f4, f5):
@@ -74,13 +53,11 @@ def test_entry_names_are_pinned(tmp_path, f3, f4, f5):
     names = ["delta_3_13d4eac24b84.json", "delta_4_771d316e4633.json",
              "delta_5_aacd3cbdde8f.json"]
     assert [cache_path(f, tmp_path).name for f in (f3, f4, f5)] == names
-    reach = delta_reach(f3, 2)
+    im_delta = delta_reach(f3, 0).im_delta
     (tmp_path / names[0]).write_text(json.dumps({
-        "n": 3, "f": f3.canonical(), "im_delta": list(reach.im_delta),
-        "delta_levels": [list(lv) for lv in reach.levels],
+        "n": 3, "f": f3.canonical(), "im_delta": list(im_delta),
     }))
-    cached = load_reach(f3, tmp_path)
-    assert cached is not None and cached.levels == reach.levels
+    assert load_reach(f3, tmp_path) == im_delta
 
 
 def test_load_rejects_stale_content(tmp_path, f3, f4):
@@ -102,8 +79,7 @@ def test_leftover_lock_and_tmp_files_are_ignored(tmp_path, f3):
     start = time.perf_counter()
     assert store_reach(reach, tmp_path) == path
     assert time.perf_counter() - start < 1.0
-    cached = load_reach(f3, tmp_path)
-    assert cached is not None and cached.levels == reach.levels
+    assert load_reach(f3, tmp_path) == reach.im_delta
 
 
 def test_concurrent_writers(tmp_path, f3):
@@ -123,16 +99,14 @@ def test_concurrent_writers(tmp_path, f3):
     for t in threads:
         t.join()
     assert not errors
-    cached = load_reach(f3, tmp_path)
-    assert cached is not None and cached.levels == reach.levels
+    assert load_reach(f3, tmp_path) == reach.im_delta
 
 
 def _store_then_load(f, directory, depth, rounds):
-    """Clear f's entry, store f's levels up to depth and read the entry
-    back, rounds times; returns the reads that were torn or not exact
-    levels of f."""
+    """Clear f's entry, store a reach of f up to depth and read the entry
+    back, rounds times; returns the reads that were torn, or that gave
+    anything but Im(df)."""
     reach = delta_reach(f, depth)
-    want = {k: delta_reach(f, k).levels for k in (1, 2)}
     path = cache_path(f, directory)
     bad = []
     for _ in range(rounds):
@@ -145,8 +119,8 @@ def _store_then_load(f, directory, depth, rounds):
         except ValueError as exc:
             bad.append(repr(exc))
         got = load_reach(f, directory)
-        if got is not None and got.levels != want.get(len(got.levels) - 1):
-            bad.append(len(got.levels) - 1)
+        if got is not None and got != reach.im_delta:
+            bad.append(got)
     return bad
 
 
@@ -156,20 +130,31 @@ def test_concurrent_writer_processes(tmp_path, f3):
         results = pool.starmap(_store_then_load, jobs)
     assert results == [[]] * len(jobs)
     store_reach(delta_reach(f3, 2), tmp_path)
-    cached = load_reach(f3, tmp_path)
-    assert cached is not None and cached.levels == delta_reach(f3, 2).levels
+    assert load_reach(f3, tmp_path) == delta_reach(f3, 0).im_delta
 
 
 def test_cached_reach_serves_entries_holding_the_levels(tmp_path, f3):
+    # one entry, written by the first call, serves every level after it
     directory = str(tmp_path)
     reach, hit = cached_reach(f3, 1, directory)
-    assert not hit and reach.levels == delta_reach(f3, 1).levels
-    for level in (0, 1):
+    assert not hit and reach == delta_reach(f3, 1)
+    entry = cache_path(f3, directory).read_bytes()
+    for level in (0, 1, 2, 3, 1):
         again, hit = cached_reach(f3, level, directory)
-        assert hit and again.levels == reach.levels  # the whole entry
-    deeper, hit = cached_reach(f3, 2, directory)  # Delta_2 is not held
-    assert not hit and deeper.levels == delta_reach(f3, 2).levels
-    assert len(load_reach(f3, directory).levels) == 3
+        assert hit and again == delta_reach(f3, level)
+    assert cache_path(f3, directory).read_bytes() == entry
+
+
+@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("n", (3, 4, 5))
+@pytest.mark.parametrize("f", ("(x-y)*(y-z)*z", "(x+y)*(y-z)^3", "(y-z)*x*y*z"))
+def test_cached_reach_cold_then_warm_is_delta_reach(tmp_path, f, n, level):
+    fn = CochainFn.build(f, n)
+    want = delta_reach(fn, level)
+    got = [cached_reach(fn, level, tmp_path) for _ in range(2)]
+    assert got == [(want, False), (want, True)]
+    entry = json.loads(cache_path(fn, tmp_path).read_text())
+    assert set(entry) == {"n", "f", "im_delta"}
 
 
 def test_cached_reach_checks_level_and_cap_warm_as_cold(tmp_path, f3, monkeypatch):

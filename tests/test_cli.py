@@ -782,9 +782,11 @@ def test_delta_large_set_summarized(capsys, tmp_path):
     )
     assert code == 0
     assert report["results"]["im_size"] == 393
-    level1 = report["results"]["levels"][1]
-    assert "values" not in level1
-    assert level1["size"] > 64 and "file" in level1
+    # the entry holds Im(df) alone: its summary names the file, and a
+    # level's does not
+    im, level1 = report["results"]["im"], report["results"]["levels"][1]
+    assert "values" not in im and im["file"] == report["results"]["cache_file"]
+    assert level1.keys() == {"size", "min", "max"} and level1["size"] > 64
     assert Path(report["results"]["cache_file"]).exists()
 
 
@@ -870,6 +872,36 @@ def test_image_cap_exit_code(capsys, tmp_path):
         "error": "modulus 41 past the cap 2560000 on the n^4 = 2825761 "
         "tuples of the walk for Im(df)"
     }
+
+
+def test_image_cap_comes_before_the_table(capsys, tmp_path, monkeypatch):
+    # at n = 100, f's table of 10^6 values is never built: delta and
+    # certify refuse the modulus first, but a missing diagram still
+    # comes before it
+    def build(cls, f, n):
+        raise AssertionError("CochainFn.build called")
+
+    monkeypatch.setattr(CochainFn, "build", classmethod(build))
+    f = ("-n", "100", "-f", "(x-y)*(y-z)*z")
+    cache = ("--cache", str(tmp_path / "c"))
+    message = (
+        "modulus 100 past the cap 2560000 on the n^4 = 100000000 tuples "
+        "of the walk for Im(df)"
+    )
+    for argv in (
+        ("delta", *f, "--max-m", "0", *cache),
+        ("certify", "d1", "d2", *f, "-s", "0", "--max-m", "2", *cache),
+    ):
+        code, report, _ = run_json(capsys, *argv)
+        assert (code, report["results"]) == (4, {"error": message}), argv
+    code, _, err = run(capsys, "certify", str(tmp_path / "none.json"), "d2", *f,
+                       "-s", "0", *cache)
+    assert code == 2 and "no such file or bundled diagram" in err
+    assert not (tmp_path / "c").exists()
+    # a modulus below 1 is no modulus: the table's own check refuses it
+    monkeypatch.undo()
+    code, _, err = run(capsys, "delta", "-n", "-50", "-f", "(x-y)*(y-z)*z", *cache)
+    assert (code, err) == (2, "error: modulus must be >= 1, got -50\n")
 
 
 F_NESTED = {
@@ -959,9 +991,9 @@ def test_certify_reference_pairs(capsys, tmp_path):
 
 
 def test_certify_rejects_corrupted_cache(capsys, tmp_path):
-    # the certifier reads its half levels from the cache; the verifier
-    # builds its own and must catch the bound over-claimed from a wrong
-    # Delta_1
+    # the certifier builds its half levels from the cached Im(df); the
+    # verifier walks its own and must catch the bound over-claimed from
+    # a wrong one
     cache = tmp_path / "c"
     args = (
         "certify", "d1", "d2", "-n", "3", "-f", "(x-y)*(y-z)*z",
@@ -971,23 +1003,22 @@ def test_certify_rejects_corrupted_cache(capsys, tmp_path):
     assert code == 0 and cold["results"]["certificate"]["m"] == 2
     (path,) = cache.glob("delta_*.json")
     good = json.loads(path.read_text())
-    assert list(map(len, good["delta_levels"])) == [1, 15]
-    # Delta_1 with its 15 values moved far away: Delta_1 + Delta_1 then
-    # misses W - Phi, and its size is still 39
-    far = [10**6 + v for v in good["delta_levels"][1]]
-    path.write_text(json.dumps({**good, "delta_levels": [[0], far]}))
+    assert len(good["im_delta"]) == 13
+    # Im(df) = {0}: every level is {0}, which W - Phi avoids
+    path.write_text(json.dumps({**good, "im_delta": [0]}))
     code, report, _ = run_json(capsys, *args)
     assert report["cache"] == {"hits": 1, "misses": 0}
     cert = report["results"]["certificate"]
-    assert cert["m"] == 3 and cert["delta_level_sizes"] == [1, 15, 39]
+    assert cert["m"] == 3 and cert["delta_level_sizes"] == [1, 1, 1]
     assert report["results"]["verified"] is False
     assert code == 3
 
 
 def test_certify_reads_entries_with_level_sizes(capsys, tmp_path):
-    # an entry that also carries level sizes, as entries written before
-    # the certifier counted its own sizes did, is a hit; the sizes are
-    # not read, so a wrong one changes nothing
+    # an entry that also carries the levels or level sizes that earlier
+    # versions stored is a miss: Im(df) is rebuilt, the result is the
+    # cold one whatever the stale sizes say, and the entry is rewritten
+    # with n, f and im_delta alone, so the next call hits
     cache = tmp_path / "c"
     args = (
         "certify", "d1", "d2", "-n", "3", "-f", "(x-y)*(y-z)*z",
@@ -995,13 +1026,21 @@ def test_certify_reads_entries_with_level_sizes(capsys, tmp_path):
     )
     code, cold, _ = run_json(capsys, *args)
     assert code == 0 and cold["cache"] == {"hits": 0, "misses": 1}
+    assert cold["results"]["certificate"]["delta_level_sizes"] == [1, 15, 39]
     (path,) = cache.glob("delta_*.json")
-    entry = json.loads(path.read_text())
-    path.write_text(json.dumps({**entry, "level_sizes": [1, 15, 40]}))
-    code, warm, _ = run_json(capsys, *args)
-    assert code == 0 and warm["cache"] == {"hits": 1, "misses": 0}
-    assert warm["results"] == cold["results"]
-    assert warm["results"]["certificate"]["delta_level_sizes"] == [1, 15, 39]
+    good = json.loads(path.read_text())
+    for old in (
+        {**good, "level_sizes": [1, 15, 40]},
+        {**good, "delta_levels": [[0]]},
+        {**good, "delta_levels": [[0]], "level_sizes": [1]},
+    ):
+        path.write_text(json.dumps(old))
+        code, warm, _ = run_json(capsys, *args)
+        assert code == 0 and warm["cache"] == {"hits": 0, "misses": 1}, old
+        assert warm["results"] == cold["results"]
+        assert json.loads(path.read_text()) == good
+        code, again, _ = run_json(capsys, *args)
+        assert code == 0 and again["cache"] == {"hits": 1, "misses": 0}
 
 
 def test_certify_warm_matches_cold(capsys, tmp_path):
@@ -1025,7 +1064,8 @@ def test_certify_warm_matches_cold(capsys, tmp_path):
 
 def test_certify_and_delta_share_cache_entries(capsys, tmp_path):
     # certify --max-m m needs Delta_0..Delta_m//2 and delta --max-m M
-    # needs Delta_0..Delta_M: one hit rule, on the levels an entry holds
+    # needs Delta_0..Delta_M, and both build them from the one Im(df)
+    # the entry holds: only the first call misses
     cache = str(tmp_path / "c")
     f = ("-n", "3", "-f", "(x-y)*(y-z)*z")
     certify = ("certify", "d1", "d2", *f, "-s", "0", "--cache", cache)
@@ -1036,7 +1076,7 @@ def test_certify_and_delta_share_cache_entries(capsys, tmp_path):
         ((*certify, "--max-m", "3"), 1),    # the same
         ((*certify, "--max-m", "3"), 1),
         ((*delta, "--max-m", "1"), 1),
-        ((*delta, "--max-m", "2"), 0),      # Delta_2
+        ((*delta, "--max-m", "2"), 1),      # Delta_2
         ((*certify, "--max-m", "5"), 1),    # Delta_0..Delta_2
         ((*delta, "--max-m", "2"), 1),
         ((*certify, "--max-m", "4"), 1),
@@ -1046,11 +1086,11 @@ def test_certify_and_delta_share_cache_entries(capsys, tmp_path):
         assert report["cache"] == {"hits": hits, "misses": 1 - hits}, argv
     (path,) = (tmp_path / "c").glob("delta_*.json")
     entry = json.loads(path.read_text())
-    assert len(entry["delta_levels"]) == 3
-    assert set(entry) == {"n", "f", "im_delta", "delta_levels"}
+    assert set(entry) == {"n", "f", "im_delta"} and len(entry["im_delta"]) == 13
 
 
 def test_certify_treats_malformed_cache_as_miss(capsys, tmp_path):
+    # a miss rebuilds Im(df) and writes the entry over the bad one
     cache = tmp_path / "c"
     args = (
         "certify", "d1", "d2", "-n", "3", "-f", "(x-y)*(y-z)*z",
@@ -1063,9 +1103,9 @@ def test_certify_treats_malformed_cache_as_miss(capsys, tmp_path):
     for bad in (
         [],
         {k: v for k, v in good.items() if k != "im_delta"},
-        {**good, "delta_levels": 5},
-        {**good, "delta_levels": [[[0]], *good["delta_levels"][1:]]},
-        {**good, "delta_levels": [[0], [float(v) for v in good["delta_levels"][1]]]},
+        {**good, "im_delta": 5},
+        {**good, "im_delta": [[0], *good["im_delta"][1:]]},
+        {**good, "im_delta": [float(v) for v in good["im_delta"]]},
         {**good, "im_delta": [True, *good["im_delta"][1:]]},
     ):
         path.write_text(json.dumps(bad))
@@ -1073,6 +1113,7 @@ def test_certify_treats_malformed_cache_as_miss(capsys, tmp_path):
         assert code == 0
         assert warm["cache"] == {"hits": 0, "misses": 1}
         assert warm["results"] == cold["results"]
+        assert json.loads(path.read_text()) == good
 
 
 def test_certify_treats_unwritable_cache_as_miss(capsys, monkeypatch, tmp_path):
