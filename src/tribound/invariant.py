@@ -31,7 +31,7 @@ from .coloring import (
     extend_coloring,
     is_trivial,
 )
-from .diagram import Diagram, diagram_hash
+from .diagram import Diagram, ResourceCapExceeded, diagram_hash
 from .poly import CochainFn
 
 if TYPE_CHECKING:
@@ -185,13 +185,6 @@ class BoundCertificate(NamedTuple):
 _NO_COLORING = "no non-trivial coloring on the first diagram"
 
 
-def _meet(diffs: set[int], hi: set[int], lo: Iterable[int]) -> set[int]:
-    """The d in diffs with d - b in hi for some b in lo, that is diffs
-    meeting hi + lo, found without building the sum (meet in the
-    middle)."""
-    return {d for d in diffs if not hi.isdisjoint(map(d.__sub__, lo))}
-
-
 def _levels_clear(
     diffs: set[int], max_m: int, hits: Callable[[set[int], int], set[int]]
 ) -> tuple[int, list[str], int | None]:
@@ -205,6 +198,41 @@ def _levels_clear(
             return k, verdicts, k
         verdicts.append(f"level {k}: empty intersection")
     return max_m, verdicts, None
+
+
+def _split_levels(
+    held: tuple[tuple[int, ...], ...], max_m: int, split: Callable[[int], tuple[int, int]]
+) -> tuple[tuple[int, ...], Callable[[set[int], int], set[int]]]:
+    """The sizes |Delta_0|, |Delta_1|, ... and the ``hits`` of
+    ``_levels_clear``, read off the held levels Delta_0..Delta_h, where
+    ``split(k) = (i, j)``, i + j = k, names the held Delta_i + Delta_j
+    that stands for Delta_k.
+
+    A size below ``len(held)`` is that held level's; a higher one is
+    ``sumset_size`` of the split.  These sizes are informational, as
+    the bound rests on the verdicts alone, so the list stops before the
+    first size past the level cap of ``cochain``.  ``hits(diffs, k)`` is
+    diffs & Delta_i when j = 0, and otherwise the d in diffs with d - b
+    in Delta_i for some b in Delta_j, found without building the sum
+    (meet in the middle).
+    """
+    from .cochain import sumset_size
+
+    sizes = [len(lv) for lv in held[:max_m]]
+    for k in range(len(sizes), max_m):
+        try:
+            sizes.append(sumset_size(*(held[i] for i in split(k))))
+        except ResourceCapExceeded:
+            break
+    sets = [set(lv) for lv in held]
+
+    def hits(diffs: set[int], k: int) -> set[int]:
+        i, j = split(k)
+        if j == 0:
+            return diffs & sets[i]
+        return {d for d in diffs if not sets[i].isdisjoint(map(d.__sub__, held[j]))}
+
+    return tuple(sizes), hits
 
 
 def certify_lower_bound(
@@ -229,15 +257,15 @@ def certify_lower_bound(
     level k <= h is looked up directly; a higher one is met in the
     middle, Delta_k = Delta_h + Delta_k-h.  The size |Delta_k| of each
     level h < k < max_m is ``sumset_size`` of the same split, taken
-    before any coloring is scored; a size past the level cap of
-    ``cochain`` raises ResourceCapExceeded.
+    before any coloring is scored; the sizes stop before the first one
+    past the level cap of ``cochain`` (see ``_split_levels``).
     """
     if max_m < 1:
         raise ValueError(f"max_m must be >= 1, got {max_m}")
     _check_outer_color(s, f.n)  # before any level is asked for
     # the level layer loads here, so that the weight command never loads
     # it, and a replaced delta_reach is the one used
-    from .cochain import delta_reach, sumset_size
+    from .cochain import delta_reach
 
     h = max_m // 2  # = ceil((max_m - 1) / 2)
     held = (levels or delta_reach)(f, h).levels[: h + 1]
@@ -245,18 +273,9 @@ def certify_lower_bound(
         raise ValueError(
             f"supplied levels reach Delta_{len(held) - 1}, need Delta_{h}"
         )
-    sizes = tuple(map(len, held)) + tuple(
-        sumset_size(held[h], held[k - h])
-        for k in range(h + 1, max_m)
-    )
+    sizes, hits = _split_levels(held, max_m, lambda k: (min(k, h), max(k - h, 0)))
     phi = phi_set(d2, s, f)
     phi_vals = set(phi.values)
-    halves = [set(lv) for lv in held]
-
-    def hits(diffs: set[int], k: int) -> set[int]:
-        if k <= h:
-            return diffs & halves[k]
-        return _meet(diffs, halves[h], held[k - h])
 
     # (m, coloring id, arc colors, W, verdicts, first hit) of the winner
     best: tuple[int, int | None, tuple[int, ...] | None, int | None, list[str], int | None]
@@ -305,27 +324,25 @@ def verify_certificate(
     ``crossing_terms`` rather than through ``weight``, the Phi set of d2,
     the level sizes and the level verdicts from f rebuilt out of the
     stored string, through half levels it builds itself rather than the
-    certifier's levels.  Every level, the half levels too, is split as
-    Delta_ceil(k/2) + Delta_floor(k/2), where the certifier looks up
-    Delta_k or splits it as Delta_h + Delta_k-h.  Accepts iff the
-    weight, Phi, the sizes, the verdicts, the first hit and the bound m
-    all match.
+    certifier's levels.  Every level past Delta_1, the half levels too,
+    is split as Delta_ceil(k/2) + Delta_floor(k/2), where the certifier
+    looks up Delta_k or splits it as Delta_h + Delta_k-h; the sizes stop
+    where the certifier's do, before the first past the level cap.
+    Accepts iff the weight, Phi, the sizes, the verdicts, the first hit
+    and the bound m all match.
     """
     if diagram_hash(d) != cert.d_hash or diagram_hash(d2) != cert.d2_hash:
         return False
     if cert.max_m < 1 or not 0 <= cert.m <= cert.max_m:
         return False
-    from .cochain import delta_reach, sumset_size
+    from .cochain import delta_reach
 
     f = CochainFn.build(cert.f_str, cert.n)
     if tuple(phi_set(d2, cert.s, f).values) != cert.phi:
         return False
     # Delta_0..Delta_{max_m-1} are needed; max_m // 2 = ceil((max_m-1)/2)
     halves = delta_reach(f, cert.max_m // 2).levels
-    sizes = tuple(map(len, halves)) + tuple(
-        sumset_size(halves[(k + 1) // 2], halves[k // 2])
-        for k in range(len(halves), cert.max_m)
-    )
+    sizes, hits = _split_levels(halves, cert.max_m, lambda k: ((k + 1) // 2, k // 2))
     if sizes != cert.delta_level_sizes:
         return False
     if cert.no_nontrivial_coloring:
@@ -345,12 +362,7 @@ def verify_certificate(
     w = sum(t.term for t in crossing_terms(d, ec, f))
     if w != cert.w:
         return False
-    sets = [set(lv) for lv in halves]
-    m, verdicts, first_hit = _levels_clear(
-        {w - v for v in cert.phi},
-        cert.max_m,
-        lambda diffs, k: _meet(diffs, sets[(k + 1) // 2], halves[k // 2]),
-    )
+    m, verdicts, first_hit = _levels_clear({w - v for v in cert.phi}, cert.max_m, hits)
     return (m, tuple(verdicts), first_hit) == (
         cert.m, cert.level_verdicts, cert.first_hit_level
     )

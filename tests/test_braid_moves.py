@@ -64,12 +64,29 @@ def test_type_two_move_keeps_phi(case, data):
     assert after.values == before.values
 
 
-def six_term_reach(f):
-    """Delta_0 and Delta_1 = +/- Im(df), with Im(df) read off the six-term
-    ``delta_f`` at every tuple."""
+def six_term_reach(f, h=1):
+    """Delta_0..Delta_h, with Im(df) read off the six-term ``delta_f`` at
+    every tuple and each level above Delta_1 = +/- Im(df) a plain set sum
+    of the one below and Delta_1."""
     image = {delta_f(f, *t) for t in itertools.product(range(f.n), repeat=4)}
-    level1 = tuple(sorted(image | {-v for v in image}))
-    return DeltaReach(f=f, im_delta=tuple(sorted(image)), levels=((0,), level1))
+    levels = [{0}, image | {-v for v in image}]
+    while len(levels) <= h:
+        levels.append({a + b for a in levels[-1] for b in levels[1]})
+    return DeltaReach(
+        f=f,
+        im_delta=tuple(sorted(image)),
+        levels=tuple(tuple(sorted(lv)) for lv in levels[: h + 1]),
+    )
+
+
+def relation(i, t, mixed):
+    """The two sides of a type-III braid relation on columns i and i + 1:
+    (i,t)(i+1,t)(i,t) = (i+1,t)(i,t)(i+1,t), or with mixed signs
+    (i,t)(i+1,t)(i,u) = (i+1,u)(i,t)(i+1,t), u the other type."""
+    if not mixed:
+        return [(i, t), (i + 1, t), (i, t)], [(i + 1, t), (i, t), (i + 1, t)]
+    u = "R" if t == "L" else "L"
+    return [(i, t), (i + 1, t), (i, u)], [(i + 1, u), (i, t), (i + 1, t)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -79,10 +96,36 @@ def test_type_three_move_certifies_at_most_one(case, data):
     at = data.draw(st.integers(0, len(word)))
     i = data.draw(st.integers(0, strands - 3))
     t = data.draw(st.sampled_from("LR"))
-    left = word[:at] + [(i, t), (i + 1, t), (i, t)] + word[at:]
-    right = word[:at] + [(i + 1, t), (i, t), (i + 1, t)] + word[at:]
-    d, d2 = closure(strands, left), closure(strands, right)
     reach = six_term_reach(f)
+    for mixed in (False, True):
+        left, right = relation(i, t, mixed)
+        d = closure(strands, word[:at] + left + word[at:])
+        d2 = closure(strands, word[:at] + right + word[at:])
+        for a, b in ((d, d2), (d2, d)):
+            assert certify_lower_bound(a, b, s, f, 2).m <= 1
+            assert certify_lower_bound(a, b, s, f, 2, levels=lambda f, h: reach).m <= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cases(), data=st.data())
+def test_type_three_moves_certify_at_most_their_number(case, data):
+    # j relations, of either form and read either way, go into the word
+    # whole at drawn places; turning them one at a time is j type-III
+    # moves, so no certificate at max_m = j + 1 may claim more than j
+    strands, word, f, s = case
+    segments = [([c], [c]) for c in word]
+    j = data.draw(st.integers(0, 3))
+    for _ in range(j):
+        at = data.draw(st.integers(0, len(segments)))
+        sides = relation(
+            data.draw(st.integers(0, strands - 3)),
+            data.draw(st.sampled_from("LR")),
+            data.draw(st.booleans()),
+        )
+        segments.insert(at, sides[:: data.draw(st.sampled_from((1, -1)))])
+    d = closure(strands, [c for before, _ in segments for c in before])
+    d2 = closure(strands, [c for _, after in segments for c in after])
+    reach = six_term_reach(f, (j + 1) // 2)
     for a, b in ((d, d2), (d2, d)):
-        assert certify_lower_bound(a, b, s, f, 2).m <= 1
-        assert certify_lower_bound(a, b, s, f, 2, levels=lambda f, h: reach).m <= 1
+        assert certify_lower_bound(a, b, s, f, j + 1).m <= j
+        assert certify_lower_bound(a, b, s, f, j + 1, levels=lambda f, h: reach).m <= j

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tribound.cochain import DeltaReach, ResourceCapExceeded, delta_reach
+from tribound.cochain import DeltaReach, delta_reach
 from tribound.coloring import (
     Coloring,
     enumerate_colorings,
@@ -396,10 +396,13 @@ def test_no_nontrivial_coloring_flagged(f3):
 def test_bound_stays_put_as_max_m_grows(diagrams, f3, f4):
     # the reference bounds are the exact optima for their f: more
     # levels certify no more moves; the certifier counts the sizes above
-    # its half levels without building those levels
+    # its half levels without building those levels.  From max_m = 6 on
+    # the two splits differ: the certifier counts |Delta_4| as
+    # Delta_3 + Delta_1, the verifier as Delta_2 + Delta_2
     for pair, f, s, m, max_ms, sizes in (
-        (("d1", "d2"), f3, 0, 2, range(2, 6), (1, 15, 39, 61, 83)),
-        (("d5", "d6"), f4, 0, 3, range(3, 6), (1, 153, 8621, 55999, 97781)),
+        (("d1", "d2"), f3, 0, 2, range(2, 8), (1, 15, 39, 61, 83, 105, 127)),
+        (("d5", "d6"), f4, 0, 3, range(3, 7),
+         (1, 153, 8621, 55999, 97781, 136759)),
     ):
         d, d2 = diagrams[pair[0]], diagrams[pair[1]]
         for max_m in max_ms:
@@ -408,6 +411,14 @@ def test_bound_stays_put_as_max_m_grows(diagrams, f3, f4):
             assert cert.first_hit_level == (m if max_m > m else None)
             assert cert.delta_level_sizes == sizes[:max_m]
             assert verify_certificate(cert, d, d2)
+            if max_m <= 4:
+                continue
+            for step in (-1, 1):  # |Delta_4| off by one
+                tampered = list(cert.delta_level_sizes)
+                tampered[4] += step
+                assert not verify_certificate(
+                    cert._replace(delta_level_sizes=tuple(tampered)), d, d2
+                )
 
 
 def test_certify_memory_stays_at_half_levels(diagrams, f5):
@@ -606,30 +617,41 @@ def test_verifier_rejects_levels_missing_hits(diagrams, f3):
 
 
 def test_certify_counts_sizes_under_the_level_cap(diagrams, f3, monkeypatch):
-    # |Delta_2| = 39 is counted against the cap, cold and with the half
-    # levels supplied, before any coloring is scored
+    # |Delta_2| = 39 is counted, cold and with the half levels supplied,
+    # before Phi is built; the sizes are informational, so past the cap
+    # the list stops before |Delta_2|, while the meet still finds the hit
+    # in Delta_2 and the verifier stops the list at the same place
     import tribound.cochain as cochain
     import tribound.invariant as invariant
 
     d, d2 = diagrams["d1"], diagrams["d2"]
     warm = delta_reach(f3, 1)
+    calls: list[str] = []
+    count, build_phi = cochain.sumset_size, invariant.phi_set
 
-    def no_scoring(*args, **kwargs):
-        raise AssertionError("Phi built before the level sizes were counted")
+    def counted(a, b):
+        calls.append("count")
+        return count(a, b)
 
-    with monkeypatch.context() as m:
-        m.setattr(cochain, "DEFAULT_LEVEL_CAP", 38)
-        m.setattr(invariant, "phi_set", no_scoring)
+    def phi(*args):
+        calls.append("phi")
+        return build_phi(*args)
+
+    monkeypatch.setattr(cochain, "sumset_size", counted)
+    monkeypatch.setattr(invariant, "phi_set", phi)
+    for cap, sizes in ((38, (1, 15)), (39, (1, 15, 39))):
+        monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", cap)
         for levels in (None, lambda f, h: warm):
-            with pytest.raises(
-                ResourceCapExceeded,
-                match=r"^sumset grew past the cardinality cap 38$",
-            ):
-                certify_lower_bound(d, d2, 0, f3, 3, levels=levels)
-    monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 39)
-    for levels in (None, lambda f, h: warm):
-        cert = certify_lower_bound(d, d2, 0, f3, 3, levels=levels)
-        assert cert.delta_level_sizes == (1, 15, 39) and cert.m == 2
+            calls.clear()
+            cert = certify_lower_bound(d, d2, 0, f3, 3, levels=levels)
+            assert calls == ["count", "phi"]
+            assert cert.delta_level_sizes == sizes
+            assert (cert.m, cert.first_hit_level) == (2, 2)
+            assert verify_certificate(cert, d, d2)
+            other = (1, 15, 39) if cap == 38 else (1, 15)
+            assert not verify_certificate(
+                cert._replace(delta_level_sizes=other), d, d2
+            )
     # supplied levels must reach Delta_h
     with pytest.raises(ValueError, match=r"^supplied levels reach Delta_0, need Delta_1$"):
         certify_lower_bound(
