@@ -17,12 +17,15 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .cochain import DeltaReach, check_image_cap, delta_reach
 from .diagram import sha256_hex
 from .poly import CochainFn
 
-__all__ = ["default_cache_dir", "cache_path", "load_reach", "store_reach", "cached_reach"]
+if TYPE_CHECKING:
+    from .cochain import DeltaReach
+
+__all__ = ["default_cache_dir", "cache_path", "load_reach", "store_reach"]
 
 _KEYS = {"n", "f", "im_delta"}
 
@@ -70,18 +73,3 @@ def store_reach(reach: DeltaReach, directory: str | Path | None = None) -> Path:
         tmp.unlink(missing_ok=True)
     return path
 
-
-def cached_reach(
-    f: CochainFn, max_level: int, directory: str | Path | None = None
-) -> tuple[DeltaReach, bool]:
-    """Delta_0..Delta_max_level of f, built by ``delta_reach`` from the
-    cached Im(df), and whether the cache held it.  A miss walks Im(df) and
-    stores it once the levels are built, so a failed build stores
-    nothing.  The image cap is checked first, as the walk checks it, so
-    an entry for a modulus past it is not served."""
-    check_image_cap(f.n)
-    im_delta = load_reach(f, directory)
-    reach = delta_reach(f, max_level, im_delta)
-    if im_delta is None:
-        store_reach(reach, directory)
-    return reach, im_delta is not None

@@ -212,9 +212,9 @@ def cmd_colorings(args: Namespace, report: RunReport) -> int:
     from .diagram import parse_diagram
 
     d = parse_diagram(_diagram_text(args.path))
-    cols = enumerate_colorings(d, args.n)
     if args.outer_color is not None:
         _check_outer_color(args.outer_color, args.n)
+    cols = enumerate_colorings(d, args.n)
 
     def rows() -> Iterator[dict[str, Any]]:
         """One row per coloring, built as the report reaches it."""
@@ -261,23 +261,22 @@ def cmd_weight(args: Namespace, report: RunReport) -> int:
 
     d = parse_diagram(_diagram_text(args.path))
     f = CochainFn.build(args.f, args.n)
+    # the arguments first, so that a bad one is reported, not the coloring cap
+    if args.coloring != "all" and not re.fullmatch("-?[0-9]+", args.coloring):
+        error = f"--coloring must be an id or 'all', got {args.coloring!r}"
+        report.results["error"] = error
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_USAGE
+    _check_outer_color(args.s, args.n)
     cols = enumerate_colorings(d, args.n)
-    wanted: range | list[int]
-    if args.coloring == "all":
-        wanted = range(len(cols))
-    elif re.fullmatch("-?[0-9]+", args.coloring):
+    wanted: range | list[int] = range(len(cols))
+    if args.coloring != "all":
         idx = int(args.coloring)
         if not 0 <= idx < len(cols):
             raise DiagramError(
                 f"coloring id {idx} out of range (0..{len(cols) - 1})"
             )
         wanted = [idx]
-    else:
-        error = f"--coloring must be an id or 'all', got {args.coloring!r}"
-        report.results["error"] = error
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
-    _check_outer_color(args.s, args.n)
     nontrivial: list[tuple[int, int]] = []  # (id, W), filled by rows()
 
     def rows() -> Iterator[dict[str, Any]]:
@@ -320,14 +319,17 @@ def cmd_weight(args: Namespace, report: RunReport) -> int:
 
 
 def cmd_delta(args: Namespace, report: RunReport) -> int:
-    from .cache import cache_path, cached_reach
-    from .cochain import check_image_cap
+    from .cache import cache_path, load_reach, store_reach
+    from .cochain import check_image_cap, delta_reach
     from .poly import CochainFn
 
     check_image_cap(args.n)  # before f's table of n^3 values
     f = CochainFn.build(args.f, args.n)
-    reach, hit = cached_reach(f, args.max_m, args.cache)
-    report.cache["hits" if hit else "misses"] += 1
+    im_delta = load_reach(f, args.cache)
+    reach = delta_reach(f, args.max_m, im_delta)
+    if im_delta is None:  # stored once the levels are built
+        store_reach(reach, args.cache)
+    report.cache["misses" if im_delta is None else "hits"] += 1
     dump = cache_path(f, args.cache)
     report.results["f_canonical"] = f.canonical()
     report.results["im_size"] = len(reach.im_delta)
@@ -344,7 +346,7 @@ def cmd_delta(args: Namespace, report: RunReport) -> int:
 
 
 def cmd_certify(args: Namespace, report: RunReport) -> int:
-    from .cache import cached_reach
+    from .cache import load_reach, store_reach
     from .cochain import check_image_cap, delta_reach
     from .diagram import parse_diagram
     from .invariant import certify_lower_bound, verify_certificate
@@ -356,12 +358,14 @@ def cmd_certify(args: Namespace, report: RunReport) -> int:
     f = CochainFn.build(args.f, args.n)
 
     def levels(f: CochainFn, h: int) -> DeltaReach:
-        try:
-            reach, hit = cached_reach(f, h, args.cache)
-        except OSError as exc:  # a cache that cannot be written is a miss
-            print(f"warning: cache not written: {exc}", file=sys.stderr)
-            reach, hit = delta_reach(f, h), False
-        report.cache["hits" if hit else "misses"] += 1
+        im_delta = load_reach(f, args.cache)
+        reach = delta_reach(f, h, im_delta)
+        if im_delta is None:  # stored once the levels are built
+            try:
+                store_reach(reach, args.cache)
+            except OSError as exc:  # a cache that cannot be written is a miss
+                print(f"warning: cache not written: {exc}", file=sys.stderr)
+        report.cache["misses" if im_delta is None else "hits"] += 1
         return reach
 
     cert = certify_lower_bound(d, d2, args.s, f, args.max_m, levels=levels)

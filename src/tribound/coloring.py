@@ -254,6 +254,8 @@ def is_trivial(c: Coloring) -> bool:
 
 
 def _check_outer_color(s: int, n: int) -> None:
+    if n < 1:  # as enumerate_colorings says it, when this runs first
+        raise ValueError(f"modulus must be >= 1, got {n}")
     if not 0 <= s < n:
         raise ValueError(f"outer color {s} not in Z({n})")
 

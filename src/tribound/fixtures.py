@@ -14,7 +14,7 @@ and ``tribound reproduce`` check every one of them by its outcome.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .diagram import Diagram, diagram_from_dict
 
@@ -221,122 +221,74 @@ def w4_formula(a: int, b: int, f: CochainFn) -> int:
     )
 
 
+def _first_mismatch(oracle: Callable[..., int], table: dict[Any, int]) -> str:
+    """The detail "first mismatch (key, got, want)" of the first entry of
+    ``table``, in its order, whose value ``oracle(*key)`` does not give,
+    or "" when the oracle gives every value."""
+    for key, want in table.items():
+        got = oracle(*key)
+        if got != want:
+            return f"first mismatch {(key, got, want)}"
+    return ""
+
+
 def reproduce_checks() -> list[tuple[str, bool, str]]:
     """Every bundled reference computation as (label, ok, detail), on the
     bundled diagrams that ``load_fixture`` builds."""
+    from itertools import product
+
     # the layers load here, so that naming a bundled diagram loads none
     from .cochain import delta_f, delta_reach
     from .coloring import enumerate_colorings, extend_coloring
-    from .invariant import (
-        certify_lower_bound,
-        phi_set,
-        verify_certificate,
-        weight,
-    )
+    from .invariant import certify_lower_bound, phi_set, verify_certificate, weight
     from .poly import CochainFn
 
     checks: list[tuple[str, bool, str]] = []
 
-    f3 = CochainFn.build("(x-y)*(y-z)*z", 3)
-    f5 = CochainFn.build("(x+y)^3*(y+z)*(y-z)^3*z^5", 5)
-    f4 = CochainFn.build("(x+y)^2*(y-z)^3*z^5", 4)
+    def check(label: str, got: Any, want: Any, detail: str | None = None) -> None:
+        """Record whether got == want; the detail defaults to "got <got>"."""
+        checks.append((label, got == want, f"got {got}" if detail is None else detail))
 
-    bad = [
-        (t, delta_f(f3, *t), v)
-        for t, v in DELTA_TABLE_N3.items()
-        if delta_f(f3, *t) != v
-    ]
-    degenerate_ok = all(
-        delta_f(f3, x, y, z, w) == 0
-        for x in range(3)
-        for y in range(3)
-        for z in range(3)
-        for w in range(3)
-        if x == y or y == z or z == w
-    )
-    checks.append(
-        (
-            "coboundary table (n=3, 24 values + degenerate zeros)",
-            not bad and degenerate_ok,
-            f"first mismatch {bad[0]}" if bad else "",
-        )
-    )
+    cases = {case: CochainFn.build(case.f_str, case.n) for case in FIXTURE_CASES}
+    f3, f5, f4 = cases.values()
 
-    level1 = delta_reach(f3, 1).levels[1]
-    checks.append(
-        (
-            "Delta_1 set (n=3)",
-            level1 == EXPECTED["delta1_n3"],
-            f"got {level1}",
-        )
-    )
-    for n, f in ((5, f5), (4, f4)):
-        size = len(delta_reach(f, 0).im_delta)
-        want = EXPECTED["image_sizes"][n]
-        checks.append(
-            (f"|Im(df)| = {want} (n={n})", size == want, f"got {size}")
-        )
+    # every tuple the table leaves out is degenerate, and its value is 0
+    table = {t: DELTA_TABLE_N3.get(t, 0) for t in product(range(3), repeat=4)}
+    bad = _first_mismatch(lambda *t: delta_f(f3, *t), table)
+    check("coboundary table (n=3, 24 values + degenerate zeros)", bad, "", bad)
+    check("Delta_1 set (n=3)", delta_reach(f3, 1).levels[1], EXPECTED["delta1_n3"])
+    for f in (f5, f4):
+        want = EXPECTED["image_sizes"][f.n]
+        check(f"|Im(df)| = {want} (n={f.n})", len(delta_reach(f, 0).im_delta), want)
+    bad = _first_mismatch(lambda a, b: w4_formula(a, b, f5), W4_TABLE)
+    check("closed-form weight table (20 values, n=5)", bad, "", bad)
 
-    bad2 = [
-        (ab, w4_formula(*ab, f5), v)
-        for ab, v in W4_TABLE.items()
-        if w4_formula(*ab, f5) != v
-    ]
-    checks.append(
-        (
-            "closed-form weight table (20 values, n=5)",
-            not bad2,
-            f"first mismatch {bad2[0]}" if bad2 else "",
-        )
-    )
-
-    fns = {"d1": f3, "d3": f5, "d5": f4}
-    for name, (cid, colors) in REFERENCE_COLORINGS.items():
+    for case, f in cases.items():
+        name = case.pair[0]
+        cid, colors = REFERENCE_COLORINGS[name]
         d = load_fixture(name)
-        s = next(c.s for c in FIXTURE_CASES if c.pair[0] == name)
-        cols = enumerate_colorings(d, fns[name].n)
+        cols = enumerate_colorings(d, f.n)
+        got: int | None = None
+        if cid < len(cols) and cols[cid].arc_colors == colors:
+            got = weight(d, extend_coloring(d, cols[cid], case.s), f)
         want = EXPECTED["weights"][name]
-        ok = cid < len(cols) and cols[cid].arc_colors == colors
-        got: Any = None
-        if ok:
-            got = weight(d, extend_coloring(d, cols[cid], s), fns[name])
-            ok = got == want
-        checks.append(
-            (f"W({name}) = {want}", ok, f"got {got}")
-        )
+        check(f"W({name}) = {want}", got, want)
 
-    for name, f, s in (("d2", f3, 0), ("d6", f4, 0)):
-        vals = phi_set(load_fixture(name), s, f).values
-        want_vals = EXPECTED["phi"][name]
-        checks.append(
-            (
-                f"Phi({name}, {s}) = {set(want_vals)}",
-                vals == want_vals,
-                f"got {set(vals)}",
-            )
-        )
-    oracle = tuple(sorted(W4_TABLE.values()))
-    d4_vals = phi_set(load_fixture("d4"), 2, f5).values
-    checks.append(
-        (
-            "Phi(d4, 2) matches the closed-form value set",
-            d4_vals == oracle,
-            f"got {len(d4_vals)} values",
-        )
-    )
+    for case, f in cases.items():
+        name = case.pair[1]
+        if name in EXPECTED["phi"]:
+            want = EXPECTED["phi"][name]
+            vals = phi_set(load_fixture(name), case.s, f).values
+            check(f"Phi({name}, {case.s}) = {set(want)}", vals, want, f"got {set(vals)}")
+    vals = phi_set(load_fixture("d4"), FIXTURE_CASES[1].s, f5).values
+    check("Phi(d4, 2) matches the closed-form value set",
+          vals, tuple(sorted(W4_TABLE.values())), f"got {len(vals)} values")
 
-    for case in FIXTURE_CASES:
-        d = load_fixture(case.pair[0])
-        d2 = load_fixture(case.pair[1])
-        f = CochainFn.build(case.f_str, case.n)
+    for case, f in cases.items():
+        d, d2 = map(load_fixture, case.pair)
         cert = certify_lower_bound(d, d2, case.s, f, case.max_m)
-        ok = cert.m == case.expected_m and verify_certificate(cert, d, d2)
-        checks.append(
-            (
-                f"certified {case.pair[0]}/{case.pair[1]} needs >= "
-                f"{case.expected_m} type-III moves",
-                ok,
-                f"got m = {cert.m}",
-            )
-        )
+        check(f"certified {case.pair[0]}/{case.pair[1]} needs >= "
+              f"{case.expected_m} type-III moves",
+              (cert.m, verify_certificate(cert, d, d2)), (case.expected_m, True),
+              f"got m = {cert.m}")
     return checks

@@ -235,7 +235,7 @@ class _Parser:
             if self.peek() != ")":
                 raise ExprSyntaxError("expected ')' after exponent", self.pos)
             self.take()
-        elif ch == "-" or ch.isdigit():
+        elif ch == "-" or ch.isdecimal():
             inner = self.signed_int()
         else:
             raise ExprSyntaxError("expected an integer exponent", at)
@@ -250,14 +250,14 @@ class _Parser:
         if self.peek() == "-":
             self.take()
             sign = -1
-        if not self.peek().isdigit():
+        if not self.peek().isdecimal():
             raise ExprSyntaxError("expected an integer", self.pos)
         return sign * self.integer()
 
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         return int(self.text[start:self.pos])
 
@@ -265,7 +265,7 @@ class _Parser:
         ch = self.peek()
         if ch in ("-", "("):
             return self.nested(ch)
-        if ch.isdigit():
+        if ch.isdecimal():
             value = self.integer()
             return {(0, 0, 0): value} if value else {}
         if ch.isalpha():

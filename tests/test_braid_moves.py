@@ -3,8 +3,11 @@ leaves the weight-value set Phi unchanged, and one of type III moves W by
 an element of +/- Im(df), so a pair one type-III move apart certifies at
 most m = 1.
 
-Words are closed braids on 3 or 4 strand positions, and f = (y - z) * g
-for a small integer polynomial g, so that f(x, y, y) = 0.  The outer face
+Words are closed braids on 3 or 4 strand positions.  f is either
+(y - z) * g for a small integer polynomial g, or a table of integers in
+[-3, 3] with f(x, y, y) = 0 and no polynomial behind it; either way
+f(x, y, y) = 0.  A table names no f in a certificate, so the certificates
+here are made and not verified.  The outer face
 is the region left of strand position 0.  No move inside the braid
 touches it, but its edges are renumbered, so it is given for each
 diagram as the edges that leave column-0 crossings by slot 2 (SW).
@@ -43,12 +46,30 @@ def cases(draw):
     word = draw(st.lists(crossing, max_size=6))
     word += [(col, draw(st.sampled_from("LR"))) for col in range(strands - 1)]
     word = draw(st.permutations(word))
-    terms = draw(st.lists(
-        st.tuples(st.integers(-3, 3), *[st.integers(0, 2)] * 3), max_size=3
-    ))
-    g = " + ".join(f"({c})*x^{i}*y^{j}*z^{k}" for c, i, j, k in terms) or "0"
     n = draw(st.sampled_from((3, 4, 5)))
-    return strands, word, CochainFn.build(f"(y-z)*({g})", n), draw(st.integers(0, n - 1))
+    return strands, word, draw(functions(n)), draw(st.integers(0, n - 1))
+
+
+@st.composite
+def functions(draw, n):
+    """f = (y - z) * g for a small integer polynomial g, or a random
+    table of integers in [-3, 3] that is 0 where y = z, built as the
+    ``CochainFn`` record directly."""
+    if draw(st.booleans()):
+        terms = draw(st.lists(
+            st.tuples(st.integers(-3, 3), *[st.integers(0, 2)] * 3), max_size=3
+        ))
+        g = " + ".join(f"({c})*x^{i}*y^{j}*z^{k}" for c, i, j, k in terms) or "0"
+        return CochainFn.build(f"(y-z)*({g})", n)
+    values = draw(st.lists(st.integers(-3, 3), min_size=n**3, max_size=n**3))
+    table = tuple(
+        tuple(
+            tuple(0 if y == z else values[(x * n + y) * n + z] for z in range(n))
+            for y in range(n)
+        )
+        for x in range(n)
+    )
+    return CochainFn(terms=(), n=n, table=table)
 
 
 @settings(max_examples=60, deadline=None)

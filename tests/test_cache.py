@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import re
 import threading
 import time
 
@@ -10,12 +11,12 @@ import pytest
 from tribound import cochain
 from tribound.cache import (
     cache_path,
-    cached_reach,
     default_cache_dir,
     load_reach,
     store_reach,
 )
-from tribound.cochain import ResourceCapExceeded, delta_reach
+from tribound.cli import main
+from tribound.cochain import delta_reach
 from tribound.poly import CochainFn
 
 
@@ -133,65 +134,88 @@ def test_concurrent_writer_processes(tmp_path, f3):
     assert load_reach(f3, tmp_path) == delta_reach(f3, 0).im_delta
 
 
-def test_cached_reach_serves_entries_holding_the_levels(tmp_path, f3):
-    # one entry, written by the first call, serves every level after it
-    directory = str(tmp_path)
-    reach, hit = cached_reach(f3, 1, directory)
-    assert not hit and reach == delta_reach(f3, 1)
-    entry = cache_path(f3, directory).read_bytes()
+def _delta(capsys, directory, max_m, f="(x-y)*(y-z)*z", n=3):
+    """Exit code and --json report of ``delta`` on the cache in directory,
+    which loads f's Im(df), builds the levels and stores on a miss."""
+    code = main(["delta", "-n", str(n), "-f", f, "--max-m", str(max_m),
+                 "--cache", str(directory), "--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_one_entry_serves_every_level(capsys, tmp_path, f3):
+    # one entry, written by the first run, serves every level after it
+    code, report = _delta(capsys, tmp_path, 1)
+    assert code == 0 and report["cache"] == {"hits": 0, "misses": 1}
+    entry = cache_path(f3, tmp_path).read_bytes()
     for level in (0, 1, 2, 3, 1):
-        again, hit = cached_reach(f3, level, directory)
-        assert hit and again == delta_reach(f3, level)
-    assert cache_path(f3, directory).read_bytes() == entry
+        code, warm = _delta(capsys, tmp_path, level)
+        assert code == 0 and warm["cache"] == {"hits": 1, "misses": 0}
+        _, cold = _delta(capsys, tmp_path / f"cold{level}", level)
+        assert warm["results"]["levels"] == cold["results"]["levels"]
+        assert len(warm["results"]["levels"]) == level + 1
+    assert cache_path(f3, tmp_path).read_bytes() == entry
 
 
 @pytest.mark.parametrize("level", range(4))
 @pytest.mark.parametrize("n", (3, 4, 5))
 @pytest.mark.parametrize("f", ("(x-y)*(y-z)*z", "(x+y)*(y-z)^3", "(y-z)*x*y*z"))
-def test_cached_reach_cold_then_warm_is_delta_reach(tmp_path, f, n, level):
+def test_cached_reach_cold_then_warm_is_delta_reach(capsys, tmp_path, f, n, level):
+    # the reach that delta serves from an empty cache, then from the entry
+    # that the first run wrote, is delta_reach's
     fn = CochainFn.build(f, n)
     want = delta_reach(fn, level)
-    got = [cached_reach(fn, level, tmp_path) for _ in range(2)]
-    assert got == [(want, False), (want, True)]
+    reports = [_delta(capsys, tmp_path, level, f, n) for _ in range(2)]
+    assert [code for code, _ in reports] == [0, 0]
+    assert [r["cache"]["hits"] for _, r in reports] == [0, 1]
+    assert reports[0][1]["results"] == reports[1][1]["results"]
+    assert reports[0][1]["results"]["im_size"] == len(want.im_delta)
+    assert [lv["size"] for lv in reports[1][1]["results"]["levels"]] == [
+        len(lv) for lv in want.levels
+    ]
+    # the entry serves the library recipe as well: load, then build
+    assert delta_reach(fn, level, load_reach(fn, tmp_path)) == want
     entry = json.loads(cache_path(fn, tmp_path).read_text())
     assert set(entry) == {"n", "f", "im_delta"}
 
 
-def test_cached_reach_checks_level_and_cap_warm_as_cold(tmp_path, f3, monkeypatch):
-    # |Delta_2| = 39; the warm directory holds Delta_0..Delta_2, and the
-    # cold one stays empty, as nothing is stored when the build fails
+def test_warm_runs_meet_every_cap_as_cold_ones(capsys, tmp_path, f3, monkeypatch):
+    # |Delta_2| = 39; the warm directory holds f3's entry, and the cold
+    # one stays empty, as nothing is stored when the build fails
     warm, cold = tmp_path / "warm", tmp_path / "cold"
-    cached_reach(f3, 2, warm)
+    assert _delta(capsys, warm, 0)[0] == 0
+    with pytest.raises(ValueError, match=r"^max_m must be >= 0, got -1$"):
+        delta_reach(f3, -1, load_reach(f3, warm))
+
+    def refused(max_m, error):
+        for directory in (warm, cold):
+            code, report = _delta(capsys, directory, max_m)
+            assert code == 4 and re.search(error, report["results"]["error"])
+        assert not cold.exists()
+
+    def served(max_m):
+        code, report = _delta(capsys, warm, max_m)
+        assert code == 0 and report["cache"] == {"hits": 1, "misses": 0}
+
     monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 38)
-    for directory in (warm, cold):
-        with pytest.raises(ValueError, match=r"^max_m must be >= 0, got -1$"):
-            cached_reach(f3, -1, directory)
-        with pytest.raises(ResourceCapExceeded):
-            cached_reach(f3, 2, directory)
-    assert not cold.exists()
+    refused(2, "past the cardinality cap 38")
     monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 39)
-    assert cached_reach(f3, 2, warm)[1]
-    # the levels served, 1 + 15 + 39 = 55 values, are held to the memory
-    # cap as a build holds them
+    served(2)
+    # the levels built, 1 + 15 + 39 = 55 values, are held to the memory
+    # cap warm as cold
     per = cochain.SET_BYTES_PER_VALUE
     monkeypatch.setattr(cochain, "SET_BYTES_CAP", 54 * per)
-    for directory in (warm, cold):
-        with pytest.raises(ResourceCapExceeded, match="past 54 values.*memory cap"):
-            cached_reach(f3, 2, directory)
-    assert not cold.exists()
-    assert cached_reach(f3, 1, warm)[1]  # 16 values
+    refused(2, "past 54 values.*memory cap")
+    served(1)  # 16 values
     monkeypatch.setattr(cochain, "SET_BYTES_CAP", 55 * per)
-    assert cached_reach(f3, 2, warm)[1]
+    served(2)
     # and an entry for a modulus past the cap on Im(df)'s walk is not served
     monkeypatch.setattr(cochain, "MAX_IMAGE_TUPLES", 80)
-    for directory in (warm, cold):
-        with pytest.raises(ResourceCapExceeded, match="past the cap 80"):
-            cached_reach(f3, 2, directory)
-    assert not cold.exists()
+    refused(2, "past the cap 80")
 
 
-def test_cached_reach_raises_when_the_store_fails(tmp_path, f3):
+def test_store_raises_when_the_directory_cannot_be_made(tmp_path, f3):
     blocker = tmp_path / "file"
     blocker.write_text("")
     with pytest.raises(NotADirectoryError):
-        cached_reach(f3, 1, blocker / "c")
+        store_reach(delta_reach(f3, 1), blocker / "c")
+    assert load_reach(f3, blocker / "c") is None

@@ -498,6 +498,10 @@ def test_colorings_with_regions(capsys):
 def test_colorings_bad_modulus(capsys):
     code, _, err = run(capsys, "colorings", "d1", "-n", "0")
     assert code == 2
+    # the outer color is checked first, and names the modulus all the same
+    for n in ("0", "-1"):
+        code, _, err = run(capsys, "colorings", "d1", "-n", n, "--outer-color", "0")
+        assert (code, err) == (2, f"error: modulus must be >= 1, got {n}\n")
 
 
 def test_weight_all(capsys):
@@ -598,6 +602,28 @@ def test_outer_color_is_rejected_before_the_report(capsys, argv):
     assert report["results"] == {"error": message}
     assert out == json.dumps(report) + "\n"
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_arguments_are_checked_before_the_colorings(capsys, tmp_path):
+    # chain8 has 262 144 colorings at n = 16, past the
+    # coloring cap: a bad argument is reported, not the cap, while a
+    # coloring id is checked against the colorings and so meets the cap
+    path = tmp_path / "chain8.json"
+    word = [(c, "L") for c in range(7) for _ in range(4)]
+    path.write_text(json.dumps(closed_braid_code(8, word, "chain8")))
+    colorings = ("colorings", str(path), "-n", "16")
+    weight = ("weight", str(path), "-n", "16", "-f", "(x-y)*(y-z)*z")
+    for argv, code, err in (
+        (colorings, 4, "resource cap: "),
+        ((*colorings, "--outer-color", "99"), 2, "error: outer color 99 not in Z(16)\n"),
+        ((*weight, "-s", "99"), 2, "error: outer color 99 not in Z(16)\n"),
+        ((*weight, "-s", "0", "--coloring", "foo"), 1,
+         "error: --coloring must be an id or 'all', got 'foo'\n"),
+        ((*weight, "-s", "0", "--coloring", "5"), 4, "resource cap: "),
+    ):
+        got = run(capsys, *argv)
+        assert got[:2] == (code, "") and got[2].startswith(err), argv
+        assert got[2] == err or code == 4
 
 
 def spawn_cli(*argv: str, **popen) -> subprocess.Popen:
@@ -1140,6 +1166,33 @@ def test_certify_treats_unwritable_cache_as_miss(capsys, monkeypatch, tmp_path):
         code, _, err = run(capsys, "delta", "-n", "3", "-f", "(x-y)*(y-z)*z",
                            *cache_args)
         assert code == 2 and err.startswith("error: [Errno 20] Not a directory")
+
+
+def test_unwritable_cache_costs_no_second_walk(capsys, monkeypatch, tmp_path):
+    # the certifier walks Im(df) once, keeps the levels it built when the
+    # store fails, and the verifier walks its own: two walks, as on a
+    # writable cold cache
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    walks = []
+    real = cochain.image_delta
+
+    def counting(f):
+        walks.append(f.n)
+        return real(f)
+
+    monkeypatch.setattr(cochain, "image_delta", counting)
+    argv = ("certify", "d3", "d4", "-n", "5", "-f", "(x+y)^3*(y+z)*(y-z)^3*z^5",
+            "-s", "2", "--max-m", "3")
+    code, good, _ = run_json(capsys, *argv, "--cache", str(tmp_path / "c"))
+    assert code == 0 and walks == [5, 5]
+    walks.clear()
+    code, report, err = run_json(capsys, *argv, "--cache", str(blocker / "c"))
+    assert code == 0 and walks == [5, 5]
+    assert report["cache"] == {"hits": 0, "misses": 1}
+    assert report["results"] == good["results"]
+    assert err.startswith("warning: cache not written: [Errno 20]")
+    assert err.count("\n") == 1
 
 
 def test_certify_max_m_zero(capsys, tmp_path):

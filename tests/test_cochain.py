@@ -96,10 +96,16 @@ def test_syntax_errors_carry_position():
     for text, pos in (
         ("x +", 3), ("(x", 2), ("x^", 2), ("x y", 2), ("", 0),
         ("x^(2", 4), ("x^-", 3), ("x+*", 2),
+        # a digit that is not a decimal digit is no integer
+        ("x^\u00b2", 2), ("\u00b2", 0), ("2\u00b2", 1), ("x^(\u00b2)", 3), ("x^-\u00b2", 3),
     ):
         with pytest.raises(ExprSyntaxError) as err:
             parse_poly(text)
         assert err.value.pos == pos
+    with pytest.raises(ExprSyntaxError, match="^unexpected '\u00b2' \\(at position 0\\)$"):
+        parse_poly("\u00b2")
+    # decimal digits of other scripts are integers, as int() reads them
+    assert parse_poly("\u0663*x^\u0662") == {(2, 0, 0): 3}
 
 
 def test_size_caps():
