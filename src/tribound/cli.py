@@ -120,19 +120,17 @@ def _write_pieces(obj: Any, write: Callable[[str], object], head: str) -> str:
 
 
 def _diagram_text(path: str) -> str:
-    """Text of a diagram file; bare bundled names (d1..d6) work anywhere."""
+    """Text of a diagram file; bare bundled names (d1..d6, or d1.json..
+    d6.json) work anywhere."""
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     # the bundled diagrams load only when named
     from .fixtures import fixture_dict, fixture_names
 
-    name = os.path.basename(os.path.normpath(path))
-    stem, suffix = os.path.splitext(name)
-    if suffix != ".json":
-        stem = name
-    if stem.lower() in fixture_names():
-        return json.dumps(fixture_dict(stem))
+    name = path.removesuffix(".json")  # exactly dN or dN.json
+    if name in fixture_names():
+        return json.dumps(fixture_dict(name))
     raise DiagramError(f"no such file or bundled diagram: {path}")
 
 

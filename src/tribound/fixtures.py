@@ -115,11 +115,10 @@ _BUILDERS: dict[str, tuple[int, list[tuple[int, str]], int]] = {
 
 def fixture_dict(name: str) -> dict[str, Any]:
     """The JSON-shaped code of a bundled diagram, built from scratch."""
-    key = name.lower()
-    if key not in _BUILDERS:
+    if name not in _BUILDERS:
         raise KeyError(f"no bundled diagram named {name!r}")
-    strands, word, outer = _BUILDERS[key]
-    return closed_braid_code(strands, word, name=key, outer_face=outer)
+    strands, word, outer = _BUILDERS[name]
+    return closed_braid_code(strands, word, name=name, outer_face=outer)
 
 
 def fixture_names() -> list[str]:

@@ -138,7 +138,10 @@ class BoundCertificate(NamedTuple):
 
     Everything needed for an independent re-check is carried verbatim:
     the chosen coloring's arc vector, its weight, the full Phi set of the
-    second diagram, and the per-level intersection verdicts.
+    second diagram, and the per-level intersection verdicts.  The record
+    is the one description of a certificate: ``to_dict`` writes every
+    field after ``f_str`` in this order, and ``verify_certificate``
+    compares the whole record, so the sequence fields must stay tuples.
     """
 
     d_name: str
@@ -157,9 +160,12 @@ class BoundCertificate(NamedTuple):
     delta_level_sizes: tuple[int, ...]
     level_verdicts: tuple[str, ...]
     first_hit_level: int | None
-    no_nontrivial_coloring: bool = False
+    no_nontrivial_coloring: bool
 
     def to_dict(self) -> dict[str, Any]:
+        """The JSON form: the pair, f, then every later field in record
+        order, tuples written as lists."""
+        rest = self._fields.index("f_str") + 1
         return {
             "schema": 1,
             "pair": {
@@ -167,18 +173,10 @@ class BoundCertificate(NamedTuple):
                 "d2": {"name": self.d2_name, "sha256": self.d2_hash},
             },
             "f": self.f_str,
-            "n": self.n,
-            "s": self.s,
-            "max_m": self.max_m,
-            "m": self.m,
-            "coloring_id": self.coloring_id,
-            "coloring": list(self.coloring) if self.coloring is not None else None,
-            "w": self.w,
-            "phi": list(self.phi),
-            "delta_level_sizes": list(self.delta_level_sizes),
-            "level_verdicts": list(self.level_verdicts),
-            "first_hit_level": self.first_hit_level,
-            "no_nontrivial_coloring": self.no_nontrivial_coloring,
+            **{
+                key: list(value) if isinstance(value, tuple) else value
+                for key, value in zip(self._fields[rest:], self[rest:])
+            },
         }
 
 
@@ -187,7 +185,7 @@ _NO_COLORING = "no non-trivial coloring on the first diagram"
 
 def _levels_clear(
     diffs: set[int], max_m: int, hits: Callable[[set[int], int], set[int]]
-) -> tuple[int, list[str], int | None]:
+) -> tuple[int, tuple[str, ...], int | None]:
     """Largest m <= max_m with diffs disjoint from Delta_0..Delta_m-1,
     where ``hits(diffs, k)`` is diffs intersected with Delta_k."""
     verdicts: list[str] = []
@@ -195,9 +193,9 @@ def _levels_clear(
         hit = hits(diffs, k)
         if hit:
             verdicts.append(f"level {k}: hit {min(hit)}")
-            return k, verdicts, k
+            return k, tuple(verdicts), k
         verdicts.append(f"level {k}: empty intersection")
-    return max_m, verdicts, None
+    return max_m, tuple(verdicts), None
 
 
 def _split_levels(
@@ -274,45 +272,30 @@ def certify_lower_bound(
             f"supplied levels reach Delta_{len(held) - 1}, need Delta_{h}"
         )
     sizes, hits = _split_levels(held, max_m, lambda k: (min(k, h), max(k - h, 0)))
-    phi = phi_set(d2, s, f)
-    phi_vals = set(phi.values)
+    phi = phi_set(d2, s, f).values
 
-    # (m, coloring id, arc colors, W, verdicts, first hit) of the winner
-    best: tuple[int, int | None, tuple[int, ...] | None, int | None, list[str], int | None]
-    best = (0, None, None, None, [_NO_COLORING], None)
-    found_nontrivial = False
+    # the record for no non-trivial coloring; each better coloring
+    # replaces the seven fields that score it
+    cert = BoundCertificate(
+        d.name, diagram_hash(d), d2.name, diagram_hash(d2), f.canonical(),
+        f.n, s, max_m, m=0, coloring_id=None, coloring=None, w=None, phi=phi,
+        delta_level_sizes=sizes, level_verdicts=(_NO_COLORING,),
+        first_hit_level=None, no_nontrivial_coloring=True,
+    )
     for cid, col in enumerate(enumerate_colorings(d, f.n)):
         if is_trivial(col):
             continue
         w = weight(d, extend_coloring(d, col, s), f)
-        diffs = {w - v for v in phi_vals}
-        m, verdicts, first_hit = _levels_clear(diffs, max_m, hits)
-        if not found_nontrivial or m > best[0]:
-            best = (m, cid, col.arc_colors, w, verdicts, first_hit)
-        found_nontrivial = True
+        m, verdicts, first_hit = _levels_clear({w - v for v in phi}, max_m, hits)
+        if cert.no_nontrivial_coloring or m > cert.m:
+            cert = cert._replace(
+                m=m, coloring_id=cid, coloring=col.arc_colors, w=w,
+                level_verdicts=verdicts, first_hit_level=first_hit,
+                no_nontrivial_coloring=False,
+            )
         if m == max_m:
             break  # cannot improve; smallest id already wins ties
-
-    m, cid, colors, w, verdicts, first_hit = best
-    return BoundCertificate(
-        d_name=d.name,
-        d_hash=diagram_hash(d),
-        d2_name=d2.name,
-        d2_hash=diagram_hash(d2),
-        f_str=f.canonical(),
-        n=f.n,
-        s=s,
-        max_m=max_m,
-        m=m,
-        coloring_id=cid,
-        coloring=colors,
-        w=w,
-        phi=phi.values,
-        delta_level_sizes=sizes,
-        level_verdicts=tuple(verdicts),
-        first_hit_level=first_hit,
-        no_nontrivial_coloring=not found_nontrivial,
-    )
+    return cert
 
 
 def verify_certificate(
@@ -320,49 +303,50 @@ def verify_certificate(
 ) -> bool:
     """Independent re-check of an emitted certificate.
 
-    Recomputes the weight from the stored arc vector, as the sum of its
-    ``crossing_terms`` rather than through ``weight``, the Phi set of d2,
-    the level sizes and the level verdicts from f rebuilt out of the
-    stored string, through half levels it builds itself rather than the
-    certifier's levels.  Every level past Delta_1, the half levels too,
-    is split as Delta_ceil(k/2) + Delta_floor(k/2), where the certifier
-    looks up Delta_k or splits it as Delta_h + Delta_k-h; the sizes stop
-    where the certifier's do, before the first past the level cap.
-    Accepts iff the weight, Phi, the sizes, the verdicts, the first hit
-    and the bound m all match.
+    Takes only the certificate's inputs from it: f's string, n, s,
+    max_m and the coloring id, where None claims that d has no
+    non-trivial coloring.  From these it rebuilds the certificate it
+    expects and accepts iff that equals ``cert``, field for field.  The
+    weight is the sum of the coloring's ``crossing_terms`` rather than
+    ``weight``, and the level sizes and verdicts come from half levels
+    it builds itself rather than the certifier's levels.  Every level
+    past Delta_1, the half levels too, is split as Delta_ceil(k/2) +
+    Delta_floor(k/2), where the certifier looks up Delta_k or splits it
+    as Delta_h + Delta_k-h; the sizes stop where the certifier's do,
+    before the first past the level cap.
     """
-    if diagram_hash(d) != cert.d_hash or diagram_hash(d2) != cert.d2_hash:
+    hashes = diagram_hash(d), diagram_hash(d2)
+    if hashes != (cert.d_hash, cert.d2_hash):
         return False
-    if cert.max_m < 1 or not 0 <= cert.m <= cert.max_m:
+    f_str, n, s, max_m, cid = cert.f_str, cert.n, cert.s, cert.max_m, cert.coloring_id
+    if max_m < 1 or not 0 <= s < n:
         return False
     from .cochain import delta_reach
 
-    f = CochainFn.build(cert.f_str, cert.n)
-    if tuple(phi_set(d2, cert.s, f).values) != cert.phi:
-        return False
+    f = CochainFn.build(f_str, n)
+    phi = phi_set(d2, s, f).values
     # Delta_0..Delta_{max_m-1} are needed; max_m // 2 = ceil((max_m-1)/2)
-    halves = delta_reach(f, cert.max_m // 2).levels
-    sizes, hits = _split_levels(halves, cert.max_m, lambda k: ((k + 1) // 2, k // 2))
-    if sizes != cert.delta_level_sizes:
-        return False
-    if cert.no_nontrivial_coloring:
-        return (
-            cert.m == 0
-            and cert.level_verdicts == (_NO_COLORING,)
-            and cert.first_hit_level is None
-            and not any(not is_trivial(c) for c in enumerate_colorings(d, cert.n))
+    halves = delta_reach(f, max_m // 2).levels
+    sizes, hits = _split_levels(halves, max_m, lambda k: ((k + 1) // 2, k // 2))
+    colorings = enumerate_colorings(d, n)
+    if cid is None:
+        if not all(map(is_trivial, colorings)):
+            return False
+        scored = dict(
+            m=0, coloring=None, w=None, level_verdicts=(_NO_COLORING,),
+            first_hit_level=None, no_nontrivial_coloring=True,
         )
-    colorings = enumerate_colorings(d, cert.n)
-    if cert.coloring_id is None or not 0 <= cert.coloring_id < len(colorings):
-        return False
-    col = colorings[cert.coloring_id]
-    if col.arc_colors != cert.coloring or is_trivial(col):
-        return False
-    ec = extend_coloring(d, col, cert.s)
-    w = sum(t.term for t in crossing_terms(d, ec, f))
-    if w != cert.w:
-        return False
-    m, verdicts, first_hit = _levels_clear({w - v for v in cert.phi}, cert.max_m, hits)
-    return (m, tuple(verdicts), first_hit) == (
-        cert.m, cert.level_verdicts, cert.first_hit_level
+    else:
+        if not 0 <= cid < len(colorings) or is_trivial(colorings[cid]):
+            return False
+        ec = extend_coloring(d, colorings[cid], s)
+        w = sum(t.term for t in crossing_terms(d, ec, f))
+        m, verdicts, first_hit = _levels_clear({w - v for v in phi}, max_m, hits)
+        scored = dict(
+            m=m, coloring=colorings[cid].arc_colors, w=w, level_verdicts=verdicts,
+            first_hit_level=first_hit, no_nontrivial_coloring=False,
+        )
+    return cert == BoundCertificate(
+        d.name, hashes[0], d2.name, hashes[1], f.canonical(), n, s, max_m,
+        coloring_id=cid, phi=phi, delta_level_sizes=sizes, **scored,
     )

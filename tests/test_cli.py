@@ -338,6 +338,16 @@ def test_path_wins_over_bundled_name(capsys, tmp_path, monkeypatch):
     assert code == 0 and report["results"]["summary"]["name"] == "d1"
 
 
+def test_bundled_names_are_exact(capsys, tmp_path, monkeypatch):
+    # a bundled name is dN or dN.json as written: no directory, no case
+    monkeypatch.chdir(tmp_path)
+    for name in ("/no/such/dir/d3.json", "D3"):
+        code, _, err = run(capsys, "validate", name)
+        assert code == 2 and "no such file or bundled diagram" in err, name
+    code, report, _ = run_json(capsys, "validate", "d3.json")
+    assert code == 0 and report["results"]["summary"]["name"] == "d3"
+
+
 def test_diagram_files_are_read_as_utf8(tmp_path):
     # JSON is UTF-8 whatever the locale: under LC_ALL=C with UTF-8 mode off
     # the locale's encoding is ASCII, which cannot decode this name

@@ -24,7 +24,7 @@ from tribound.diagram import (
     set_outer_face,
     sha256_hex,
 )
-from tribound.fixtures import closed_braid_code
+from tribound.fixtures import EXPECTED, closed_braid_code
 
 from conftest import random_closed_braid
 
@@ -106,11 +106,10 @@ def test_arcs_partition_edges_and_break_at_unders(rng):
 
 
 def test_signs_of_reference_diagrams(diagrams):
-    assert [c.sign for c in diagrams["d1"].crossings] == [1, 1, 1]
-    assert [c.sign for c in diagrams["d3"].crossings] == [1, -1, 1, -1]
-    assert [c.sign for c in diagrams["d5"].crossings] == [1, 1, 1, 1]
-    d3 = diagrams["d3"]
-    assert [d3.crossing(c.id).sign for c in d3.crossings] == [1, -1, 1, -1]
+    for name in ("d1", "d3", "d5"):
+        d = diagrams[name]
+        assert tuple(c.sign for c in d.crossings) == EXPECTED["signs"][name]
+        assert tuple(d.crossing(c.id).sign for c in d.crossings) == EXPECTED["signs"][name]
 
 
 def test_mirror_negates_signs(diagrams):

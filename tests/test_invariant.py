@@ -444,11 +444,19 @@ def test_certify_memory_stays_at_half_levels(diagrams, f5):
         ("delta_level_sizes", (1, 999)),
         ("first_hit_level", 0),
         ("level_verdicts", ("level 0: hit 7", "level 1: nonsense")),
+        ("coloring_id", 5),
+        ("w", 123),
+        ("coloring", (1, 2, 3)),
+        ("s", 7),
+        ("s", -1),
+        ("d_name", "zz"),
     ],
 )
 def test_verifier_checks_level_fields(diagrams, f3, field, value):
-    # each field alone, on a certificate that otherwise verifies; the
-    # verifier used to ignore all three
+    # each field alone, on a certificate that otherwise verifies, is
+    # refused, never raised on; the verifier used to ignore the level
+    # fields, every field but s of a certificate with no coloring, and
+    # the names, and raised on an outer color out of range
     d, d2 = diagrams["d1"], diagrams["d2"]
     cert = certify_lower_bound(d, d2, 0, f3, 2)
     assert verify_certificate(cert, d, d2)
@@ -461,6 +469,7 @@ def test_verifier_checks_level_fields(diagrams, f3, field, value):
     kink = diagram_from_dict(closed_braid_code(2, [(0, "L")], name="kink"))
     cert = certify_lower_bound(kink, kink, 0, f3, 2)
     assert verify_certificate(cert, kink, kink)
+    assert getattr(cert, field) != value
     assert not verify_certificate(
         cert._replace(**{field: value}), kink, kink
     )
@@ -477,6 +486,12 @@ def test_verification_rejects_tampering(diagrams, f3, f5, f4):
     )
     assert not verify_certificate(cert, d2, d)  # wrong diagrams
     assert not verify_certificate(cert._replace(m=0, max_m=0), d, d2)
+    assert not verify_certificate(
+        cert._replace(no_nontrivial_coloring=True), d, d2
+    )
+    # the same f spelled otherwise: the certificate carries f.canonical()
+    assert CochainFn.build("z*(x-y)*(y-z)", 3) == f3
+    assert not verify_certificate(cert._replace(f_str="z*(x-y)*(y-z)"), d, d2)
 
     # every wrong m: the verifier reads Delta_2 as Delta_1 + Delta_1 for
     # d3 d4 at max_m = 3, and the first hit, Delta_3, as Delta_2 + Delta_1
@@ -487,6 +502,25 @@ def test_verification_rejects_tampering(diagrams, f3, f5, f4):
         assert cert.m == 3 and verify_certificate(cert, d, d2)
         for m in set(range(max_m + 1)) - {cert.m}:
             assert not verify_certificate(cert._replace(m=m), d, d2)
+
+
+def test_certificate_json_is_pinned(diagrams, f3):
+    # to_dict writes the fields after f_str in record order, so this pin
+    # also fails if two fields of the record trade places
+    cert = certify_lower_bound(diagrams["d1"], diagrams["d2"], 0, f3, 2)
+    assert json.dumps(cert.to_dict()) == (
+        '{"schema": 1, "pair": {'
+        '"d": {"name": "d1", "sha256": '
+        '"b7f64ec7fdfa9e160bed1b9e52b40b935f3c78f02a47abd84b190dc064c3338a"}, '
+        '"d2": {"name": "d2", "sha256": '
+        '"d1e1b1d6fb7708f6899b3d9dac737edcefd1289a033d1a9e5e24361955019679"}}, '
+        '"f": "x*y*z - x*z^2 - y^2*z + y*z^2", "n": 3, "s": 0, "max_m": 2, '
+        '"m": 2, "coloring_id": 3, "coloring": [1, 0, 2], "w": -8, '
+        '"phi": [-2, 2], "delta_level_sizes": [1, 15], '
+        '"level_verdicts": ["level 0: empty intersection", '
+        '"level 1: empty intersection"], '
+        '"first_hit_level": null, "no_nontrivial_coloring": false}'
+    )
 
 
 def test_verifier_rejects_tampered_colorings(diagrams, f3):
