@@ -24,8 +24,8 @@ _SOURCES = {
         ("poly", ("CochainFn", "parse_poly", "canonical_str")),
         ("cochain", ("DeltaReach", "delta_f", "image_delta", "delta_reach")),
         ("invariant", ("CrossingTerm", "PhiSet", "BoundCertificate", "weight",
-                       "crossing_terms", "phi_set", "certify_lower_bound",
-                       "verify_certificate")),
+                       "weight_vector", "crossing_terms", "phi_set",
+                       "certify_lower_bound", "verify_certificate")),
         ("fixtures", ("load_fixture",)),
     )
     for name in names

@@ -14,7 +14,10 @@ an element of +/- Im(df).  ``certify_lower_bound`` searches all colorings
 of D for the strongest such obstruction and emits a re-checkable
 certificate.
 
-W and Phi read only f's value table, from ``poly``.  The Delta levels
+W is linear in f: ``weight_vector`` counts the signed crossings with
+each triple (s, a, b), and W is that vector's inner product with f's
+value table.  W and Phi read only that table, from ``poly``, so any f
+with f(x, y, y) = 0, a polynomial or a table, serves.  The Delta levels
 come from ``cochain``, which ``certify_lower_bound`` and
 ``verify_certificate`` import when they run, so the ``weight`` command
 never loads it.
@@ -32,7 +35,7 @@ from .coloring import (
     is_trivial,
 )
 from .diagram import Diagram, ResourceCapExceeded, diagram_hash
-from .poly import CochainFn
+from .poly import CochainFn, ExprError, SharpConditionError
 
 if TYPE_CHECKING:
     from .cochain import DeltaReach
@@ -41,6 +44,7 @@ __all__ = [
     "CrossingTerm",
     "PhiSet",
     "BoundCertificate",
+    "weight_vector",
     "weight",
     "crossing_terms",
     "phi_set",
@@ -90,15 +94,23 @@ def _check_modulus(ec: ExtendedColoring, f: CochainFn) -> None:
         )
 
 
+def weight_vector(d: Diagram, ec: ExtendedColoring) -> dict[tuple[int, int, int], int]:
+    """W as a vector: the signed count of crossings with each triple
+    (s, a, b), read off ``Diagram.tables.crossing_rows``.  Triples with
+    a = b, where every f is 0, and zero counts are left out."""
+    arcs, regions = ec.base.arc_colors, ec.region_colors
+    vec: dict[tuple[int, int, int], int] = {}
+    for _, sign, under, over, corner in d.tables.crossing_rows:
+        key = (regions[corner], arcs[under], arcs[over])
+        vec[key] = vec.get(key, 0) + sign
+    return {(s, a, b): k for (s, a, b), k in vec.items() if a != b and k}
+
+
 def weight(d: Diagram, ec: ExtendedColoring, f: CochainFn) -> int:
-    """W = sum over crossings of epsilon * f(s, a, b), exact, summed
-    straight off ``Diagram.tables.crossing_rows`` through f's table."""
+    """W = sum over crossings of epsilon * f(s, a, b), exact: the inner
+    product of f's table with ``weight_vector``."""
     _check_modulus(ec, f)
-    arcs, regions, table = ec.base.arc_colors, ec.region_colors, f.table
-    return sum(
-        sign * table[regions[corner]][arcs[under]][arcs[over]]
-        for _, sign, under, over, corner in d.tables.crossing_rows
-    )
+    return sum(k * f.table[s][a][b] for (s, a, b), k in weight_vector(d, ec).items())
 
 
 def crossing_terms(
@@ -306,24 +318,32 @@ def verify_certificate(
     Takes only the certificate's inputs from it: f's string, n, s,
     max_m and the coloring id, where None claims that d has no
     non-trivial coloring.  From these it rebuilds the certificate it
-    expects and accepts iff that equals ``cert``, field for field.  The
-    weight is the sum of the coloring's ``crossing_terms`` rather than
-    ``weight``, and the level sizes and verdicts come from half levels
-    it builds itself rather than the certifier's levels.  Every level
-    past Delta_1, the half levels too, is split as Delta_ceil(k/2) +
-    Delta_floor(k/2), where the certifier looks up Delta_k or splits it
-    as Delta_h + Delta_k-h; the sizes stop where the certifier's do,
-    before the first past the level cap.
+    expects and accepts iff that equals ``cert``, field for field.  An
+    input of the wrong type, or an f string that parses to no f with
+    f(x, y, y) = 0, gives False; so does a table's name, since a table
+    f cannot be rebuilt from it.  The caps on f, n and the levels still
+    raise.  The weight is the sum of the coloring's ``crossing_terms``
+    rather than ``weight``, and the level sizes and verdicts come from
+    half levels it builds itself rather than the certifier's levels.
+    Every level past Delta_1, the half levels too, is split as
+    Delta_ceil(k/2) + Delta_floor(k/2), where the certifier looks up
+    Delta_k or splits it as Delta_h + Delta_k-h; the sizes stop where
+    the certifier's do, before the first past the level cap.
     """
     hashes = diagram_hash(d), diagram_hash(d2)
     if hashes != (cert.d_hash, cert.d2_hash):
         return False
     f_str, n, s, max_m, cid = cert.f_str, cert.n, cert.s, cert.max_m, cert.coloring_id
-    if max_m < 1 or not 0 <= s < n:
+    ints = (n, s, max_m, 0 if cid is None else cid)
+    malformed = type(f_str) is not str or any(type(v) is not int for v in ints)
+    if malformed or max_m < 1 or not 0 <= s < n:
         return False
     from .cochain import delta_reach
 
-    f = CochainFn.build(f_str, n)
+    try:
+        f = CochainFn.build(f_str, n)
+    except (ExprError, SharpConditionError):
+        return False
     phi = phi_set(d2, s, f).values
     # Delta_0..Delta_{max_m-1} are needed; max_m // 2 = ceil((max_m-1)/2)
     halves = delta_reach(f, max_m // 2).levels

@@ -9,16 +9,18 @@ machine-word range and we rely on Python's big integers.
 
 ``CochainFn.build`` checks the modulus against its cap, parses f,
 checks the caps on its size, tabulates f(x, y, z) over Z(n)^3 and
-rejects any f with f(x, y, y) != 0.  The weight W and the Phi sets read
-only that table; the coboundary of f and its levels live in
+rejects any f with f(x, y, y) != 0.  ``CochainFn.from_table`` takes
+the table itself, through the same modulus and vanishing checks.  Past
+these two, f is its name, n and table: the weight W and the Phi sets
+read only the table; the coboundary of f and its levels live in
 ``cochain``, which the ``weight`` command never loads.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .diagram import ResourceCapExceeded
+from .diagram import ResourceCapExceeded, sha256_hex
 
 __all__ = [
     "ExprError",
@@ -359,13 +361,6 @@ def canonical_str(f: str | Monomials) -> str:
     return _format(_terms(f))
 
 
-def _first_nonvanishing(table: _Table) -> tuple[int, int, int] | None:
-    n = len(table)
-    return next(
-        ((x, y, y) for x in range(n) for y in range(n) if table[x][y][y]), None
-    )
-
-
 def _value_table(terms: _Terms, n: int) -> _Table:
     """table[x][y][z] = f(x, y, z), substituting x, then y, then z from
     per-variable power tables."""
@@ -393,38 +388,69 @@ def _value_table(terms: _Terms, n: int) -> _Table:
 # ---------------------------------------------------------------------------
 
 
-class CochainFn(NamedTuple):
-    """A weight function with a precomputed value table.
+def _check_modulus(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"modulus must be >= 1, got {n}")
+    if n > MAX_MODULUS:
+        raise ResourceCapExceeded(
+            f"modulus {n} past the cap {MAX_MODULUS} on the n^3 values "
+            f"of f's table"
+        )
 
-    ``terms`` holds the monomials ((ex, ey, ez), coeff) in canonical
-    order and ``table[x][y][z]`` the exact integer f(x, y, z).
-    Construction rejects any f with f(x, y, y) != 0.
+
+def _check_vanishing(table: _Table) -> None:
+    """Raise SharpConditionError at the first (x, y, y), x then y, where
+    f is not 0."""
+    for x, plane in enumerate(table):
+        for y, row in enumerate(plane):
+            if row[y]:
+                raise SharpConditionError((x, y, y), row[y])
+
+
+class CochainFn(NamedTuple):
+    """A weight function: its name, its modulus and its value table.
+
+    ``table[x][y][z]`` is the exact integer f(x, y, z).  ``name`` is the
+    canonical string of a polynomial f, or ``table:`` and 16 hex digits
+    of a hash of the values for an f given as a table.  Both
+    constructors reject any f with f(x, y, y) != 0.
     """
 
-    terms: _Terms
+    name: str
     n: int
     table: _Table
 
     @classmethod
     def build(cls, f: str | Monomials, n: int) -> "CochainFn":
-        if n < 1:
-            raise ValueError(f"modulus must be >= 1, got {n}")
-        if n > MAX_MODULUS:
-            raise ResourceCapExceeded(
-                f"modulus {n} past the cap {MAX_MODULUS} on the n^3 values "
-                f"of f's table"
-            )
+        """f as a polynomial, checked against the modulus cap before it
+        is parsed."""
+        _check_modulus(n)
         terms = _terms(f)
         table = _value_table(terms, n)
-        bad = _first_nonvanishing(table)
-        if bad is not None:
-            x, y, _ = bad
-            raise SharpConditionError(bad, table[x][y][y])
-        return cls(terms=terms, n=n, table=table)
+        _check_vanishing(table)
+        return cls(name=_format(terms), n=n, table=table)
+
+    @classmethod
+    def from_table(cls, n: int, table: Iterable[Iterable[Iterable[int]]]) -> "CochainFn":
+        """f as its n x n x n table of ints, none longer than a polynomial
+        within ``build``'s caps can reach at this n."""
+        _check_modulus(n)
+        table = tuple(tuple(tuple(row) for row in plane) for plane in table)
+        if {len(table)} | {len(r) for plane in table for r in (plane, *plane)} != {n}:
+            raise ValueError(f"f's table is not {n} x {n} x {n}")
+        values = [v for plane in table for row in plane for v in row]
+        bits = MAX_COEFF_BITS + MAX_DEGREE * n.bit_length()
+        for v in values:
+            if type(v) is not int:
+                raise TypeError(f"f's table holds {v!r}, not an int")
+            if v.bit_length() > bits:
+                raise ResourceCapExceeded(f"f's table passes the {bits}-bit cap")
+        _check_vanishing(table)
+        digest = sha256_hex(",".join(map(str, values)).encode())[:16]
+        return cls(name=f"table:{digest}", n=n, table=table)
 
     def __call__(self, x: int, y: int, z: int) -> int:
         return self.table[x][y][z]
 
     def canonical(self) -> str:
-        return _format(self.terms)
-
+        return self.name

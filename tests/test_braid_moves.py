@@ -1,16 +1,19 @@
 """The paper's theorem on braid closures: a Reidemeister move of type II
-leaves the weight-value set Phi unchanged, and one of type III moves W by
+leaves the weight-value set Phi unchanged, and with it the multiset of
+weight vectors, so Phi for every f at once; one of type III moves W by
 an element of +/- Im(df), so a pair one type-III move apart certifies at
 most m = 1.
 
 Words are closed braids on 3 or 4 strand positions.  f is either
 (y - z) * g for a small integer polynomial g, or a table of integers in
-[-3, 3] with f(x, y, y) = 0 and no polynomial behind it; either way
-f(x, y, y) = 0.  A table names no f in a certificate, so the certificates
-here are made and not verified.  The outer face
-is the region left of strand position 0.  No move inside the braid
-touches it, but its edges are renumbered, so it is given for each
-diagram as the edges that leave column-0 crossings by slot 2 (SW).
+[-3, 3] with f(x, y, y) = 0 and no polynomial behind it, from
+``CochainFn.from_table``.  A polynomial f's certificates must verify.  A
+table f's certificate names f by a hash of its values, from which the
+verifier cannot rebuild it, so it must be refused, not raised on.
+
+The outer face is the region left of strand position 0.  No move inside
+the braid touches it, but its edges are renumbered, so it is given for
+each diagram as the edges that leave column-0 crossings by slot 2 (SW).
 """
 
 from __future__ import annotations
@@ -21,9 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribound.cochain import DeltaReach, delta_f
+from tribound.coloring import enumerate_colorings, extend_coloring, is_trivial
 from tribound.diagram import diagram_from_dict
 from tribound.fixtures import closed_braid_code
-from tribound.invariant import certify_lower_bound, phi_set
+from tribound.invariant import (
+    certify_lower_bound,
+    phi_set,
+    verify_certificate,
+    weight_vector,
+)
 from tribound.poly import CochainFn
 
 
@@ -53,8 +62,7 @@ def cases(draw):
 @st.composite
 def functions(draw, n):
     """f = (y - z) * g for a small integer polynomial g, or a random
-    table of integers in [-3, 3] that is 0 where y = z, built as the
-    ``CochainFn`` record directly."""
+    table of integers in [-3, 3] that is 0 where y = z."""
     if draw(st.booleans()):
         terms = draw(st.lists(
             st.tuples(st.integers(-3, 3), *[st.integers(0, 2)] * 3), max_size=3
@@ -69,7 +77,7 @@ def functions(draw, n):
         )
         for x in range(n)
     )
-    return CochainFn(terms=(), n=n, table=table)
+    return CochainFn.from_table(n, table)
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,9 +88,27 @@ def test_type_two_move_keeps_phi(case, data):
     col = data.draw(st.integers(0, strands - 2))
     pair = data.draw(st.sampled_from(("LR", "RL")))
     moved = word[:at] + [(col, pair[0]), (col, pair[1])] + word[at:]
-    before = phi_set(closure(strands, word), s, f)
-    after = phi_set(closure(strands, moved), s, f)
-    assert after.values == before.values
+    d, moved_d = closure(strands, word), closure(strands, moved)
+    assert phi_set(moved_d, s, f).values == phi_set(d, s, f).values
+    assert vectors(moved_d, s, f.n) == vectors(d, s, f.n)
+
+
+def vectors(d, s, n):
+    """The sorted multiset of weight vectors over the non-trivial
+    colorings of d with outer color s."""
+    return sorted(
+        sorted(weight_vector(d, extend_coloring(d, col, s)).items())
+        for col in enumerate_colorings(d, n)
+        if not is_trivial(col)
+    )
+
+
+def certify_checked(d, d2, s, f, max_m, levels=None):
+    """certify_lower_bound, with its certificate verified when f is a
+    polynomial and refused when f is a table."""
+    cert = certify_lower_bound(d, d2, s, f, max_m, levels)
+    assert verify_certificate(cert, d, d2) != f.name.startswith("table:")
+    return cert
 
 
 def six_term_reach(f, h=1):
@@ -123,8 +149,8 @@ def test_type_three_move_certifies_at_most_one(case, data):
         d = closure(strands, word[:at] + left + word[at:])
         d2 = closure(strands, word[:at] + right + word[at:])
         for a, b in ((d, d2), (d2, d)):
-            assert certify_lower_bound(a, b, s, f, 2).m <= 1
-            assert certify_lower_bound(a, b, s, f, 2, levels=lambda f, h: reach).m <= 1
+            assert certify_checked(a, b, s, f, 2).m <= 1
+            assert certify_checked(a, b, s, f, 2, levels=lambda f, h: reach).m <= 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,5 +174,5 @@ def test_type_three_moves_certify_at_most_their_number(case, data):
     d2 = closure(strands, [c for _, after in segments for c in after])
     reach = six_term_reach(f, (j + 1) // 2)
     for a, b in ((d, d2), (d2, d)):
-        assert certify_lower_bound(a, b, s, f, j + 1).m <= j
-        assert certify_lower_bound(a, b, s, f, j + 1, levels=lambda f, h: reach).m <= j
+        assert certify_checked(a, b, s, f, j + 1).m <= j
+        assert certify_checked(a, b, s, f, j + 1, levels=lambda f, h: reach).m <= j

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
@@ -254,7 +255,7 @@ def test_table_matches_tree(node, n):
 
 def table_matches_terms(f: CochainFn) -> bool:
     """Every table entry equals a fresh evaluation of f's monomials."""
-    mono = dict(f.terms)
+    mono = parse_poly(f.canonical())
     return all(
         f(x, y, z) == value(mono, x, y, z)
         for x, y, z in itertools.product(range(f.n), repeat=3)
@@ -276,7 +277,6 @@ def counterexample(f, n):
 
 def test_reference_functions_satisfy_condition(f3, f5, f4):
     for f in (f3, f5, f4):
-        assert counterexample(f.terms, f.n) is None
         assert counterexample(f.canonical(), f.n) is None
         assert table_matches_terms(f)
 
@@ -288,6 +288,103 @@ def test_condition_counterexample():
     with pytest.raises(SharpConditionError) as err:
         CochainFn.build("x", 3)
     assert err.value.triple == (1, 0, 0)
+
+
+# -- f as a table --------------------------------------------------------------
+
+
+def off_diagonal(n, value):
+    """The n x n x n table, as lists, of value(x, y, z) where y != z and
+    0 where y = z."""
+    return [
+        [[0 if y == z else value(x, y, z) for z in range(n)] for y in range(n)]
+        for x in range(n)
+    ]
+
+
+def edited(table, at, new):
+    """A deep copy of table with the item at the index path ``at``
+    replaced by new."""
+    out = copy.deepcopy(table)
+    *path, last = at
+    inner = out
+    for i in path:
+        inner = inner[i]
+    inner[last] = new
+    return out
+
+
+def test_table_of_a_polynomial(f3, f5, f4):
+    # each paper f's table, given as lists, is f under a table's name
+    for f in (f3, f5, f4):
+        lists = [[list(row) for row in plane] for plane in f.table]
+        t = CochainFn.from_table(f.n, lists)
+        assert (t.n, t.table) == (f.n, f.table)  # stored as tuples
+        assert t.canonical() == t.name
+        assert t.name.startswith("table:") and len(t.name) == len("table:") + 16
+        assert CochainFn.from_table(f.n, t.table) == t
+
+
+def test_table_that_no_polynomial_gives():
+    # f = x(x - 1)/2 where y != z, n = 3: at y = 0, z = 1 an integer
+    # polynomial would be p(x) with p(0) = p(1) = 0, so p = x(x - 1)q and
+    # p(2) = 2q(2) is even, not 1
+    f = CochainFn.from_table(3, off_diagonal(3, lambda x, y, z: x * (x - 1) // 2))
+    assert [f(x, 0, 1) for x in range(3)] == [0, 0, 1]
+    assert [f(x, 1, 1) for x in range(3)] == [0, 0, 0]
+
+
+def test_tables_are_named_by_their_values(tmp_path):
+    # a table's name is a hash of its values and never spells a
+    # polynomial, so the zero table and the zero polynomial, which have
+    # equal tables, get different names and cache entries too
+    from tribound.cache import cache_path
+
+    table = off_diagonal(3, lambda x, y, z: x * (x - 1) // 2)
+    fns = [
+        CochainFn.from_table(3, table),
+        CochainFn.from_table(3, edited(table, (2, 0, 1), 2)),
+        CochainFn.from_table(3, off_diagonal(3, lambda x, y, z: 0)),
+        CochainFn.build("0", 3),
+    ]
+    assert len({f.name for f in fns}) == len({cache_path(f, tmp_path) for f in fns}) == 4
+
+
+def test_from_table_checks():
+    good = off_diagonal(3, lambda x, y, z: x - y)
+    CochainFn.from_table(3, good)
+    # the modulus, with build's errors
+    with pytest.raises(ValueError, match=r"^modulus must be >= 1, got 0$"):
+        CochainFn.from_table(0, [])
+    with pytest.raises(ResourceCapExceeded, match=rf"^modulus {MAX_MODULUS + 1} past "):
+        CochainFn.from_table(MAX_MODULUS + 1, [])
+    # the shape: the table, a plane or a row one short or one long
+    for bad in (
+        good[:2],
+        good + [good[0]],
+        edited(good, (1,), good[1][:2]),
+        edited(good, (1,), good[1] + [good[1][0]]),
+        edited(good, (1, 2), good[1][2][:2]),
+        edited(good, (1, 2), good[1][2] + [0]),
+    ):
+        with pytest.raises(ValueError, match=r"^f's table is not 3 x 3 x 3$"):
+            CochainFn.from_table(3, bad)
+    # the entries: ints only, bools refused too
+    for entry in (True, 1.0, "1", None):
+        with pytest.raises(TypeError, match="not an int"):
+            CochainFn.from_table(3, edited(good, (0, 0, 1), entry))
+    # the size: as long as a polynomial within build's caps can reach at n
+    bits = MAX_COEFF_BITS + MAX_DEGREE * 2
+    for entry in (1 << (bits - 1), -(1 << (bits - 1))):
+        assert CochainFn.from_table(3, edited(good, (0, 0, 1), entry))(0, 0, 1) == entry
+    capped = rf"^f's table passes the {bits}-bit cap$"
+    for entry in (1 << bits, -(1 << bits)):
+        with pytest.raises(ResourceCapExceeded, match=capped):
+            CochainFn.from_table(3, edited(good, (0, 0, 1), entry))
+    # f(x, y, y) = 0, the first (x, y, y) in build's order named
+    with pytest.raises(SharpConditionError) as err:
+        CochainFn.from_table(3, edited(edited(good, (2, 1, 1), 5), (2, 2, 2), 1))
+    assert (err.value.triple, err.value.value) == ((2, 1, 1), 5)
 
 
 # -- evaluation --------------------------------------------------------------

@@ -32,7 +32,7 @@ from tribound.invariant import (
     verify_certificate,
     weight,
 )
-from tribound.poly import CochainFn
+from tribound.poly import CochainFn, ResourceCapExceeded
 
 from conftest import random_closed_braid
 
@@ -300,6 +300,15 @@ def assert_projection(weight_vectors, f_str):
         assert sum(k * f(*sab) for sab, k in vec.items()) == weight(d, ec, f)
 
 
+def test_library_weight_vector_is_the_slot_read_one(weight_vectors):
+    # invariant.weight_vector reads the same vector off Diagram.tables,
+    # with no a = b triple and no zero count
+    import tribound.invariant as invariant
+
+    for _, d, ec, vec in weight_vectors:
+        assert invariant.weight_vector(d, ec) == {t: k for t, k in vec.items() if k}
+
+
 def test_weight_is_projection_of_weight_vector(weight_vectors):
     assert len(weight_vectors) > 6  # every coloring, not the references only
     for case in FIXTURE_CASES:
@@ -329,6 +338,22 @@ def test_reference_certificates(diagrams):
         cert = certify_lower_bound(d, d2, case.s, f, case.max_m)
         assert cert.m == case.expected_m
         assert verify_certificate(cert, d, d2)
+
+
+def test_table_f_certifies_as_its_polynomial(diagrams):
+    # the polynomial's table, given as a table, gives the polynomial's
+    # certificate but for f's name; the verifier cannot rebuild a table
+    # from its name, so it refuses that certificate, and does not raise
+    for case in FIXTURE_CASES:
+        d, d2 = diagrams[case.pair[0]], diagrams[case.pair[1]]
+        f = CochainFn.build(case.f_str, case.n)
+        table_f = CochainFn.from_table(case.n, f.table)
+        cert = certify_lower_bound(d, d2, case.s, table_f, case.max_m)
+        assert cert.f_str == table_f.name != f.canonical()
+        assert cert._replace(f_str=f.canonical()) == certify_lower_bound(
+            d, d2, case.s, f, case.max_m
+        )
+        assert not verify_certificate(cert, d, d2)
 
 
 # SHA-256 of json.dumps(cert.to_dict(), sort_keys=True) for each of
@@ -492,6 +517,25 @@ def test_verification_rejects_tampering(diagrams, f3, f5, f4):
     # the same f spelled otherwise: the certificate carries f.canonical()
     assert CochainFn.build("z*(x-y)*(y-z)", 3) == f3
     assert not verify_certificate(cert._replace(f_str="z*(x-y)*(y-z)"), d, d2)
+    # malformed inputs give False, not an exception: f that does not
+    # parse or breaks f(x, y, y) = 0, a table's name, inputs of the wrong
+    # type; the caps on n and on the levels still raise
+    for field, value in (
+        ("f_str", "(x-"),
+        ("f_str", "x*y"),
+        ("f_str", CochainFn.from_table(3, f3.table).name),
+        ("f_str", None),
+        ("coloring_id", "3"),
+        ("coloring_id", 3.0),
+        ("n", "3"),
+        ("s", "0"),
+        ("max_m", 2.0),
+        ("max_m", True),
+    ):
+        assert not verify_certificate(cert._replace(**{field: value}), d, d2), field
+    for field, value in (("n", 101), ("max_m", 10**6)):
+        with pytest.raises(ResourceCapExceeded):
+            verify_certificate(cert._replace(**{field: value}), d, d2)
 
     # every wrong m: the verifier reads Delta_2 as Delta_1 + Delta_1 for
     # d3 d4 at max_m = 3, and the first hit, Delta_3, as Delta_2 + Delta_1

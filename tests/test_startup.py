@@ -136,6 +136,7 @@ PUBLIC = [
     "extend_coloring", "image_delta", "is_trivial", "load_fixture",
     "merge_arcs", "parse_diagram", "parse_poly", "phi_set", "quandle_star",
     "set_outer_face", "trace_faces", "verify_certificate", "weight",
+    "weight_vector",
 ]
 
 
