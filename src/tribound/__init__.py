@@ -22,7 +22,8 @@ _SOURCES = {
         ("coloring", ("Coloring", "ExtendedColoring", "quandle_star",
                       "enumerate_colorings", "is_trivial", "extend_coloring")),
         ("poly", ("CochainFn", "parse_poly", "canonical_str")),
-        ("cochain", ("DeltaReach", "delta_f", "image_delta", "delta_reach")),
+        ("cochain", ("DeltaReach", "coboundary_vector", "delta_f", "image_delta",
+                     "delta_reach")),
         ("invariant", ("CrossingTerm", "PhiSet", "BoundCertificate", "weight",
                        "weight_vector", "crossing_terms", "phi_set",
                        "certify_lower_bound", "verify_certificate")),

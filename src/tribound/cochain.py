@@ -7,9 +7,13 @@ alternating sum
     (df)(x,y,z,w) = f(x,z,w) - f(x,y,w) + f(x,y,z)
                     - f(x*y,z,w) + f(x*z,y*z,w) - f(x*w,y*w,z*w)
 
-with x*y = 2y - x (mod n).  Its image generates the level sets
-Delta_0 = {0}, Delta_m = Delta_{m-1} + (+/- Im df), which bound how much
-the weight invariant can move (one summand per move).
+with x*y = 2y - x (mod n).  Read term by term it is linear in f:
+(df)(t) = <f, g(t)>, where ``coboundary_vector`` gives g(t), the signed
+count of each triple among the six terms, as ``invariant.weight_vector``
+gives W as a vector.  A type-III move adds +/- g(t) to that vector.
+Im(df) generates the level sets Delta_0 = {0},
+Delta_m = Delta_{m-1} + (+/- Im df), which bound how much the weight
+invariant can move (one summand per move).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .poly import CochainFn
 __all__ = [
     "ResourceCapExceeded",
     "CochainFn",
+    "coboundary_vector",
     "delta_f",
     "check_image_cap",
     "image_delta",
@@ -53,18 +58,31 @@ def check_image_cap(n: int) -> None:
         )
 
 
-def delta_f(f: CochainFn, x: int, y: int, z: int, w: int) -> int:
-    """The six-term coboundary value at (x, y, z, w)."""
-    n = f.n
-    t = f.table
+def coboundary_vector(
+    n: int, x: int, y: int, z: int, w: int
+) -> dict[tuple[int, int, int], int]:
+    """g(t) at t = (x, y, z, w): the signed count of each triple among
+    the six terms of (df)(t), so that (df)(t) = <f, g(t)> for every f.
+    As in ``weight_vector``, triples (p, q, q), where every f is 0, and
+    zero counts are left out."""
     # the dihedral star p * q = 2q - p (mod n), as coloring.quandle_star
-    return (
-        t[x][z][w]
-        - t[x][y][w]
-        + t[x][y][z]
-        - t[(2 * y - x) % n][z][w]
-        + t[(2 * z - x) % n][(2 * z - y) % n][w]
-        - t[(2 * w - x) % n][(2 * w - y) % n][(2 * w - z) % n]
+    xy, xz, yz = (2 * y - x) % n, (2 * z - x) % n, (2 * z - y) % n
+    xw, yw, zw = (2 * w - x) % n, (2 * w - y) % n, (2 * w - z) % n
+    vec: dict[tuple[int, int, int], int] = {}
+    for sign, key in (
+        (1, (x, z, w)), (-1, (x, y, w)), (1, (x, y, z)),
+        (-1, (xy, z, w)), (1, (xz, yz, w)), (-1, (xw, yw, zw)),
+    ):
+        vec[key] = vec.get(key, 0) + sign
+    return {(p, q, r): k for (p, q, r), k in vec.items() if q != r and k}
+
+
+def delta_f(f: CochainFn, x: int, y: int, z: int, w: int) -> int:
+    """The six-term coboundary value at (x, y, z, w): f's table read
+    through ``coboundary_vector``."""
+    t = f.table
+    return sum(
+        k * t[p][q][r] for (p, q, r), k in coboundary_vector(f.n, x, y, z, w).items()
     )
 
 

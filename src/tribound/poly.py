@@ -389,6 +389,8 @@ def _value_table(terms: _Terms, n: int) -> _Table:
 
 
 def _check_modulus(n: int) -> None:
+    if type(n) is not int:
+        raise TypeError(f"modulus must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
     if n > MAX_MODULUS:

@@ -1,8 +1,11 @@
-"""The paper's theorem on braid closures: a Reidemeister move of type II
-leaves the weight-value set Phi unchanged, and with it the multiset of
-weight vectors, so Phi for every f at once; one of type III moves W by
-an element of +/- Im(df), so a pair one type-III move apart certifies at
-most m = 1.
+"""The paper's theorem on braid closures, coloring by coloring: a
+Reidemeister move of type II leaves each coloring's weight vector
+unchanged, and with it Phi for every f at once; one of type III adds
++/- g(t) to it, the coboundary vector of ``coboundary_vector``, so W
+moves by an element of +/- Im(df) and a pair one type-III move apart
+certifies at most m = 1.  A coloring of one side is paired with the
+coloring of the other whose strands entering the top of the braid carry
+the same colors.
 
 Words are closed braids on 3 or 4 strand positions.  f is either
 (y - z) * g for a small integer polynomial g, or a table of integers in
@@ -18,13 +21,14 @@ each diagram as the edges that leave column-0 crossings by slot 2 (SW).
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tribound.cochain import DeltaReach, delta_f
-from tribound.coloring import enumerate_colorings, extend_coloring, is_trivial
+from tribound.cochain import DeltaReach, coboundary_vector, delta_f
+from tribound.coloring import enumerate_colorings, extend_coloring
 from tribound.diagram import diagram_from_dict
 from tribound.fixtures import closed_braid_code
 from tribound.invariant import (
@@ -80,6 +84,41 @@ def functions(draw, n):
     return CochainFn.from_table(n, table)
 
 
+def by_top_colors(strands, word, n):
+    """The colorings of closure(strands, word) mod n, keyed by the colors
+    of the strands entering the top of the braid.  The top edge of
+    position j is at slot 1 (NW) of the first crossing in column j or at
+    slot 0 (NE) of the first in column j - 1, whichever comes first."""
+    d = closure(strands, word)
+    top: dict[int, tuple[int, int]] = {}
+    for cid, (col, _) in enumerate(word):
+        top.setdefault(col, (cid, 1))
+        top.setdefault(col + 1, (cid, 0))
+    arcs = [
+        d.arc_of_edge(d.crossing(cid).slots[k].edge)
+        for cid, k in map(top.get, range(strands))
+    ]
+    colorings = enumerate_colorings(d, n)
+    keyed = {tuple(col.arc_colors[a] for a in arcs): col for col in colorings}
+    assert len(keyed) == len(colorings)  # the top colors fix a coloring
+    return d, keyed
+
+
+def paired_vectors(strands, word, moved, n):
+    """(W(c), W(c')) as weight vectors, for every outer color s and every
+    coloring c of closure(word), c' the coloring of closure(moved) with
+    c's top colors.  word and moved are the same braid, so the pairing
+    is a bijection."""
+    d, cs = by_top_colors(strands, word, n)
+    moved_d, moved_cs = by_top_colors(strands, moved, n)
+    assert cs.keys() == moved_cs.keys()
+    for key, s in itertools.product(cs, range(n)):
+        yield (
+            weight_vector(d, extend_coloring(d, cs[key], s)),
+            weight_vector(moved_d, extend_coloring(moved_d, moved_cs[key], s)),
+        )
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=cases(), data=st.data())
 def test_type_two_move_keeps_phi(case, data):
@@ -88,19 +127,39 @@ def test_type_two_move_keeps_phi(case, data):
     col = data.draw(st.integers(0, strands - 2))
     pair = data.draw(st.sampled_from(("LR", "RL")))
     moved = word[:at] + [(col, pair[0]), (col, pair[1])] + word[at:]
-    d, moved_d = closure(strands, word), closure(strands, moved)
-    assert phi_set(moved_d, s, f).values == phi_set(d, s, f).values
-    assert vectors(moved_d, s, f.n) == vectors(d, s, f.n)
+    phi, moved_phi = (phi_set(closure(strands, w), s, f).values for w in (word, moved))
+    assert moved_phi == phi
+    for vec, moved_vec in paired_vectors(strands, word, moved, f.n):
+        assert moved_vec == vec
 
 
-def vectors(d, s, n):
-    """The sorted multiset of weight vectors over the non-trivial
-    colorings of d with outer color s."""
-    return sorted(
-        sorted(weight_vector(d, extend_coloring(d, col, s)).items())
-        for col in enumerate_colorings(d, n)
-        if not is_trivial(col)
-    )
+@functools.cache
+def coboundaries(n):
+    """{+/- g(t) : t in Z_n^4}, each vector as a frozenset of its items."""
+    gs = {
+        frozenset(coboundary_vector(n, *t).items())
+        for t in itertools.product(range(n), repeat=4)
+    }
+    return gs | {frozenset((triple, -k) for triple, k in g) for g in gs}
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cases(), data=st.data())
+def test_type_three_move_adds_a_coboundary_vector(case, data):
+    # W(c') - W(c), zero entries dropped, is +/- g(t) for some t
+    strands, word, f, _ = case
+    at = data.draw(st.integers(0, len(word)))
+    i = data.draw(st.integers(0, strands - 3))
+    t = data.draw(st.sampled_from("LR"))
+    for mixed in (False, True):
+        left, right = relation(i, t, mixed)
+        before, after = word[:at] + left + word[at:], word[:at] + right + word[at:]
+        for vec, moved_vec in paired_vectors(strands, before, after, f.n):
+            change = {
+                triple: moved_vec.get(triple, 0) - vec.get(triple, 0)
+                for triple in vec.keys() | moved_vec.keys()
+            }
+            assert frozenset((k, v) for k, v in change.items() if v) in coboundaries(f.n)
 
 
 def certify_checked(d, d2, s, f, max_m, levels=None):

@@ -17,6 +17,7 @@ from tribound import cochain
 from tribound.cochain import (
     DENSE_FACTOR,
     ResourceCapExceeded,
+    coboundary_vector,
     delta_f,
     delta_reach,
     image_delta,
@@ -358,6 +359,17 @@ def test_from_table_checks():
         CochainFn.from_table(0, [])
     with pytest.raises(ResourceCapExceeded, match=rf"^modulus {MAX_MODULUS + 1} past "):
         CochainFn.from_table(MAX_MODULUS + 1, [])
+    # a modulus that is not an int, a bool included, refused by both
+    # constructors before f is parsed or its table read
+    for n in (3.0, True, False, "3", None):
+        for make in (
+            lambda: CochainFn.build("y-z", n),
+            lambda: CochainFn.build("((", n),
+            lambda: CochainFn.from_table(n, good),
+            lambda: CochainFn.from_table(n, None),
+        ):
+            with pytest.raises(TypeError, match=rf"^modulus must be an int, got {n!r}$"):
+                make()
     # the shape: the table, a plane or a row one short or one long
     for bad in (
         good[:2],
@@ -439,25 +451,48 @@ def test_delta_degenerate_tuples_vanish(f3, f5, f4):
         assert delta_f(f3, x, x, z, w) == 0
 
 
-def test_six_term_identity_matches_delta(f3, f5, f4):
-    # the weight change produced by sliding a strand across a crossing
-    # pair equals the coboundary, term for term
-    for f in (f3, f5, f4):
-        n = f.n
-        for s, a, b, c in itertools.product(range(n), repeat=4):
-            lhs = (
-                f(s, a, b)
-                + f(quandle_star(s, b, n), quandle_star(a, b, n), c)
-                + f(s, b, c)
-                - f(quandle_star(s, a, n), b, c)
-                - f(s, a, c)
-                - f(
-                    quandle_star(s, c, n),
-                    quandle_star(a, c, n),
-                    quandle_star(b, c, n),
-                )
-            )
-            assert lhs == delta_f(f, s, a, b, c)
+def test_coboundary_vector_leaves_out_degenerate_triples():
+    # g(t) is empty where y = z or z = w, and never holds a triple
+    # (p, q, q), where every f is 0, or a zero count
+    for n in range(1, 7):
+        for t in itertools.product(range(n), repeat=4):
+            g = coboundary_vector(n, *t)
+            assert all(q != r and k for (_, q, r), k in g.items()), (n, t, g)
+            if t[1] == t[2] or t[2] == t[3]:
+                assert g == {}, (n, t, g)
+
+
+def slide_identity(f, s, a, b, c):
+    """The weight change produced by sliding a strand across a crossing
+    pair, six terms through ``quandle_star``."""
+    n = f.n
+    return (
+        f(s, a, b)
+        + f(quandle_star(s, b, n), quandle_star(a, b, n), c)
+        + f(s, b, c)
+        - f(quandle_star(s, a, n), b, c)
+        - f(s, a, c)
+        - f(
+            quandle_star(s, c, n),
+            quandle_star(a, c, n),
+            quandle_star(b, c, n),
+        )
+    )
+
+
+def test_six_term_identity_matches_delta(f3, f5, f4, rng):
+    # the slide identity equals <f, g(t)>, term for term, for the paper's
+    # f and for random tables that no polynomial need give; delta_f is
+    # that inner product
+    tables = [
+        CochainFn.from_table(n, off_diagonal(n, lambda x, y, z: rng.randint(-3, 3)))
+        for n in [3, 4, 5] * 7
+    ][:20]
+    for f in (f3, f5, f4, *tables):
+        for t in itertools.product(range(f.n), repeat=4):
+            g = coboundary_vector(f.n, *t)
+            inner = sum(k * f(*triple) for triple, k in g.items())
+            assert inner == slide_identity(f, *t) == delta_f(f, *t), (f.name, t)
 
 
 def test_image_delta(f3, f5, f4):

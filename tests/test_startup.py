@@ -131,7 +131,8 @@ def test_package_resolves_public_names_lazily():
 PUBLIC = [
     "BoundCertificate", "CochainFn", "Coloring", "CrossingTerm", "DeltaReach",
     "Diagram", "DiagramError", "ExtendedColoring", "PhiSet", "__version__",
-    "canonical_str", "certify_lower_bound", "crossing_terms", "delta_f",
+    "canonical_str", "certify_lower_bound", "coboundary_vector",
+    "crossing_terms", "delta_f",
     "delta_reach", "diagram_from_dict", "enumerate_colorings",
     "extend_coloring", "image_delta", "is_trivial", "load_fixture",
     "merge_arcs", "parse_diagram", "parse_poly", "phi_set", "quandle_star",
