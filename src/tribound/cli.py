@@ -452,13 +452,7 @@ def build_parser() -> ArgumentParser:
     command."""
     import argparse
 
-    class Parser(argparse.ArgumentParser):
-        def error(self, message: str) -> NoReturn:
-            self.print_usage(sys.stderr)
-            print(f"{self.prog}: error: {message}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-
-    parser = Parser(
+    parser = argparse.ArgumentParser(
         prog="tribound",
         description=(
             "Fox colorings, region colorings, crossing-weight invariants "
@@ -531,8 +525,8 @@ def main(argv: list[str] | None = None) -> int:
     if args is None:  # argparse parses it, or writes its usage, help or error
         try:
             args = build_parser().parse_args(argv)
-        except SystemExit as exc:  # usage error (1) or --help (0)
-            return int(exc.code or 0)
+        except SystemExit as exc:  # usage error (argparse's 2) or --help (0)
+            return EXIT_USAGE if exc.code == 2 else int(exc.code or 0)
     if sys.stdout is None:  # fd 1 was closed before the process started
         return _stdout_closed()
     func: Callable[[Namespace, RunReport], int] = args.func

@@ -177,14 +177,13 @@ class Diagram(_DiagramFields):
 
     def corner_face(self, cid: int, k: int) -> int:
         """Face id occupying the corner between slots k and k+1 (ccw)."""
-        return _corner_face(self.crossing(cid), k, self.tables.side_face)
+        return self.tables.side_face[_leaving(self.crossing(cid).slots[k % 4])]
 
     def slot_position(self, cid: int, level: str, direction: str) -> int:
         """Index of the unique slot at crossing cid with given level/direction."""
-        c = self.crossing(cid)
-        for k, s in enumerate(c.slots):
-            if s.level == level and s.direction == direction:
-                return k
+        for lv, k in zip(("over", "under"), _exits(self.crossing(cid).slots)):
+            if level == lv and direction in ("out", "in"):
+                return k if direction == "out" else (k + 2) % 4
         raise KeyError(f"crossing {cid} has no {direction} {level} slot")
 
     @cached_property
@@ -213,12 +212,20 @@ class DiagramTables(NamedTuple):
     crossing_rows: tuple[tuple[int, int, int, int, int], ...]
 
 
-def _corner_face(
-    c: Crossing, k: int, side_face: Mapping[tuple[int, str], int]
-) -> int:
-    slot = c.slots[k % 4]
-    side = LEFT if slot.direction == "out" else RIGHT
-    return side_face[(slot.edge, side)]
+def _exits(slots: tuple[HalfEdgeSlot, ...]) -> tuple[int, int]:
+    """(p, q): the slots by which the over and the under strand leave a
+    well-formed crossing.  Each strand enters by the opposite slot,
+    p + 2 and q + 2 mod 4."""
+    out = {s.level: k for k, s in enumerate(slots) if s.direction == "out"}
+    return out["over"], out["under"]
+
+
+def _leaving(slot: HalfEdgeSlot) -> tuple[int, str]:
+    """The dart that leaves a crossing by this slot, as the (edge, side)
+    whose face lies on its left: ``LEFT`` for an out slot, ``RIGHT`` for
+    an in slot.  That face is the corner between this slot and the next
+    one counterclockwise."""
+    return (slot.edge, LEFT if slot.direction == "out" else RIGHT)
 
 
 def _build_tables(d: Diagram) -> DiagramTables:
@@ -248,21 +255,18 @@ def _build_tables(d: Diagram) -> DiagramTables:
     relations = []
     crossing_rows = []
     for c in d.crossings:
-        ends = {(s.level, s.direction): k for k, s in enumerate(c.slots)}
+        p, q = _exits(c.slots)
         arcs = [edge_arc[s.edge] for s in c.slots]
-        p = ends[("over", "out")]
-        relations.append(
-            (arcs[ends[("under", "in")]], arcs[ends[("under", "out")]], arcs[p])
-        )
+        relations.append((arcs[(q + 2) % 4], arcs[q], arcs[p]))
         # Corner k sits between slots k and k+1; a strand leaving via slot
-        # r has corners r+2 and r+3 on its right.  The under-out slot is
+        # r has corners r+2 and r+3 on its right.  The under-out slot q is
         # p-1 at a positive crossing and p+1 at a negative one, so the
         # corner right of both strands is p+2 or p+3.  The under arc on
         # the right of the over-strand leaves or enters at slot p+3.
-        corner = p + 2 if c.sign > 0 else p + 3
+        corner = (p + 2 if c.sign > 0 else p + 3) % 4
         crossing_rows.append(
             (c.id, c.sign, arcs[(p + 3) % 4], arcs[p],
-             _corner_face(c, corner, side_face))
+             side_face[_leaving(c.slots[corner])])
         )
     return DiagramTables(
         edge_arc=edge_arc,
@@ -441,20 +445,21 @@ def trace_faces(
 ) -> tuple[Face, ...]:
     """Trace the complementary regions of the rotation system.
 
-    A dart (edge, 0) runs along an edge and (edge, 1) against it, so it
-    sorts like its (edge, side) boundary pair; walking with the face on
-    the left, a dart arriving at slot k continues from slot k-1 (ccw).
-    Faces are the orbits of that step, each from its least dart and
-    numbered by it.  Raises DiagramPlanarityError if the face count
-    contradicts Euler's formula for the sphere.
+    A dart is named by the (edge, side) whose face lies on its left:
+    (edge, LEFT) runs along the edge and (edge, RIGHT) against it.
+    Walking with the face on the left, a dart arriving at slot k
+    continues as the dart leaving by slot k-1 (ccw).  Faces are the
+    orbits of that step, each from its least dart and numbered by it;
+    LEFT < RIGHT, so an edge's forward dart comes first.  Raises
+    DiagramPlanarityError if the face count contradicts Euler's formula
+    for the sphere.
     """
     slots = {c.id: c.slots for c in crossings}
     edges = list(edges)
-    step: dict[tuple[int, int], tuple[int, int]] = {}
+    step: dict[tuple[int, str], tuple[int, str]] = {}
     for e in edges:
-        for side, (cid, k) in ((0, e.head), (1, e.tail)):
-            s = slots[cid][(k - 1) % 4]
-            step[(e.id, side)] = (s.edge, 0 if s.direction == "out" else 1)
+        for side, (cid, k) in ((LEFT, e.head), (RIGHT, e.tail)):
+            step[(e.id, side)] = _leaving(slots[cid][(k - 1) % 4])
 
     orbits = [orbit for orbit, _ in _chains(step, step.keys())]
     if any(step[orbit[-1]] != orbit[0] for orbit in orbits):
@@ -467,19 +472,17 @@ def trace_faces(
             f"face tracing found {len(orbits)} faces where Euler's "
             f"formula needs {expected}; the code is not planar"
         )
-    return tuple(
-        Face(id=i, boundary=tuple((e, (LEFT, RIGHT)[side]) for e, side in orbit))
-        for i, orbit in enumerate(orbits)
-    )
+    return tuple(Face(id=i, boundary=tuple(orbit)) for i, orbit in enumerate(orbits))
 
 
-def _strand_succ(crossings: Iterable[Crossing], levels: Iterable[str]) -> dict[int, int]:
-    """Edge -> the next edge of its strand through crossings at these levels."""
+def _strand_succ(crossings: Iterable[Crossing], under: bool) -> dict[int, int]:
+    """Edge -> the next edge of its strand through each crossing it
+    passes over, and with ``under`` through each it passes under too.
+    A strand that leaves by slot k entered by slot k + 2."""
     succ: dict[int, int] = {}
     for c in crossings:
-        ends = {(s.level, s.direction): s.edge for s in c.slots}
-        for lv in levels:
-            succ[ends[(lv, "in")]] = ends[(lv, "out")]
+        for k in _exits(c.slots)[: 1 + under]:
+            succ[c.slots[(k + 2) % 4].edge] = c.slots[k].edge
     return succ
 
 
@@ -493,7 +496,7 @@ def merge_arcs(
     that emerges from under a crossing; a component that passes over at
     every crossing it meets yields a closed arc, from its least edge.
     """
-    chains = _chains(_strand_succ(crossings, ("over",)), (e.id for e in edges))
+    chains = _chains(_strand_succ(crossings, under=False), (e.id for e in edges))
     return tuple(
         Arc(id=i, edges=tuple(ch), closed=closed)
         for i, (ch, closed) in enumerate(chains)
@@ -501,15 +504,14 @@ def merge_arcs(
 
 
 def _components(crossings: list[Crossing], edges: list[Edge]) -> tuple[tuple[int, ...], ...]:
-    chains = _chains(_strand_succ(crossings, ("over", "under")), (e.id for e in edges))
+    chains = _chains(_strand_succ(crossings, under=True), (e.id for e in edges))
     return tuple(tuple(sorted(ch)) for ch, _ in chains)
 
 
 def _crossing_sign(slots: tuple[HalfEdgeSlot, ...]) -> int:
     """Sign of a crossing: +1 iff the outgoing over slot immediately
     follows the outgoing under slot in ccw order."""
-    p = next(k for k, s in enumerate(slots) if s.level == "over" and s.direction == "out")
-    q = next(k for k, s in enumerate(slots) if s.level == "under" and s.direction == "out")
+    p, q = _exits(slots)
     return 1 if p == (q + 1) % 4 else -1
 
 
@@ -524,22 +526,13 @@ def _resolve_outer_face(designator: Any, faces: tuple[Face, ...]) -> int:
             )
         return designator
     if isinstance(designator, list) and all(type(x) is int for x in designator):
+        # no two faces of a valid diagram share their boundary edges
+        # (README "Diagram files"), so the first match is the only one
         want = sorted(designator)
-        hits = [
-            f.id
-            for f in faces
-            if sorted(e for (e, _) in f.boundary) == want
-        ]
-        if not hits:
-            raise DiagramStructureError(
-                f"no face has boundary edges {want}"
-            )
-        if len(hits) > 1:
-            raise DiagramStructureError(
-                f"edge list {want} is ambiguous between faces {hits}; "
-                "use a face id"
-            )
-        return hits[0]
+        for f in faces:
+            if sorted(e for (e, _) in f.boundary) == want:
+                return f.id
+        raise DiagramStructureError(f"no face has boundary edges {want}")
     raise DiagramSyntaxError(
         "outer_face must be an integer face id or a list of edge ids"
     )

@@ -1,5 +1,5 @@
 """The paper's theorem on braid closures, coloring by coloring: a
-Reidemeister move of type II leaves each coloring's weight vector
+Reidemeister move of type I or II leaves each coloring's weight vector
 unchanged, and with it Phi for every f at once; one of type III adds
 +/- g(t) to it, the coboundary vector of ``coboundary_vector``, so W
 moves by an element of +/- Im(df) and a pair one type-III move apart
@@ -104,19 +104,37 @@ def by_top_colors(strands, word, n):
     return d, keyed
 
 
-def paired_vectors(strands, word, moved, n):
+def paired_vectors(strands, word, moved, n, added=0):
     """(W(c), W(c')) as weight vectors, for every outer color s and every
-    coloring c of closure(word), c' the coloring of closure(moved) with
-    c's top colors.  word and moved are the same braid, so the pairing
-    is a bijection."""
+    coloring c of closure(word), c' the coloring of closure(moved), on
+    strands + added positions, whose first strands top colors are c's.
+    word and moved are the same link, so the pairing is a bijection."""
     d, cs = by_top_colors(strands, word, n)
-    moved_d, moved_cs = by_top_colors(strands, moved, n)
-    assert cs.keys() == moved_cs.keys()
+    moved_d, moved_by_top = by_top_colors(strands + added, moved, n)
+    moved_cs = {key[:strands]: col for key, col in moved_by_top.items()}
+    assert cs.keys() == moved_cs.keys() and len(moved_cs) == len(moved_by_top)
     for key, s in itertools.product(cs, range(n)):
         yield (
             weight_vector(d, extend_coloring(d, cs[key], s)),
             weight_vector(moved_d, extend_coloring(moved_d, moved_cs[key], s)),
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cases(), data=st.data())
+def test_type_one_move_keeps_phi(case, data):
+    # a Markov stabilization: a new strand position k, crossed once by
+    # strand k - 1 at a drawn place.  Rotating the word cyclically until
+    # that crossing comes last is a planar isotopy of the closure that
+    # keeps the region left of position 0 outside, and what remains is
+    # one type-I move
+    strands, word, f, s = case
+    at = data.draw(st.integers(0, len(word)))
+    moved = word[:at] + [(strands - 1, data.draw(st.sampled_from("LR")))] + word[at:]
+    phi = phi_set(closure(strands, word), s, f).values
+    assert phi_set(closure(strands + 1, moved), s, f).values == phi
+    for vec, moved_vec in paired_vectors(strands, word, moved, f.n, added=1):
+        assert moved_vec == vec
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,11 +18,11 @@ from tribound.coloring import (
     is_trivial,
     quandle_star,
 )
-from tribound.diagram import diagram_from_dict, diagram_to_dict, set_outer_face
+from tribound.diagram import diagram_from_dict
 from tribound.fixtures import closed_braid_code
 from tribound.invariant import phi_set
 
-from conftest import random_closed_braid
+from conftest import random_closed_braid, relabel
 
 
 def slot_relations(d):
@@ -145,29 +145,6 @@ def small_closure(rng: random.Random, n: int):
         d = random_closed_braid(rng)
         if len(d.arcs) <= 7 and n ** len(d.arcs) <= BRUTE_FORCE_VECTORS:
             return d
-
-
-def relabel(d, rng: random.Random):
-    """The same diagram with new edge and crossing ids, crossings listed
-    in another order and each slot list rotated; the outer face is
-    carried over by one of its boundary sides."""
-    edge_ids = rng.sample(range(100, 100 + 3 * len(d.edges)), len(d.edges))
-    new_edge = dict(zip((e.id for e in d.edges), edge_ids))
-    crossing_ids = rng.sample(range(50, 50 + 3 * len(d.crossings)), len(d.crossings))
-    new_crossing = dict(zip((c.id for c in d.crossings), crossing_ids))
-    crossings = []
-    for c in diagram_to_dict(d)["crossings"]:
-        slots = [dict(s, edge=new_edge[s["edge"]]) for s in c["slots"]]
-        turn = rng.randrange(4)
-        crossings.append(
-            {"id": new_crossing[c["id"]], "slots": slots[turn:] + slots[:turn]}
-        )
-    rng.shuffle(crossings)
-    twin = diagram_from_dict(
-        {"name": d.name + "-relabelled", "crossings": crossings, "outer_face": 0}
-    )
-    eid, side = d.faces[d.outer_face].boundary[0]
-    return set_outer_face(twin, twin.face_of_side(new_edge[eid], side))
 
 
 @settings(max_examples=60, deadline=None)

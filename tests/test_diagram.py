@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import collections
 import copy
 import hashlib
+import importlib
+import itertools
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tribound.diagram as diagram
@@ -26,7 +30,9 @@ from tribound.diagram import (
 )
 from tribound.fixtures import EXPECTED, closed_braid_code
 
-from conftest import random_closed_braid
+from conftest import random_closed_braid, relabel
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def kink_code() -> dict:
@@ -112,6 +118,75 @@ def test_signs_of_reference_diagrams(diagrams):
         assert tuple(d.crossing(c.id).sign for c in d.crossings) == EXPECTED["signs"][name]
 
 
+def lookup_cases(diagrams):
+    """d1-d6, each followed by a copy with new edge and crossing ids."""
+    rng = random.Random(20261020)
+    for d in diagrams.values():
+        yield d
+        yield relabel(d, rng)
+
+
+def scan_slot(c, level, direction):
+    (k,) = [k for k, s in enumerate(c.slots) if (s.level, s.direction) == (level, direction)]
+    return k
+
+
+def test_slot_position_is_the_slot_of_that_level_and_direction(diagrams):
+    for d in lookup_cases(diagrams):
+        for c in d.crossings:
+            for level, direction in itertools.product(("over", "under"), ("in", "out")):
+                assert d.slot_position(c.id, level, direction) == scan_slot(c, level, direction)
+            for level, direction in (("middle", "in"), ("over", "across"), ("in", "over")):
+                with pytest.raises(KeyError):
+                    d.slot_position(c.id, level, direction)
+
+
+def test_crossing_is_looked_up_by_id(diagrams):
+    for d in lookup_cases(diagrams):
+        for c in d.crossings:
+            assert d.crossing(c.id) is c
+        with pytest.raises(KeyError):
+            d.crossing(len(d.crossings))
+
+
+def test_corner_faces(diagrams):
+    # corner k of a crossing is the face left of the dart leaving by slot
+    # k, and every dart leaves by one slot of one crossing
+    for d in lookup_cases(diagrams):
+        corners = collections.Counter(
+            d.corner_face(c.id, k) for c in d.crossings for k in range(4)
+        )
+        assert corners == {f.id: len(f.boundary) for f in d.faces}
+        for c, row in zip(d.crossings, d.tables.crossing_rows):
+            p = scan_slot(c, "over", "out")
+            assert row[0] == c.id
+            assert row[4] == d.corner_face(c.id, p + 2 if c.sign > 0 else p + 3)
+
+
+def test_arc_and_face_lookups_agree_with_the_records(diagrams):
+    for d in lookup_cases(diagrams):
+        arc = {e: a.id for a in d.arcs for e in a.edges}
+        assert {e.id: d.arc_of_edge(e.id) for e in d.edges} == arc
+        for f in d.faces:
+            for e, side in f.boundary:
+                assert d.face_of_side(e, side) == f.id
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_signs_arcs_and_faces_match_the_benchmark_checker(monkeypatch, seed):
+    # bench/checker.py derives signs, arcs and faces from the JSON code on
+    # its own, without tribound; its face order is tribound's
+    monkeypatch.syspath_prepend(str(BENCH))
+    checker = importlib.import_module("checker")
+    inputs = importlib.import_module("inputs")
+    codes, _ = inputs.workload("certify-cold", seed)
+    for code in codes.values():
+        d = diagram_from_dict(code)
+        assert {c.id: c.sign for c in d.crossings} == checker.signs(code)
+        assert {e: a.id for a in d.arcs for e in a.edges} == checker.arcs(code)
+        assert [sorted(e for e, _ in f.boundary) for f in d.faces] == checker.faces(code)
+
+
 def test_mirror_negates_signs(diagrams):
     code = diagram_to_dict(diagrams["d1"])
     for c in code["crossings"]:
@@ -171,6 +246,46 @@ def test_outer_face_by_edge_list(diagrams):
     code["outer_face"] = [97, 98]
     with pytest.raises(DiagramStructureError):
         diagram_from_dict(code)
+
+
+def assert_faces_have_distinct_edge_sets(d):
+    """No two faces of a valid diagram have the same boundary edges, so
+    an edge list names at most one face.
+
+    The graph is 4-valent, so every vertex has even degree and no edge
+    is a bridge: each edge borders two distinct faces.  Were faces
+    F1 != F2 bounded by the same edges, every edge of F1 would have F1 on
+    one side and F2 on the other, so at any crossing on F1 the corners
+    would alternate F1, F2, F1, F2 and all four of its edges would bound
+    both.  The graph is connected, so every crossing would be such a
+    crossing, and there would be 2 faces in all; Euler's formula gives
+    F = E - V + 2 = V + 2 >= 3.
+    """
+    edge_sets = [tuple(sorted(e for e, _ in f.boundary)) for f in d.faces]
+    assert len(set(edge_sets)) == len(edge_sets)
+
+
+def test_faces_of_reference_diagrams_have_distinct_edge_sets(diagrams):
+    for d in diagrams.values():
+        assert_faces_have_distinct_edge_sets(d)
+
+
+@st.composite
+def braid_closures(draw):
+    """A connected braid closure on 2 to 4 strand positions, with up to
+    11 crossings."""
+    strands = draw(st.integers(2, 4))
+    crossing = st.tuples(st.integers(0, strands - 2), st.sampled_from("LR"))
+    word = draw(st.lists(crossing, max_size=11 - (strands - 1)))
+    word += [(col, draw(st.sampled_from("LR"))) for col in range(strands - 1)]
+    word = draw(st.permutations(word))
+    return diagram_from_dict(closed_braid_code(strands, word, name="braid"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=braid_closures())
+def test_faces_of_braid_closures_have_distinct_edge_sets(d):
+    assert_faces_have_distinct_edge_sets(d)
 
 
 def test_outer_face_of_wrong_type_is_syntax(diagrams):
