@@ -5,11 +5,12 @@ of the canonical form.  An entry is exactly {n, f, im_delta}: Im(df),
 the one input of the Delta levels that takes the n^4 walk.  The levels
 are built from it on every run, warm or cold, so a warm run meets every
 cap of ``cochain`` as a cold one does.  The hit rule: an entry for
-(n, f) with exactly those three keys and an image of integers.  Any
-other entry, such as the level copies that earlier versions wrote, is
-a miss, and the store that follows overwrites it.  A writer publishes
-its own temp file by atomic rename, so readers, who take no lock, never
-see a partial entry.
+(n, f) with exactly those three keys and an image in the one shape
+``image_delta`` gives it, a sorted list of distinct integers that holds
+0.  Any other entry, such as the level copies that earlier versions
+wrote or an image tampered out of that shape, is a miss, and the store
+that follows overwrites it.  A writer publishes its own temp file by
+atomic rename, so readers, who take no lock, never see a partial entry.
 """
 
 from __future__ import annotations
@@ -44,18 +45,21 @@ def cache_path(f: CochainFn, directory: str | Path | None = None) -> Path:
 
 def load_reach(f: CochainFn, directory: str | Path | None = None) -> tuple[int, ...] | None:
     """Im(df) from f's entry, or None on a miss: no entry, an entry for
-    another f, one with other keys or values that are not integers, or
-    one that nests too deeply for ``json`` to read."""
+    another f, one with other keys, one whose image is not
+    ``sorted({0, *image})`` of integers, or one that nests too deeply
+    for ``json`` to read."""
     try:
         obj = json.loads(cache_path(f, directory).read_text())
     except (OSError, ValueError, RecursionError):
         return None
     if type(obj) is not dict or obj.keys() != _KEYS:
         return None
-    im_delta = obj["im_delta"]
-    if obj["n"] != f.n or obj["f"] != f.canonical() or type(im_delta) is not list:
+    im = obj["im_delta"]
+    if obj["n"] != f.n or obj["f"] != f.canonical() or type(im) is not list:
         return None
-    return tuple(im_delta) if all(type(v) is int for v in im_delta) else None
+    # the one shape image_delta gives: sorted distinct integers holding 0
+    shaped = all(type(v) is int for v in im) and im == sorted({0, *im})
+    return tuple(im) if shaped else None
 
 
 def store_reach(reach: DeltaReach, directory: str | Path | None = None) -> Path:

@@ -13,14 +13,18 @@ count of each triple among the six terms, as ``invariant.weight_vector``
 gives W as a vector.  A type-III move adds +/- g(t) to that vector.
 Im(df) generates the level sets Delta_0 = {0},
 Delta_m = Delta_{m-1} + (+/- Im df), which bound how much the weight
-invariant can move (one summand per move).
+invariant can move (one summand per move).  Every level has one shape:
+a sorted tuple of distinct ints, symmetric under v -> -v, that holds 0.
+``image_delta`` and ``delta_reach`` guarantee it where an image enters,
+and the sum kernels take it as given.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Iterable, NamedTuple
+import operator
+from typing import NamedTuple
 
 from .diagram import ResourceCapExceeded
 from .poly import CochainFn
@@ -138,21 +142,19 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")
 # holds about one value per pair.
 PAIR_BUDGET = 1 << 12
 PAIRS_PER_VALUE = 8
-# The memory cap: ResourceCapExceeded once values held, times
-# SET_BYTES_PER_VALUE, pass SET_BYTES_CAP, that is past 1 171 875 values.
-# A sparse build raises once the values it will return pass it, a dense
-# build once its mask's count does, before the read-back, and delta_reach
-# once the levels it keeps, Delta_0 up to the one just built, sum past
-# it.  The walk's built value costs about 54 bytes of peak RSS (its int,
-# its tuple slot, and a slot in the negative half or the mirror list),
+# The memory cap: ResourceCapExceeded once more than MAX_HELD_VALUES
+# values are held.  A sparse build raises once the values it will return
+# pass it, a dense build once its mask's count does, before the
+# read-back, and delta_reach once the levels it keeps, Delta_0 up to the
+# one just built, sum past it.  The walk's built value costs its int and
+# its tuple slot, and a value of the negative half a list slot besides,
 # and delta_reach keeps every level: the delta command that builds a
-# 959 213-value level peaks at 61 MB, cold or warm, about 49 bytes a
+# 959 213-value level peaks at 57 MB, cold or warm, about 45 bytes a
 # value over the interpreter's 14 MB (64-bit CPython 3.11).  The last
 # build can take the levels held past the cap before the sum is checked,
-# by at most one level within it, so up to twice the cap; 128 a value
-# keeps even that below 150 MB.
-SET_BYTES_CAP = 150 * 10**6
-SET_BYTES_PER_VALUE = 128
+# by at most one level within it, so up to twice the cap; 128 bytes a
+# value keeps even that below 150 MB.
+MAX_HELD_VALUES = 150 * 10**6 // 128
 
 
 def _past_cap() -> ResourceCapExceeded:
@@ -164,37 +166,30 @@ def _past_cap() -> ResourceCapExceeded:
 def _check_memory(count: int) -> None:
     """Raise the memory cap's ResourceCapExceeded once ``count`` values
     pass it."""
-    if count * SET_BYTES_PER_VALUE > SET_BYTES_CAP:
+    if count > MAX_HELD_VALUES:
         raise ResourceCapExceeded(
-            f"Delta levels grew past {SET_BYTES_CAP // SET_BYTES_PER_VALUE} "
-            f"values, about {SET_BYTES_CAP // 10**6} MB (memory cap)"
+            f"Delta levels grew past {MAX_HELD_VALUES} values (memory cap)"
         )
 
 
 def _is_dense(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    width = max(a) - min(a) + max(b) - min(b) + 1
-    return width <= DENSE_FACTOR * len(a)
-
-
-def _is_symmetric(values: list[int]) -> bool:
-    """True iff sorted distinct ``values`` equal their negation."""
-    return all(p == -q for p, q in zip(values, reversed(values)))
+    return a[-1] - a[0] + b[-1] - b[0] + 1 <= DENSE_FACTOR * len(a)
 
 
 def _dense_mask(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int]:
     """The bitmask kernel's mask and its count of set bits: bit k of the
-    mask stands for min(a) + min(b) + k, and each q in b ORs in the mask
-    of a shifted by q - min(b).  Each width/8-byte buffer is dropped once
-    it is spent, so at most four are alive at a time."""
-    lo_a, lo_b = min(a), min(b)
-    buf = bytearray((max(a) - lo_a) // 8 + 1)
+    mask stands for a[0] + b[0] + k, and each q in b ORs in the mask of a
+    shifted by q - b[0].  Each width/8-byte buffer is dropped once it is
+    spent, so at most four are alive at a time."""
+    lo_a, lo_b = a[0], b[0]
+    buf = bytearray((a[-1] - lo_a) // 8 + 1)
     for p in a:
         k = p - lo_a
         buf[k >> 3] |= 1 << (k & 7)
     mask = int.from_bytes(buf, "little")
     del buf
     out = 0
-    for i, q in enumerate(set(b), 1):
+    for i, q in enumerate(b, 1):
         out |= mask << (q - lo_b)
         # the count only grows: test the cap after ORs 1, 2, 4, 8, ...
         if i & (i - 1) == 0 and out.bit_count() > DEFAULT_LEVEL_CAP:
@@ -209,7 +204,7 @@ def _dense_mask(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int]:
 def _sumset_dense(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The values of the bitmask kernel's mask, read back in chunks once
     their count is within the memory cap."""
-    lo = min(a) + min(b)
+    lo = a[0] + b[0]
     out, count = _dense_mask(a, b)
     _check_memory(count)
     raw = out.to_bytes((out.bit_length() + 7) // 8, "little")
@@ -228,37 +223,28 @@ def _sumset_dense(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _walk(a: tuple[int, ...], b: tuple[int, ...], out: list[int] | None = None) -> int:
-    """|a + b|, walked one value range [lo, hi) at a time; with ``out``,
-    each range's sorted values are appended to it too.
+    """|a + b| for two Delta levels, walked one value range [lo, hi) at a
+    time; with ``out``, each range's sorted values are appended to it too.
 
-    For each p of a, the q of b with lo <= p + q < hi are a slice of
-    sorted b that starts where the last range's slice ended.  Each range
-    is sized from the last one's pair density and halved while it holds
-    more than the pair budget, so the set of distinct sums in hand never
-    passes the budget.
-
-    The walk reads two properties off its operands, as every Delta level
-    has them.  If a and b are both symmetric (a = -a), so is their sum:
-    only its negative values are walked, and counted twice, plus one for
-    0, which is a sum exactly when a and b share a value; ``out`` then
-    gets the negative half alone.  If a and b are equal, p + q = q + p:
-    row p of the walk starts at q = p.  The count raises past
-    ``DEFAULT_LEVEL_CAP``, and with ``out`` also past the memory cap.
+    As a and b are symmetric and hold 0, so is their sum: only its
+    negative values are walked, from a[0] + b[0] up to -1, and counted
+    twice, plus one for 0; ``out`` gets the negative half alone.  The
+    walk runs up from the sparse edge of the sum, so a cap trips before
+    the dense middle is reached.  For each p of a, the q of b with
+    lo <= p + q < hi are a slice of b that starts where the last range's
+    slice ended.  Each range is sized from the last one's pair density
+    and halved while it holds more than the pair budget, so the set of
+    distinct sums in hand never passes the budget.  If a and b are
+    equal, p + q = q + p: row p of the walk starts at q = p.  The count
+    raises past ``DEFAULT_LEVEL_CAP``, and with ``out`` also past the
+    memory cap.
     """
-    if not a or not b:
-        return 0
-    a, b = sorted(set(a)), sorted(set(b))
-    lo, top = a[0] + b[0], a[-1] + b[-1]
-    scale, count, width = 1, 0, 1
-    if _is_symmetric(a) and _is_symmetric(b):
-        # the walk runs up from the sparse edge of the sum, so a cap trips
-        # before the dense middle is reached
-        scale, count, top = 2, int(not set(a).isdisjoint(b)), -1
+    lo, count, width = a[0] + b[0], 1, 1
     budget = max(PAIR_BUDGET, PAIRS_PER_VALUE * len(a))
     # row i of the walk starts at the first q of b, or at q = p if a == b
     starts = list(range(len(a))) if a == b else [0] * len(a)
-    while lo <= top:
-        hi = min(lo + width, top + 1)
+    while lo < 0:
+        hi = min(lo + width, 0)
         # only p with p + b[-1] >= lo and p + b[0] < hi have pairs in range
         first = bisect.bisect_left(a, lo - b[-1])
         last = bisect.bisect_left(a, hi - b[0])
@@ -269,7 +255,7 @@ def _walk(a: tuple[int, ...], b: tuple[int, ...], out: list[int] | None = None) 
             width = max(1, width * budget // (2 * pairs))
             continue
         sums = {p + q for p, j, e in zip(ps, js, ends) for q in b[j:e]}
-        count += scale * len(sums)
+        count += 2 * len(sums)
         if count > DEFAULT_LEVEL_CAP:
             raise _past_cap()
         if out is not None:
@@ -284,46 +270,44 @@ def _walk(a: tuple[int, ...], b: tuple[int, ...], out: list[int] | None = None) 
     return count
 
 
-def sumset(a: Iterable[int], b: Iterable[int]) -> tuple[int, ...]:
-    """Sorted {p + q : p in a, q in b}, aborting past ``DEFAULT_LEVEL_CAP``
-    elements.
+def sumset(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a + b = {p + q : p in a, q in b} for two Delta levels, aborting past
+    ``DEFAULT_LEVEL_CAP`` elements.
 
-    A dense sum, whose span max(a) - min(a) + max(b) - min(b) + 1 is at
-    most ``DENSE_FACTOR * |a|``, is built as a bitmask on a Python int
-    with one shift and OR per value of b; any other sum by ``_walk``, the
-    range walk that ``sumset_size`` counts with.  Both kernels give the
-    same tuple and raise the same ResourceCapExceeded, and both raise the
+    A level is a sorted tuple of distinct ints, symmetric under
+    v -> -v, that holds 0, and so is the sum.  A dense sum, whose span
+    a[-1] - a[0] + b[-1] - b[0] + 1 is at most ``DENSE_FACTOR * |a|``, is
+    built as a bitmask on a Python int with one shift and OR per value
+    of b; any other sum by ``_walk``, the range walk that
+    ``sumset_size`` counts with, which lists the negative half to which
+    0 and the mirror image are added here.  Both kernels give the same
+    tuple and raise the same ResourceCapExceeded, and both raise the
     memory cap's once the values they will return pass
-    ``SET_BYTES_CAP // SET_BYTES_PER_VALUE``: the walk as it goes, the
-    bitmask before it reads the mask back.
+    ``MAX_HELD_VALUES``: the walk as it goes, the bitmask before it
+    reads the mask back.
     """
-    a, b = tuple(a), tuple(b)
-    if a and b and _is_dense(a, b):
+    if _is_dense(a, b):
         return _sumset_dense(a, b)
     half: list[int] = []
-    count = _walk(a, b, half)
-    # for two symmetric operands the walk lists the negative half alone but
-    # counts its mirror image too, and 0 if 0 is a sum
-    mirror = [-v for v in reversed(half)] if count > len(half) else []
-    return tuple(itertools.chain(half, [0] * (count - len(half) - len(mirror)), mirror))
+    _walk(a, b, half)
+    return tuple(itertools.chain(half, (0,), map(operator.neg, reversed(half))))
 
 
-def sumset_size(a: Iterable[int], b: Iterable[int]) -> int:
-    """``len(sumset(a, b))``, raising the same ResourceCapExceeded past
-    ``DEFAULT_LEVEL_CAP``, without holding the sum.
+def sumset_size(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """``len(sumset(a, b))`` for two Delta levels, raising the same
+    ResourceCapExceeded past ``DEFAULT_LEVEL_CAP``, without holding the
+    sum.
 
     A dense sum is the bitmask kernel's mask, whose bits
     ``int.bit_count`` counts; a sparse sum is counted by ``sumset``'s
     range walk, which holds at most one range's sums at a time.
     """
-    a, b = tuple(a), tuple(b)
-    if a and b and _is_dense(a, b):
-        return _dense_mask(a, b)[1]
-    return _walk(a, b)
+    return _dense_mask(a, b)[1] if _is_dense(a, b) else _walk(a, b)
 
 
 class DeltaReach(NamedTuple):
-    """Im(df) and the levels Delta_0..Delta_L, each a sorted tuple."""
+    """Im(df) and the levels Delta_0..Delta_L, each a sorted symmetric
+    tuple that holds 0."""
 
     f: CochainFn
     im_delta: tuple[int, ...]
@@ -337,16 +321,20 @@ def delta_reach(
 
     Im(df) is ``im_delta`` when given, as the cache gives it, and walked
     by ``image_delta`` otherwise; the levels are built from it either
-    way.  Since 0 is always in Im(df), the levels are nested increasing.
-    A level exceeding ``DEFAULT_LEVEL_CAP`` elements raises
+    way.  Im(df) always holds 0, so a given image without it raises
+    ValueError; with it, each level is a sorted symmetric tuple that
+    holds 0, as ``sumset`` takes it, and the levels are nested
+    increasing.  A level exceeding ``DEFAULT_LEVEL_CAP`` elements raises
     ResourceCapExceeded: the levels feed the move-count certificates, so
     truncation is never acceptable.  So do the levels held, Delta_0 up to
     the one just built, once their sizes sum past the memory cap
-    (``SET_BYTES_CAP // SET_BYTES_PER_VALUE`` values).
+    (``MAX_HELD_VALUES`` values).
     """
     if max_m < 0:
         raise ValueError(f"max_m must be >= 0, got {max_m}")
     im = image_delta(f) if im_delta is None else im_delta
+    if 0 not in im:
+        raise ValueError("im_delta must hold 0, as Im(df) does")
     pm_im = tuple(sorted({v for k in im for v in (k, -k)}))
     levels = [(0,)]
     if max_m >= 1:

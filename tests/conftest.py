@@ -9,6 +9,17 @@ from tribound.diagram import Diagram, diagram_from_dict, diagram_to_dict, set_ou
 from tribound.fixtures import closed_braid_code, load_fixture
 
 
+def is_level(values) -> bool:
+    """True iff values has a Delta level's shape: a sorted tuple of
+    distinct ints, symmetric under v -> -v, that holds 0."""
+    return (
+        type(values) is tuple
+        and list(values) == sorted(set(values))
+        and values == tuple(-v for v in reversed(values))
+        and 0 in values
+    )
+
+
 @pytest.fixture(scope="session")
 def diagrams() -> dict[str, Diagram]:
     return {name: load_fixture(name) for name in ("d1", "d2", "d3", "d4", "d5", "d6")}

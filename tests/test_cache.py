@@ -202,11 +202,10 @@ def test_warm_runs_meet_every_cap_as_cold_ones(capsys, tmp_path, f3, monkeypatch
     served(2)
     # the levels built, 1 + 15 + 39 = 55 values, are held to the memory
     # cap warm as cold
-    per = cochain.SET_BYTES_PER_VALUE
-    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 54 * per)
+    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 54)
     refused(2, "past 54 values.*memory cap")
     served(1)  # 16 values
-    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 55 * per)
+    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 55)
     served(2)
     # and an entry for a modulus past the cap on Im(df)'s walk is not served
     monkeypatch.setattr(cochain, "MAX_IMAGE_TUPLES", 80)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import importlib
 import io
 import json
 import os
@@ -28,6 +29,8 @@ from tribound.cli import main
 from tribound.fixtures import closed_braid_code, fixture_dict, fixture_names, load_fixture
 from tribound.invariant import phi_set
 from tribound.poly import CochainFn
+
+from conftest import is_level
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -1126,30 +1129,72 @@ def test_certify_and_delta_share_cache_entries(capsys, tmp_path):
 
 
 def test_certify_treats_malformed_cache_as_miss(capsys, tmp_path):
-    # a miss rebuilds Im(df) and writes the entry over the bad one
+    # a miss rebuilds Im(df) and writes the entry over the bad one, for
+    # certify and delta alike
     cache = tmp_path / "c"
-    args = (
-        "certify", "d1", "d2", "-n", "3", "-f", "(x-y)*(y-z)*z",
-        "-s", "0", "--max-m", "2", "--cache", str(cache),
-    )
+    f = ("-n", "3", "-f", "(x-y)*(y-z)*z", "--max-m", "2", "--cache", str(cache))
+    args = ("certify", "d1", "d2", "-s", "0", *f)
+    delta = ("delta", *f)
     code, cold, _ = run_json(capsys, *args)
     assert code == 0 and cold["cache"] == {"hits": 0, "misses": 1}
+    code, cold_delta, _ = run_json(capsys, *delta)
+    assert code == 0
     (path,) = cache.glob("delta_*.json")
     good = json.loads(path.read_text())
+    im = good["im_delta"]
     for bad in (
         [],
         {k: v for k, v in good.items() if k != "im_delta"},
         {**good, "im_delta": 5},
-        {**good, "im_delta": [[0], *good["im_delta"][1:]]},
-        {**good, "im_delta": [float(v) for v in good["im_delta"]]},
-        {**good, "im_delta": [True, *good["im_delta"][1:]]},
+        {**good, "im_delta": [[0], *im[1:]]},
+        {**good, "im_delta": [float(v) for v in im]},
+        {**good, "im_delta": [True, *im[1:]]},
+        # integers, but not Im(df)'s shape: unsorted, repeated, without
+        # 0, and empty
+        {**good, "im_delta": im[::-1]},
+        {**good, "im_delta": sorted(im + im[-1:])},
+        {**good, "im_delta": [v for v in im if v != 0]},
+        {**good, "im_delta": []},
     ):
-        path.write_text(json.dumps(bad))
-        code, warm, _ = run_json(capsys, *args)
-        assert code == 0
-        assert warm["cache"] == {"hits": 0, "misses": 1}
-        assert warm["results"] == cold["results"]
-        assert json.loads(path.read_text()) == good
+        for argv, want in ((args, cold), (delta, cold_delta)):
+            path.write_text(json.dumps(bad))
+            code, warm, _ = run_json(capsys, *argv)
+            assert code == 0
+            assert warm["cache"] == {"hits": 0, "misses": 1}
+            assert warm["results"] == want["results"]
+            assert json.loads(path.read_text()) == good
+
+
+def test_every_sum_operand_is_a_delta_level(capsys, monkeypatch, tmp_path):
+    # the sum kernels take each operand as a Delta level: a sorted tuple
+    # of distinct ints, symmetric, that holds 0.  The certify ops of the
+    # benchmark sum on the bitmask kernel; the delta and certify runs of
+    # the d3/d4 function build Delta_2 on the range walk, and the certify
+    # run then counts sizes with Delta_2 as an operand
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    diagrams, ops = importlib.import_module("inputs").workload("certify-cold", 1)
+    for name, code in diagrams.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(code))
+    operands = []
+
+    def spy(kernel):
+        def summed(a, b):
+            operands.extend((a, b))
+            return kernel(a, b)
+        return summed
+
+    monkeypatch.setattr(cochain, "sumset", spy(cochain.sumset))
+    monkeypatch.setattr(cochain, "sumset_size", spy(cochain.sumset_size))
+    monkeypatch.chdir(tmp_path)
+    f = ("-n", "5", "-f", "(x+y)^3*(y+z)*(y-z)^3*z^5")
+    for argv in (
+        *(op.argv for op in ops),
+        ["delta", *f, "--max-m", "2"],
+        ["certify", "d3", "d4", *f, "-s", "2", "--max-m", "4"],
+    ):
+        main([*argv, "--json", "--cache", str(tmp_path / "cache")])
+    capsys.readouterr()
+    assert operands and all(map(is_level, operands))
 
 
 def test_certify_treats_unwritable_cache_as_miss(capsys, monkeypatch, tmp_path):

@@ -40,6 +40,8 @@ from tribound.poly import (
     parse_poly,
 )
 
+from conftest import is_level
+
 
 # -- parsing -----------------------------------------------------------------
 
@@ -547,59 +549,71 @@ def test_delta_levels_n3(f3):
     assert 22 in reach.levels[2]  # 11 + 11
 
 
+def test_delta_reach_refuses_an_image_without_0(f3):
+    # Im(df) always holds 0, so a given image without it is not one
+    with pytest.raises(ValueError, match=r"^im_delta must hold 0, as Im\(df\) does$"):
+        delta_reach(f3, 2, (1, 2))
+
+
 def test_levels_symmetric_and_nested(f3, f4):
-    for f, m in ((f3, 3), (f4, 2)):
+    rng = random.Random(37)
+    tables = [
+        CochainFn.from_table(n, off_diagonal(n, lambda x, y, z: rng.randint(-20, 20)))
+        for n in (3, 4, 5) * 7
+    ][:20]
+    for f, m in ((f3, 3), (f4, 2), *((t, 2) for t in tables)):
         reach = delta_reach(f, m)
-        for lv in reach.levels:
-            values = set(lv)
-            assert values == {-v for v in values}
+        assert all(map(is_level, reach.levels))
         for small, big in zip(reach.levels, reach.levels[1:]):
             assert set(small) <= set(big)
 
 
+def level(values) -> tuple[int, ...]:
+    """The Delta level sorted(S | -S | {0}) of the values S."""
+    return tuple(sorted({w for v in values for w in (v, -v)} | {0}))
+
+
 def test_sumset():
-    assert sumset((0, 1), (0, 10)) == (0, 1, 10, 11)
+    assert sumset((-1, 0, 1), (-10, 0, 10)) == (-11, -10, -9, -1, 0, 1, 9, 10, 11)
     with mock.patch.object(cochain, "DEFAULT_LEVEL_CAP", 10):
         with pytest.raises(ResourceCapExceeded):
-            sumset(range(100), range(100))
+            sumset(level(range(50)), level(range(50)))
 
 
 def _sumset_case(a, b, dense):
-    """sumset(a, b) against the brute-force sum, with the kernel checked:
-    a is passed as an iterator and b reversed, so neither is a sorted
-    tuple.  A nonempty sum one element past ``DEFAULT_LEVEL_CAP`` must
+    """sumset(a, b) of two levels against the brute-force sum, with the
+    kernel checked.  A sum one element past ``DEFAULT_LEVEL_CAP`` must
     raise the same message on either kernel."""
     want = tuple(sorted({p + q for p in a for q in b}))
     spy = mock.patch.object(
         cochain, "_sumset_dense", wraps=cochain._sumset_dense
     )
     with spy as kernel:
-        assert sumset(iter(a), b[::-1]) == want
+        assert sumset(a, b) == want
         with mock.patch.object(cochain, "DEFAULT_LEVEL_CAP", len(want)):
             assert sumset(a, b) == want
-        if want:
-            with mock.patch.object(cochain, "DEFAULT_LEVEL_CAP", len(want) - 1), \
-                    pytest.raises(ResourceCapExceeded) as err:
-                sumset(a, b)
-            assert str(err.value) == (
-                f"sumset grew past the cardinality cap {len(want) - 1}"
-            )
-    assert kernel.called == (dense and bool(a) and bool(b))
+        with mock.patch.object(cochain, "DEFAULT_LEVEL_CAP", len(want) - 1), \
+                pytest.raises(ResourceCapExceeded) as err:
+            sumset(a, b)
+        assert str(err.value) == (
+            f"sumset grew past the cardinality cap {len(want) - 1}"
+        )
+    assert kernel.called == dense
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    lo=st.integers(-10**6, 10**6),
     a=st.lists(st.integers(0, 300), max_size=60),
-    b=st.lists(st.integers(-300, 300), max_size=60),
+    b=st.lists(st.integers(0, 300), max_size=60),
     chunk=st.integers(1, 9) | st.just(cochain._READ_CHUNK),
 )
-def test_sumset_dense_matches_brute_force(lo, a, b, chunk):
-    # span at most 901 <= DENSE_FACTOR * |a| for any nonempty a; a read
-    # chunk of a few bytes makes the read-back cross chunk boundaries
-    assert 901 <= DENSE_FACTOR
+def test_sumset_dense_matches_brute_force(a, b, chunk):
+    # span at most 601 <= DENSE_FACTOR for a = {0}, and at most 1201 for
+    # any other a, which holds at least 3 values; a read chunk of a few
+    # bytes makes the read-back cross chunk boundaries
+    assert 601 <= DENSE_FACTOR
     with mock.patch.object(cochain, "_READ_CHUNK", chunk):
-        _sumset_case([lo + p for p in a], b, dense=True)
+        _sumset_case(level(a), level(b), dense=True)
 
 
 @settings(max_examples=150, deadline=None)
@@ -608,54 +622,53 @@ def test_sumset_dense_matches_brute_force(lo, a, b, chunk):
     b=st.lists(st.integers(-10**12, 10**12), max_size=20),
 )
 def test_sumset_sparse_matches_brute_force(a, b):
-    # the two pinned values make the span at least 4e12, far past
+    # the pinned value makes the span at least 4e12, far past
     # DENSE_FACTOR * |a|
-    a = a + [-(2 * 10**12), 2 * 10**12]
+    a, b = level(a + [2 * 10**12]), level(b)
     _sumset_case(a, b, dense=False)
-    _sumset_case([], a, dense=False)
-    _sumset_case(a, [], dense=False)
+    _sumset_case(a, a, dense=False)
+    _sumset_case((0,), a, dense=False)
+    _sumset_case(a, (0,), dense=False)
 
 
 def test_sumset_dense_factor_boundary():
-    # span 1025 over |a| = 1 is sparse, span 1024 is dense
+    # span 1025 over |a| = 1 is sparse, span 1023 is dense
     with mock.patch.object(
         cochain, "_sumset_dense", wraps=cochain._sumset_dense
     ) as kernel:
-        assert sumset((0,), (0, DENSE_FACTOR)) == (0, DENSE_FACTOR)
+        assert sumset((0,), (-512, 0, 512)) == (-512, 0, 512)
         assert not kernel.called
-        assert sumset((5,), (0, DENSE_FACTOR - 1)) == (5, DENSE_FACTOR + 4)
+        assert sumset((0,), (-511, 0, 511)) == (-511, 0, 511)
         assert kernel.called
 
 
 def _size_case(a, b, dense):
-    """sumset_size(a, b) against len(sumset(a, b)), with the kernel
-    checked, and the cap raising the exact sumset message one element
-    below the size and passing at the size."""
+    """sumset_size(a, b) of two levels against len(sumset(a, b)), with
+    the kernel checked, and the cap raising the exact sumset message one
+    element below the size and passing at the size."""
     size = len(sumset(a, b))
     spy = mock.patch.object(cochain, "_dense_mask", wraps=cochain._dense_mask)
     with spy as kernel:
-        assert sumset_size(iter(a), b[::-1]) == size
+        assert sumset_size(a, b) == size
         with mock.patch.object(cochain, "DEFAULT_LEVEL_CAP", size):
             assert sumset_size(a, b) == size
-        if size:
-            with mock.patch.object(cochain, "DEFAULT_LEVEL_CAP", size - 1), \
-                    pytest.raises(ResourceCapExceeded) as err:
-                sumset_size(a, b)
-            assert str(err.value) == (
-                f"sumset grew past the cardinality cap {size - 1}"
-            )
-    assert kernel.called == (dense and bool(a) and bool(b))
+        with mock.patch.object(cochain, "DEFAULT_LEVEL_CAP", size - 1), \
+                pytest.raises(ResourceCapExceeded) as err:
+            sumset_size(a, b)
+        assert str(err.value) == (
+            f"sumset grew past the cardinality cap {size - 1}"
+        )
+    assert kernel.called == dense
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    lo=st.integers(-10**6, 10**6),
     a=st.lists(st.integers(0, 300), max_size=60),
-    b=st.lists(st.integers(-300, 300), max_size=60),
+    b=st.lists(st.integers(0, 300), max_size=60),
 )
-def test_sumset_size_dense_matches_sumset(lo, a, b):
-    # span at most 901 <= DENSE_FACTOR * |a|, as in the sumset test
-    _size_case([lo + p for p in a], b, dense=True)
+def test_sumset_size_dense_matches_sumset(a, b):
+    # span at most 1201 <= DENSE_FACTOR * |a|, as in the sumset test
+    _size_case(level(a), level(b), dense=True)
 
 
 @settings(max_examples=150, deadline=None)
@@ -666,16 +679,15 @@ def test_sumset_size_dense_matches_sumset(lo, a, b):
     budget=st.integers(1, 8) | st.just(cochain.PAIR_BUDGET),
 )
 def test_sumset_size_sparse_matches_sumset(a, b, small, budget):
-    # the pinned values make the span at least 4e12, far past
-    # DENSE_FACTOR * |a|; ``small`` repeats values and sums, so a range
-    # one value wide can hold more pairs than a budget of a few pairs,
-    # and such a budget splits the count into many ranges
-    a = a + small + [-(2 * 10**12), 2 * 10**12]
-    b = b + small
+    # the pinned value makes the span at least 4e12, far past
+    # DENSE_FACTOR * |a|; ``small`` repeats sums, so a range one value
+    # wide can hold more pairs than a budget of a few pairs, and such a
+    # budget splits the count into many ranges
+    a, b = level(a + small + [2 * 10**12]), level(b + small)
     with mock.patch.multiple(cochain, PAIR_BUDGET=budget, PAIRS_PER_VALUE=0):
         _size_case(a, b, dense=False)
-        _size_case([], a, dense=False)
-        _size_case(a, [], dense=False)
+        _size_case((0,), a, dense=False)
+        _size_case(a, (0,), dense=False)
 
 
 def test_sumset_size_counts_paper_levels(f5):
@@ -687,36 +699,24 @@ def test_sumset_size_counts_paper_levels(f5):
         assert sumset_size(level1, level1) == 238689
 
 
-def _symmetric(values, zero):
-    """Sorted {+v, -v} over values, with 0 if ``zero``."""
-    return sorted({w for v in values for w in (v, -v)} | ({0} if zero else set()))
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     xs=st.lists(st.integers(1, 10**12), max_size=6),
     ys=st.lists(st.integers(1, 10**12), max_size=6),
     small=st.lists(st.integers(1, 3), max_size=4),
-    zeros=st.tuples(st.booleans(), st.booleans()),
-    other=st.lists(st.integers(-10**12, 10**12), max_size=6),
     budget=st.integers(1, 8),
 )
-def test_sumset_size_symmetric_and_equal_operands(xs, ys, small, zeros, other, budget):
+def test_sumset_size_symmetric_and_equal_operands(xs, ys, small, budget):
     # every Delta level is symmetric and every even level sums a level with
-    # itself; random sets are neither.  The pinned 2e12 makes each sum
-    # sparse, and ``small`` repeats sums, so a one-value range can pass a
-    # budget of a few pairs.  Each case goes through the cap check of
-    # _size_case, so the count must hold at the size and raise below it.
+    # itself.  The pinned 2e12 makes each sum sparse, and ``small`` repeats
+    # sums, so a one-value range can pass a budget of a few pairs.  Each
+    # case goes through the cap check of _size_case, so the count must
+    # hold at the size and raise below it.
     far = 2 * 10**12
-    a = _symmetric(xs + small + [far], zeros[0])
-    b = _symmetric(ys + small + [far], zeros[1])
-    lopsided = other + small + [0, far]  # never symmetric: -far is missing
+    a, b = level(xs + small + [far]), level(ys + small + [far])
     with mock.patch.multiple(cochain, PAIR_BUDGET=budget, PAIRS_PER_VALUE=0):
-        _size_case(a, b, dense=False)  # symmetric, 0 a sum iff a, b meet
+        _size_case(a, b, dense=False)  # symmetric
         _size_case(a, a, dense=False)  # symmetric and equal
-        _size_case(a, lopsided, dense=False)  # one symmetric operand
-        _size_case(lopsided, a, dense=False)
-        _size_case(lopsided, lopsided, dense=False)  # equal only
 
 
 class _Summand(int):
@@ -729,36 +729,34 @@ class _Summand(int):
         return int(self) + other
 
 
-@pytest.mark.parametrize(
-    "values", [(-10**9, -4, 0, 4, 10**9), (-10**9, -5, -4, 3, 5, 10**9, 10**10)]
-)
+_SPARSE_LEVELS = [
+    (-10**9, -4, 0, 4, 10**9),
+    (-10**10, -10**9, -5, -4, -3, 0, 3, 4, 5, 10**9, 10**10),
+]
+
+
+@pytest.mark.parametrize("values", _SPARSE_LEVELS)
 def test_sumset_size_forms_each_unordered_sum_once(values):
     # equal operands: row p of the count starts at q = p, so it forms the
-    # sums p + q with p <= q, and a symmetric sum only its negative ones;
-    # the two more are the ends of the sum, a[0] + b[0] and a[-1] + b[-1]
-    pairs = [(p, q) for p in values for q in values if p <= q]
-    if values == tuple(-v for v in reversed(values)):
-        pairs = [(p, q) for p, q in pairs if p + q < 0]
+    # sums p + q with p <= q, and of a symmetric sum only the negative
+    # ones; the one more is the first, a[0] + b[0], where the walk starts
+    pairs = [(p, q) for p in values for q in values if p <= q and p + q < 0]
     _Summand.sums = 0
-    level = tuple(map(_Summand, values))
-    assert sumset_size(level, level) == len(sumset(values, values))
-    assert _Summand.sums == len(pairs) + 2
+    lv = tuple(map(_Summand, values))
+    assert sumset_size(lv, lv) == len(sumset(values, values))
+    assert _Summand.sums == len(pairs) + 1
 
 
-@pytest.mark.parametrize(
-    "values", [(-10**9, -4, 0, 4, 10**9), (-10**9, -5, -4, 3, 5, 10**9, 10**10)]
-)
+@pytest.mark.parametrize("values", _SPARSE_LEVELS)
 def test_sumset_forms_each_unordered_sum_once(values):
     # the walk that builds a sparse sum forms the same sums as the count:
-    # for equal operands those p + q with p <= q, for a symmetric sum only
-    # the negative ones, plus the two ends, never all |a| * |b| of them
-    pairs = [(p, q) for p in values for q in values if p <= q]
-    if values == tuple(-v for v in reversed(values)):
-        pairs = [(p, q) for p, q in pairs if p + q < 0]
+    # for equal operands those p + q with p <= q, of a symmetric sum only
+    # the negative ones, plus the first, never all |a| * |b| of them
+    pairs = [(p, q) for p in values for q in values if p <= q and p + q < 0]
     _Summand.sums = 0
-    level = tuple(map(_Summand, values))
-    assert sumset(level, level) == tuple(sorted({p + q for p in values for q in values}))
-    assert _Summand.sums == len(pairs) + 2
+    lv = tuple(map(_Summand, values))
+    assert sumset(lv, lv) == tuple(sorted({p + q for p in values for q in values}))
+    assert _Summand.sums == len(pairs) + 1
 
 
 def test_sumset_size_working_set(f5):
@@ -808,8 +806,8 @@ def test_sumset_size_holds_one_range_at_a_time(f5):
 def test_sumset_working_set(f5):
     # Delta_2 = Delta_1 + Delta_1 of the d3/d4 function at n = 5 is built by
     # the sparse walk.  Its 238 689 values take about 9.1 MiB as a tuple;
-    # the walk adds its negative half and mirror lists, about 2 MiB, and
-    # the bound leaves no room for a set of the whole sum besides.
+    # the walk adds its negative half list, about 1 MiB, and the bound
+    # leaves no room for a set of the whole sum besides.
     level1 = delta_reach(f5, 1).levels[1]
     level2, peak = _traced_peak(sumset, level1, level1)
     assert len(level2) == 238689
@@ -832,41 +830,39 @@ def test_level_cap(f3, monkeypatch):
 
 def test_sparse_walk_memory_cap(f5, monkeypatch):
     # {0} + (+/- Im df) of the d3/d4 function is 701 values from the sparse
-    # walk; the walk raises once values * SET_BYTES_PER_VALUE pass
-    # SET_BYTES_CAP, well below the cardinality cap
-    pm_im = sorted({v for k in image_delta(f5) for v in (k, -k)})
-    per = cochain.SET_BYTES_PER_VALUE
-    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 701 * per)
+    # walk; the walk raises once the values pass MAX_HELD_VALUES, well
+    # below the cardinality cap
+    pm_im = tuple(sorted({v for k in image_delta(f5) for v in (k, -k)}))
+    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 701)
     assert len(cochain.sumset((0,), pm_im)) == 701
-    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 700 * per)
+    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 700)
     with pytest.raises(ResourceCapExceeded, match="past 700 values.*memory cap"):
         cochain.sumset((0,), pm_im)
 
 
 def test_memory_cap_spares_the_count(f3, f5, monkeypatch):
     # the walk holds no values when it only counts, so sumset_size counts
-    # past the byte cap that stops a build of the same sum; so does the
+    # past the memory cap that stops a build of the same sum; so does the
     # bitmask kernel, which reads no value back to count
-    pm_im = sorted({v for k in image_delta(f5) for v in (k, -k)})
-    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 700 * cochain.SET_BYTES_PER_VALUE)
+    pm_im = tuple(sorted({v for k in image_delta(f5) for v in (k, -k)}))
+    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 700)
     assert sumset_size((0,), pm_im) == 701
     with pytest.raises(ResourceCapExceeded, match="memory cap"):
         sumset((0,), pm_im)
     level1 = delta_reach(f3, 1).levels[1]
     assert cochain._is_dense(level1, level1)
-    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 38 * cochain.SET_BYTES_PER_VALUE)
+    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 38)
     assert sumset_size(level1, level1) == 39
 
 
 def test_dense_build_memory_cap(f3, monkeypatch):
     # Delta_1 + Delta_1 of (x-y)(y-z)z at n = 3 is 39 values from the
-    # bitmask kernel, which raises past the byte cap before its read-back
+    # bitmask kernel, which raises past the memory cap before its read-back
     level1 = delta_reach(f3, 1).levels[1]
-    per = cochain.SET_BYTES_PER_VALUE
     with mock.patch.object(cochain, "_walk") as walk:
-        monkeypatch.setattr(cochain, "SET_BYTES_CAP", 39 * per)
+        monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 39)
         assert len(sumset(level1, level1)) == 39
-        monkeypatch.setattr(cochain, "SET_BYTES_CAP", 38 * per)
+        monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 38)
         with pytest.raises(ResourceCapExceeded, match="past 38 values.*memory cap"):
             sumset(level1, level1)
     walk.assert_not_called()
@@ -874,17 +870,16 @@ def test_dense_build_memory_cap(f3, monkeypatch):
 
 def test_levels_held_memory_cap(f3, monkeypatch):
     # Delta_0..Delta_2 of (x-y)(y-z)z at n = 3 hold 1 + 15 + 39 = 55
-    # values: each level is within a 54-value byte cap, their sum is not
-    per = cochain.SET_BYTES_PER_VALUE
-    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 55 * per)
+    # values: each level is within a 54-value memory cap, their sum is not
+    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 55)
     assert [len(lv) for lv in delta_reach(f3, 2).levels] == [1, 15, 39]
-    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 54 * per)
+    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 54)
     with pytest.raises(ResourceCapExceeded, match="past 54 values.*memory cap"):
         delta_reach(f3, 2)
     # Delta_1, taken as +/- Im df without a sum, counts too
-    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 16 * per)
+    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 16)
     assert len(delta_reach(f3, 1).levels) == 2
-    monkeypatch.setattr(cochain, "SET_BYTES_CAP", 15 * per)
+    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 15)
     with pytest.raises(ResourceCapExceeded, match="memory cap"):
         delta_reach(f3, 1)
 
