@@ -16,7 +16,9 @@ Delta_m = Delta_{m-1} + (+/- Im df), which bound how much the weight
 invariant can move (one summand per move).  Every level has one shape:
 a sorted tuple of distinct ints, symmetric under v -> -v, that holds 0.
 ``image_delta`` and ``delta_reach`` guarantee it where an image enters,
-and the sum kernels take it as given.
+and the sum kernels take it as given.  One cap, ``DEFAULT_LEVEL_CAP``
+values, bounds a level that is built, a level that is only counted and
+the levels ``delta_reach`` holds together.
 """
 
 from __future__ import annotations
@@ -122,10 +124,18 @@ def image_delta(f: CochainFn) -> tuple[int, ...]:
     return tuple(sorted(values))
 
 
-# No Delta level, built or only counted, may hold more values than this:
-# sumset, sumset_size and delta_reach read it when they run, and raise
-# ResourceCapExceeded past it.
-DEFAULT_LEVEL_CAP = 10**7
+# No Delta level, built or only counted, may hold more values than this,
+# nor may the levels delta_reach holds together: sumset, sumset_size and
+# delta_reach read it when they run, and raise ResourceCapExceeded past
+# it.  A built value costs its int and its tuple slot, and a value of
+# the walk's negative half a list slot besides, and delta_reach keeps
+# every level: the delta command that builds a 959 213-value level peaks
+# at 57 MB, cold or warm, about 45 bytes a value over the interpreter's
+# 14 MB (64-bit CPython 3.11).  The last build can take the levels held
+# past the cap before their sum is checked, by at most one level within
+# it, so up to twice the cap; 128 bytes a value keeps even that below
+# 150 MB.
+DEFAULT_LEVEL_CAP = 150 * 10**6 // 128
 # sumset takes the bitmask kernel when the span of the sum is at most this
 # many times |a|; a sparser sum goes to the range walk.
 DENSE_FACTOR = 1024
@@ -142,33 +152,14 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")
 # holds about one value per pair.
 PAIR_BUDGET = 1 << 12
 PAIRS_PER_VALUE = 8
-# The memory cap: ResourceCapExceeded once more than MAX_HELD_VALUES
-# values are held.  A sparse build raises once the values it will return
-# pass it, a dense build once its mask's count does, before the
-# read-back, and delta_reach once the levels it keeps, Delta_0 up to the
-# one just built, sum past it.  The walk's built value costs its int and
-# its tuple slot, and a value of the negative half a list slot besides,
-# and delta_reach keeps every level: the delta command that builds a
-# 959 213-value level peaks at 57 MB, cold or warm, about 45 bytes a
-# value over the interpreter's 14 MB (64-bit CPython 3.11).  The last
-# build can take the levels held past the cap before the sum is checked,
-# by at most one level within it, so up to twice the cap; 128 bytes a
-# value keeps even that below 150 MB.
-MAX_HELD_VALUES = 150 * 10**6 // 128
 
 
-def _past_cap() -> ResourceCapExceeded:
-    return ResourceCapExceeded(
-        f"sumset grew past the cardinality cap {DEFAULT_LEVEL_CAP}"
-    )
-
-
-def _check_memory(count: int) -> None:
-    """Raise the memory cap's ResourceCapExceeded once ``count`` values
+def _check_cap(count: int) -> None:
+    """Raise the level cap's ResourceCapExceeded once ``count`` values
     pass it."""
-    if count > MAX_HELD_VALUES:
+    if count > DEFAULT_LEVEL_CAP:
         raise ResourceCapExceeded(
-            f"Delta levels grew past {MAX_HELD_VALUES} values (memory cap)"
+            f"Delta levels grew past {DEFAULT_LEVEL_CAP} values (memory cap)"
         )
 
 
@@ -192,21 +183,19 @@ def _dense_mask(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int]:
     for i, q in enumerate(b, 1):
         out |= mask << (q - lo_b)
         # the count only grows: test the cap after ORs 1, 2, 4, 8, ...
-        if i & (i - 1) == 0 and out.bit_count() > DEFAULT_LEVEL_CAP:
-            raise _past_cap()
+        if i & (i - 1) == 0:
+            _check_cap(out.bit_count())
     del mask
     count = out.bit_count()
-    if count > DEFAULT_LEVEL_CAP:
-        raise _past_cap()
+    _check_cap(count)
     return out, count
 
 
 def _sumset_dense(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The values of the bitmask kernel's mask, read back in chunks once
-    their count is within the memory cap."""
+    their count is within the level cap."""
     lo = a[0] + b[0]
-    out, count = _dense_mask(a, b)
-    _check_memory(count)
+    out = _dense_mask(a, b)[0]
     raw = out.to_bytes((out.bit_length() + 7) // 8, "little")
     del out
     values: list[int] = []
@@ -236,8 +225,8 @@ def _walk(a: tuple[int, ...], b: tuple[int, ...], out: list[int] | None = None) 
     and halved while it holds more than the pair budget, so the set of
     distinct sums in hand never passes the budget.  If a and b are
     equal, p + q = q + p: row p of the walk starts at q = p.  The count
-    raises past ``DEFAULT_LEVEL_CAP``, and with ``out`` also past the
-    memory cap.
+    raises past ``DEFAULT_LEVEL_CAP``, checked once a range, whether the
+    walk builds or only counts.
     """
     lo, count, width = a[0] + b[0], 1, 1
     budget = max(PAIR_BUDGET, PAIRS_PER_VALUE * len(a))
@@ -256,10 +245,8 @@ def _walk(a: tuple[int, ...], b: tuple[int, ...], out: list[int] | None = None) 
             continue
         sums = {p + q for p, j, e in zip(ps, js, ends) for q in b[j:e]}
         count += 2 * len(sums)
-        if count > DEFAULT_LEVEL_CAP:
-            raise _past_cap()
+        _check_cap(count)
         if out is not None:
-            _check_memory(count)
             out.extend(sorted(sums))
         del sums  # the next range's set is built without this one alive
         starts[first:last] = ends
@@ -281,10 +268,9 @@ def sumset(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     of b; any other sum by ``_walk``, the range walk that
     ``sumset_size`` counts with, which lists the negative half to which
     0 and the mirror image are added here.  Both kernels give the same
-    tuple and raise the same ResourceCapExceeded, and both raise the
-    memory cap's once the values they will return pass
-    ``MAX_HELD_VALUES``: the walk as it goes, the bitmask before it
-    reads the mask back.
+    tuple and raise the same ResourceCapExceeded once the values they
+    will return pass ``DEFAULT_LEVEL_CAP``: the walk as it goes, the
+    bitmask as its mask grows, before it reads the mask back.
     """
     if _is_dense(a, b):
         return _sumset_dense(a, b)
@@ -324,11 +310,11 @@ def delta_reach(
     way.  Im(df) always holds 0, so a given image without it raises
     ValueError; with it, each level is a sorted symmetric tuple that
     holds 0, as ``sumset`` takes it, and the levels are nested
-    increasing.  A level exceeding ``DEFAULT_LEVEL_CAP`` elements raises
-    ResourceCapExceeded: the levels feed the move-count certificates, so
-    truncation is never acceptable.  So do the levels held, Delta_0 up to
-    the one just built, once their sizes sum past the memory cap
-    (``MAX_HELD_VALUES`` values).
+    increasing.  The levels held, Delta_0 up to the one just built,
+    raise ResourceCapExceeded once their sizes sum past
+    ``DEFAULT_LEVEL_CAP``, as does a sum that passes it as it is built:
+    the levels feed the move-count certificates, so truncation is never
+    acceptable.
     """
     if max_m < 0:
         raise ValueError(f"max_m must be >= 0, got {max_m}")
@@ -337,14 +323,9 @@ def delta_reach(
         raise ValueError("im_delta must hold 0, as Im(df) does")
     pm_im = tuple(sorted({v for k in im for v in (k, -k)}))
     levels = [(0,)]
-    if max_m >= 1:
-        # Delta_1 = {0} + (+/- Im df) is +/- Im df itself
-        if len(pm_im) > DEFAULT_LEVEL_CAP:
-            raise _past_cap()
-        levels.append(pm_im)
-        _check_memory(1 + len(pm_im))
     while len(levels) <= max_m:
-        levels.append(sumset(levels[-1], pm_im))
-        _check_memory(sum(map(len, levels)))
+        # Delta_1 = {0} + (+/- Im df) is +/- Im df itself
+        levels.append(sumset(levels[-1], pm_im) if len(levels) > 1 else pm_im)
+        _check_cap(sum(map(len, levels)))
     return DeltaReach(f=f, im_delta=im, levels=tuple(levels))
 

@@ -94,8 +94,9 @@ class DiagramPlanarityError(DiagramError):
 # command loads, so that the command line can catch it without loading
 # the layers that raise it.
 class ResourceCapExceeded(RuntimeError):
-    """A coloring list or a level set grew past its cardinality cap, or
-    the weight function f past its degree, coefficient-size, nesting or
+    """A coloring list grew past its cardinality cap, a Delta level or
+    the levels held together past the level cap of ``cochain``, or the
+    weight function f past its degree, coefficient-size, nesting or
     modulus cap."""
 
 

@@ -195,36 +195,21 @@ class BoundCertificate(NamedTuple):
 _NO_COLORING = "no non-trivial coloring on the first diagram"
 
 
-def _levels_clear(
-    diffs: set[int], max_m: int, hits: Callable[[set[int], int], set[int]]
-) -> tuple[int, tuple[str, ...], int | None]:
-    """Largest m <= max_m with diffs disjoint from Delta_0..Delta_m-1,
-    where ``hits(diffs, k)`` is diffs intersected with Delta_k."""
-    verdicts: list[str] = []
-    for k in range(max_m):
-        hit = hits(diffs, k)
-        if hit:
-            verdicts.append(f"level {k}: hit {min(hit)}")
-            return k, tuple(verdicts), k
-        verdicts.append(f"level {k}: empty intersection")
-    return max_m, tuple(verdicts), None
-
-
 def _split_levels(
     held: tuple[tuple[int, ...], ...], max_m: int, split: Callable[[int], tuple[int, int]]
-) -> tuple[tuple[int, ...], Callable[[set[int], int], set[int]]]:
-    """The sizes |Delta_0|, |Delta_1|, ... and the ``hits`` of
-    ``_levels_clear``, read off the held levels Delta_0..Delta_h, where
-    ``split(k) = (i, j)``, i + j = k, names the held Delta_i + Delta_j
-    that stands for Delta_k.
+) -> tuple[tuple[int, ...], Callable[[set[int]], tuple[int, tuple[str, ...], int | None]]]:
+    """The sizes |Delta_0|, |Delta_1|, ... and the level test ``clear``,
+    read off the held levels Delta_0..Delta_h, where ``split(k) = (i, j)``,
+    i + j = k, names the held Delta_i + Delta_j that stands for Delta_k.
 
     A size below ``len(held)`` is that held level's; a higher one is
     ``sumset_size`` of the split.  These sizes are informational, as
     the bound rests on the verdicts alone, so the list stops before the
-    first size past the level cap of ``cochain``.  ``hits(diffs, k)`` is
-    diffs & Delta_i when j = 0, and otherwise the d in diffs with d - b
-    in Delta_i for some b in Delta_j, found without building the sum
-    (meet in the middle).
+    first size past the level cap of ``cochain``.  ``clear(diffs)`` is
+    the largest m <= max_m with diffs disjoint from Delta_0..Delta_m-1,
+    the verdicts on the levels it met and the first level hit, if any;
+    diffs meets Delta_k in the d with d - b in Delta_i for some b in
+    Delta_j, found without building the sum (meet in the middle).
     """
     from .cochain import sumset_size
 
@@ -236,13 +221,18 @@ def _split_levels(
             break
     sets = [set(lv) for lv in held]
 
-    def hits(diffs: set[int], k: int) -> set[int]:
-        i, j = split(k)
-        if j == 0:
-            return diffs & sets[i]
-        return {d for d in diffs if not sets[i].isdisjoint(map(d.__sub__, held[j]))}
+    def clear(diffs: set[int]) -> tuple[int, tuple[str, ...], int | None]:
+        verdicts: list[str] = []
+        for k in range(max_m):
+            i, j = split(k)
+            hit = [d for d in diffs if not sets[i].isdisjoint(map(d.__sub__, held[j]))]
+            if hit:
+                verdicts.append(f"level {k}: hit {min(hit)}")
+                return k, tuple(verdicts), k
+            verdicts.append(f"level {k}: empty intersection")
+        return max_m, tuple(verdicts), None
 
-    return tuple(sizes), hits
+    return tuple(sizes), clear
 
 
 def certify_lower_bound(
@@ -283,7 +273,7 @@ def certify_lower_bound(
         raise ValueError(
             f"supplied levels reach Delta_{len(held) - 1}, need Delta_{h}"
         )
-    sizes, hits = _split_levels(held, max_m, lambda k: (min(k, h), max(k - h, 0)))
+    sizes, clear = _split_levels(held, max_m, lambda k: (min(k, h), max(k - h, 0)))
     phi = phi_set(d2, s, f).values
 
     # the record for no non-trivial coloring; each better coloring
@@ -298,7 +288,7 @@ def certify_lower_bound(
         if is_trivial(col):
             continue
         w = weight(d, extend_coloring(d, col, s), f)
-        m, verdicts, first_hit = _levels_clear({w - v for v in phi}, max_m, hits)
+        m, verdicts, first_hit = clear({w - v for v in phi})
         if cert.no_nontrivial_coloring or m > cert.m:
             cert = cert._replace(
                 m=m, coloring_id=cid, coloring=col.arc_colors, w=w,
@@ -347,7 +337,7 @@ def verify_certificate(
     phi = phi_set(d2, s, f).values
     # Delta_0..Delta_{max_m-1} are needed; max_m // 2 = ceil((max_m-1)/2)
     halves = delta_reach(f, max_m // 2).levels
-    sizes, hits = _split_levels(halves, max_m, lambda k: ((k + 1) // 2, k // 2))
+    sizes, clear = _split_levels(halves, max_m, lambda k: ((k + 1) // 2, k // 2))
     colorings = enumerate_colorings(d, n)
     if cid is None:
         if not all(map(is_trivial, colorings)):
@@ -361,7 +351,7 @@ def verify_certificate(
             return False
         ec = extend_coloring(d, colorings[cid], s)
         w = sum(t.term for t in crossing_terms(d, ec, f))
-        m, verdicts, first_hit = _levels_clear({w - v for v in phi}, max_m, hits)
+        m, verdicts, first_hit = clear({w - v for v in phi})
         scored = dict(
             m=m, coloring=colorings[cid].arc_colors, w=w, level_verdicts=verdicts,
             first_hit_level=first_hit, no_nontrivial_coloring=False,

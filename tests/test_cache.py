@@ -196,16 +196,12 @@ def test_warm_runs_meet_every_cap_as_cold_ones(capsys, tmp_path, f3, monkeypatch
         code, report = _delta(capsys, warm, max_m)
         assert code == 0 and report["cache"] == {"hits": 1, "misses": 0}
 
-    monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 38)
-    refused(2, "past the cardinality cap 38")
-    monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 39)
-    served(2)
-    # the levels built, 1 + 15 + 39 = 55 values, are held to the memory
+    # the levels built, 1 + 15 + 39 = 55 values, are held to the level
     # cap warm as cold
-    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 54)
+    monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 54)
     refused(2, "past 54 values.*memory cap")
     served(1)  # 16 values
-    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 55)
+    monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 55)
     served(2)
     # and an entry for a modulus past the cap on Im(df)'s walk is not served
     monkeypatch.setattr(cochain, "MAX_IMAGE_TUPLES", 80)

@@ -1082,6 +1082,25 @@ def test_certify_reads_entries_with_level_sizes(capsys, tmp_path):
         assert code == 0 and again["cache"] == {"hits": 1, "misses": 0}
 
 
+def test_certify_counts_past_the_level_cap(capsys, tmp_path):
+    # --max-m 3 holds Delta_0 and Delta_1 and only counts |Delta_2|,
+    # which passes cochain.DEFAULT_LEVEL_CAP for both pairs: the size
+    # list stops before it, and the bound still comes from the meet in
+    # the middle, verified
+    f = "(x+y)^2*(y-z)^3*z^5"
+    for pair, n, want in (
+        (("d3", "d4"), "11", (5, 0, [1, 22947], True)),
+        (("d5", "d6"), "12", (0, 3, [1, 31961], True)),
+    ):
+        code, report, _ = run_json(
+            capsys, "certify", *pair, "-n", n, "-f", f, "-s", "0",
+            "--max-m", "3", "--cache", str(tmp_path / pair[0]),
+        )
+        cert = report["results"]["certificate"]
+        got = (code, cert["m"], cert["delta_level_sizes"], report["results"]["verified"])
+        assert got == want
+
+
 def test_certify_warm_matches_cold(capsys, tmp_path):
     # the certificate from cached half levels is the one built from
     # scratch, for every max_m up to 5

@@ -596,7 +596,7 @@ def _sumset_case(a, b, dense):
                 pytest.raises(ResourceCapExceeded) as err:
             sumset(a, b)
         assert str(err.value) == (
-            f"sumset grew past the cardinality cap {len(want) - 1}"
+            f"Delta levels grew past {len(want) - 1} values (memory cap)"
         )
     assert kernel.called == dense
 
@@ -656,7 +656,7 @@ def _size_case(a, b, dense):
                 pytest.raises(ResourceCapExceeded) as err:
             sumset_size(a, b)
         assert str(err.value) == (
-            f"sumset grew past the cardinality cap {size - 1}"
+            f"Delta levels grew past {size - 1} values (memory cap)"
         )
     assert kernel.called == dense
 
@@ -818,51 +818,57 @@ def test_level_cap(f3, monkeypatch):
     monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 5)
     with pytest.raises(ResourceCapExceeded):
         delta_reach(f3, 2)
-    # Delta_1 is +/- Im df itself, 15 values, held to the cap as a sum is
+    # Delta_1 is +/- Im df itself, 15 values, held to the cap with
+    # Delta_0 as a sum is
+    monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 16)
+    assert [len(lv) for lv in delta_reach(f3, 1).levels] == [1, 15]
     monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 15)
-    assert len(delta_reach(f3, 1).levels[1]) == 15
-    monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 14)
     with pytest.raises(
-        ResourceCapExceeded, match=r"^sumset grew past the cardinality cap 14$"
+        ResourceCapExceeded, match=r"^Delta levels grew past 15 values \(memory cap\)$"
     ):
         delta_reach(f3, 1)
 
 
 def test_sparse_walk_memory_cap(f5, monkeypatch):
     # {0} + (+/- Im df) of the d3/d4 function is 701 values from the sparse
-    # walk; the walk raises once the values pass MAX_HELD_VALUES, well
-    # below the cardinality cap
+    # walk; the walk raises once the values pass DEFAULT_LEVEL_CAP
     pm_im = tuple(sorted({v for k in image_delta(f5) for v in (k, -k)}))
-    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 701)
+    monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 701)
     assert len(cochain.sumset((0,), pm_im)) == 701
-    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 700)
+    monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 700)
     with pytest.raises(ResourceCapExceeded, match="past 700 values.*memory cap"):
         cochain.sumset((0,), pm_im)
 
 
-def test_memory_cap_spares_the_count(f3, f5, monkeypatch):
-    # the walk holds no values when it only counts, so sumset_size counts
-    # past the memory cap that stops a build of the same sum; so does the
-    # bitmask kernel, which reads no value back to count
+def test_count_and_build_meet_one_cap(f3, f5, monkeypatch):
+    # sumset_size and sumset of the same operands pass at the sum's size
+    # and raise the same error one value below it: the sparse walk, which
+    # holds no values when it only counts, and the bitmask kernel, which
+    # reads no value back to count
     pm_im = tuple(sorted({v for k in image_delta(f5) for v in (k, -k)}))
-    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 700)
-    assert sumset_size((0,), pm_im) == 701
-    with pytest.raises(ResourceCapExceeded, match="memory cap"):
-        sumset((0,), pm_im)
     level1 = delta_reach(f3, 1).levels[1]
+    assert not cochain._is_dense((0,), pm_im)
     assert cochain._is_dense(level1, level1)
-    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 38)
-    assert sumset_size(level1, level1) == 39
+    for a, b, size in (((0,), pm_im, 701), (level1, level1, 39)):
+        monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", size)
+        assert sumset_size(a, b) == len(sumset(a, b)) == size
+        monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", size - 1)
+        errors = []
+        for kernel in (sumset_size, sumset):
+            with pytest.raises(ResourceCapExceeded) as err:
+                kernel(a, b)
+            errors.append(str(err.value))
+        assert errors == [f"Delta levels grew past {size - 1} values (memory cap)"] * 2
 
 
 def test_dense_build_memory_cap(f3, monkeypatch):
     # Delta_1 + Delta_1 of (x-y)(y-z)z at n = 3 is 39 values from the
-    # bitmask kernel, which raises past the memory cap before its read-back
+    # bitmask kernel, which raises past the cap before its read-back
     level1 = delta_reach(f3, 1).levels[1]
     with mock.patch.object(cochain, "_walk") as walk:
-        monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 39)
+        monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 39)
         assert len(sumset(level1, level1)) == 39
-        monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 38)
+        monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 38)
         with pytest.raises(ResourceCapExceeded, match="past 38 values.*memory cap"):
             sumset(level1, level1)
     walk.assert_not_called()
@@ -870,18 +876,12 @@ def test_dense_build_memory_cap(f3, monkeypatch):
 
 def test_levels_held_memory_cap(f3, monkeypatch):
     # Delta_0..Delta_2 of (x-y)(y-z)z at n = 3 hold 1 + 15 + 39 = 55
-    # values: each level is within a 54-value memory cap, their sum is not
-    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 55)
+    # values: each level is within a 54-value cap, their sum is not
+    monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 55)
     assert [len(lv) for lv in delta_reach(f3, 2).levels] == [1, 15, 39]
-    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 54)
+    monkeypatch.setattr(cochain, "DEFAULT_LEVEL_CAP", 54)
     with pytest.raises(ResourceCapExceeded, match="past 54 values.*memory cap"):
         delta_reach(f3, 2)
-    # Delta_1, taken as +/- Im df without a sum, counts too
-    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 16)
-    assert len(delta_reach(f3, 1).levels) == 2
-    monkeypatch.setattr(cochain, "MAX_HELD_VALUES", 15)
-    with pytest.raises(ResourceCapExceeded, match="memory cap"):
-        delta_reach(f3, 1)
 
 
 def test_reach_memo_extends(f5):

@@ -576,14 +576,12 @@ def test_verifier_rejects_tampered_colorings(diagrams, f3):
     d, d2 = diagrams["d1"], diagrams["d2"]
     cert = certify_lower_bound(d, d2, 0, f3, 2)
     levels = delta_reach(f3, cert.max_m - 1).levels
+    clear = invariant._split_levels(levels, cert.max_m, lambda k: (k, 0))[1]
     cols = enumerate_colorings(d, 3)
 
     def scored(cid, col):
         w = weight(d, extend_coloring(d, col, 0), f3)
-        m, verdicts, first_hit = invariant._levels_clear(
-            {w - v for v in cert.phi}, cert.max_m,
-            lambda diffs, k: diffs & set(levels[k]),
-        )
+        m, verdicts, first_hit = clear({w - v for v in cert.phi})
         return cert._replace(
             coloring_id=cid, coloring=col.arc_colors, w=w, m=m,
             level_verdicts=tuple(verdicts), first_hit_level=first_hit,
